@@ -6,7 +6,7 @@ from .elements import (ConvexMirror, HalfMirror, Screen, ThinLens, TmdPlate,
                        classify_tmd_mode, screen_emit)
 from .errors import (DegenerateBundle, EmptySpot, InvalidGeometry, IoError,
                      NoIntersection, OutOfBounds, ParseError, TmdSimError,
-                     ValidationError)
+                     UsageError, ValidationError)
 from .geometry import Pose, Ray, closest_point_to_rays, intersect_plane
 from .presets import PRESET_BUILDERS, build_preset
 from .render import (Image, SweepResult, best_offset, defocus_sweep,
@@ -25,8 +25,8 @@ __all__ = [
     "InvalidGeometry", "IoError", "LayoutParams", "NoIntersection",
     "OutOfBounds", "ParseError", "Pose", "PRESET_BUILDERS", "Ray", "Scene",
     "Screen", "SpotDiagram", "SweepResult", "ThinLens", "TmdPlate",
-    "TmdSimError", "ValidationError", "best_offset", "build_preset",
-    "classify_tmd_mode", "closest_point_to_rays", "defocus_sweep",
+    "TmdSimError", "UsageError", "ValidationError", "best_offset",
+    "build_preset", "classify_tmd_mode", "closest_point_to_rays", "defocus_sweep",
     "design_report", "fov_ame", "fov_convex_mirror", "fov_half_mirror",
     "intersect_plane", "make_pattern", "parse_scene", "read_ppm",
     "render_view", "resolution_estimate", "screen_emit", "serialize_scene",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .design import LayoutParams, design_report
 from .errors import (DegenerateBundle, EmptySpot, InvalidGeometry, IoError,
-                     ParseError, ValidationError)
+                     ParseError, UsageError, ValidationError)
 from .geometry import Pose, closest_point_to_rays, normalize, vec3
 from .presets import PRESET_BUILDERS, build_preset
 from .render import (best_offset, defocus_sweep, render_view, sharpness_metric,
@@ -267,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         return _cmd_presets(args, parser)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InvalidGeometry, ValidationError) as exc:

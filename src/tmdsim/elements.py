@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidGeometry, NoIntersection, OutOfBounds
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS, Pose,
-                       Ray, intersect_plane, normalize, reflect)
+                       Ray, intersect_plane, normalize_rows, reflect_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -28,13 +28,13 @@ INTERACT_SINGLE_V = "single_reflect_v"
 INTERACT_PASS = "pass_through"
 INTERACT_ABSORB = "absorbed"
 
-# Local-frame direction sign flips per plate interaction.
-_MODE_FLIPS = {
-    INTERACT_DOUBLE: (-1.0, -1.0, 1.0),
-    INTERACT_SINGLE_U: (-1.0, 1.0, 1.0),
-    INTERACT_SINGLE_V: (1.0, -1.0, 1.0),
-    INTERACT_PASS: (1.0, 1.0, 1.0),
-}
+# Plate interaction codes of the batch forms index this tuple.
+PLATE_INTERACTIONS = (INTERACT_DOUBLE, INTERACT_SINGLE_U, INTERACT_SINGLE_V,
+                      INTERACT_PASS, INTERACT_ABSORB)
+_DOUBLE, _SINGLE_U, _SINGLE_V, _PASS, _ABSORB = range(5)
+# Local-frame direction sign flips per (non-absorbed) plate interaction code.
+_PLATE_FLIPS = np.array([(-1.0, -1.0, 1.0), (-1.0, 1.0, 1.0),
+                         (1.0, -1.0, 1.0), (1.0, 1.0, 1.0)])
 _MODE_TAG = {
     INTERACT_DOUBLE: MODE_DOUBLE,
     INTERACT_SINGLE_U: MODE_SINGLE,
@@ -191,116 +191,104 @@ class Absorber:
 OpticalElement = (ThinLens, HalfMirror, ConvexMirror, TmdPlate, Screen, Absorber)
 
 
-def split_weight(weight: float, fraction: float):
-    """Split `weight` into (weight*fraction, remainder) so the two parts
-    sum back to `weight` exactly.  The larger part is computed by product
+def split_weights(weights: np.ndarray, fraction: float):
+    """Split each weight into (weight*fraction, remainder) so the two parts
+    sum back to the weight exactly.  The larger part is computed by product
     and the smaller by complement; the subtraction is then exact (Sterbenz).
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction outside [0, 1]")
     if fraction >= 0.5:
-        part = weight * fraction
-        rest = weight - part
-    else:
-        rest = weight * (1.0 - fraction)
-        part = weight - rest
-    return part, rest
+        part = weights * fraction
+        return part, weights - part
+    rest = weights * (1.0 - fraction)
+    return weights - rest, rest
 
 
-def thin_lens_transform(ray: Ray, lens: ThinLens) -> Ray:
-    """Refract a ray through an ideal thin lens.
+def split_weight(weight: float, fraction: float):
+    """`split_weights` for one weight."""
+    part, rest = split_weights(np.array([weight], dtype=np.float64), fraction)
+    return float(part[0]), float(rest[0])
 
-    In the lens frame a ray crossing at transverse offset h has its slope
-    changed by -h/f (measured per unit travel along the axis, in the
-    direction of propagation), so a point source at distance s_o images
-    exactly at 1/s_i = 1/f - 1/s_o.  Rays through the centre are unchanged.
+
+# Batch interactions.  Each takes the rays that hit one element as rows
+# (hit points, incoming directions, ...) and returns the outgoing rows; the
+# outgoing directions are not yet normalized, exactly as the scalar forms
+# below hand them to `Ray`, which normalizes them.  The scalar forms are
+# 1-row calls of these, so each interaction's maths exists once.
+
+def refract_thin_lens(lens: ThinLens, points: np.ndarray, directions: np.ndarray):
+    """(clear, out_directions) for rays hitting the lens plane at `points`.
+
+    `clear` marks the rows inside the clear aperture; the other rows hit
+    the mount and their directions are meaningless.  In the lens frame a
+    ray crossing at transverse offset h has its slope changed by -h/f
+    (measured per unit travel along the axis, in the direction of
+    propagation), so a point source at distance s_o images exactly at
+    1/s_i = 1/f - 1/s_o.  Rays through the centre are unchanged.
     """
-    d = lens.aperture_diameter
-    hit = intersect_plane(ray, lens.pose, (d, d))
-    if hit is None:
-        raise NoIntersection(f"ray misses lens {lens.ident!r}")
-    u, v = hit.uv
-    if u * u + v * v > (0.5 * d) ** 2:
-        raise NoIntersection(f"ray misses the clear aperture of lens {lens.ident!r}")
-    dl = lens.pose.to_local_dir(ray.direction)
-    aw = abs(dl[2])
-    if aw < 1e-12:
+    u, v = lens.pose.uv_of(points)
+    clear = u * u + v * v <= (0.5 * lens.aperture_diameter) ** 2
+    dl = lens.pose.to_local_dirs(directions)
+    aw = np.abs(dl[:, 2])
+    if (clear & (aw < 1e-12)).any():
         raise NoIntersection(f"ray grazes lens {lens.ident!r}")
-    sx = dl[0] / aw - u / lens.focal_length
-    sy = dl[1] / aw - v / lens.focal_length
-    out_local = np.array([sx, sy, math.copysign(1.0, dl[2])])
-    return replace(ray, origin=hit.point,
-                   direction=lens.pose.to_world_dir(normalize(out_local)))
+    out_local = np.stack([dl[:, 0] / aw - u / lens.focal_length,
+                          dl[:, 1] / aw - v / lens.focal_length,
+                          np.copysign(1.0, dl[:, 2])], axis=1)
+    return clear, lens.pose.to_world_dirs(normalize_rows(out_local))
 
 
-def half_mirror_interact(ray: Ray, mirror: HalfMirror):
-    """Split a ray on a half mirror into (reflected, transmitted).
+def split_half_mirror(mirror: HalfMirror, directions: np.ndarray,
+                      weights: np.ndarray):
+    """(reflected_directions, reflected_weights, transmitted_weights); the
+    transmitted rays keep their directions and the two weights of a row sum
+    to its incident weight exactly."""
+    w_r, w_t = split_weights(weights, mirror.reflectance)
+    return reflect_rows(directions, mirror.pose.normal), w_r, w_t
 
-    The two branch weights sum to the incident weight exactly.
+
+def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
+                    directions: np.ndarray) -> np.ndarray:
+    """Hit distance of each ray on a curved combiner's cap (inf on a miss).
+
+    The curvature centre sits on the +w side of the vertex for a_mag > 1.
+    Of the two sphere crossings the one on the cap near the vertex wins;
+    the far hemisphere (sag beyond one radius) is not a cap.
     """
-    hit = intersect_plane(ray, mirror.pose, mirror.extent)
-    if hit is None:
-        raise NoIntersection(f"ray misses half mirror {mirror.ident!r}")
-    w_r, w_t = split_weight(ray.weight, mirror.reflectance)
-    reflected = replace(ray, origin=hit.point,
-                        direction=reflect(ray.direction, mirror.pose.normal),
-                        weight=w_r)
-    transmitted = replace(ray, origin=hit.point, weight=w_t)
-    return reflected, transmitted
-
-
-def _sphere_cap_hit(ray: Ray, mirror: ConvexMirror):
-    # Curvature centre sits on the +w side of the vertex for a_mag > 1.
     R = mirror.curvature_radius
-    centre = mirror.pose.position + R * mirror.pose.normal
-    oc = ray.origin - centre
-    b = float(ray.direction @ oc)
-    c = float(oc @ oc) - R * R
-    disc = b * b - c
-    if disc < 0:
-        return None
-    sq = math.sqrt(disc)
-    best = None
-    w2, h2 = 0.5 * mirror.extent[0], 0.5 * mirror.extent[1]
+    pose = mirror.pose
+    oc = origins - (pose.position + R * pose.normal)
+    b = np.vecdot(directions, oc)
+    disc = b * b - (np.vecdot(oc, oc) - R * R)
+    sq = np.sqrt(np.where(disc < 0, 0.0, disc))
+    best = np.full(len(origins), np.inf)
+    best_wl = np.full(len(origins), np.inf)
     for t in (-b - sq, -b + sq):
-        if t <= PLANE_EPS:
-            continue
-        point = ray.at(t)
-        rel = point - mirror.pose.position
-        u = float(rel @ mirror.pose.u_axis)
-        v = float(rel @ mirror.pose.v_axis)
-        if abs(u) > w2 or abs(v) > h2:
-            continue
-        wl = abs(float(rel @ mirror.pose.normal))
-        # Of the two sphere crossings keep the one on the cap near the
-        # vertex; the far hemisphere (sag beyond one radius) is not a cap.
-        if wl > abs(R):
-            continue
-        if best is None or wl < best[0]:
-            best = (wl, t, point)
-    if best is None:
-        return None
-    _, t, point = best
-    return t, point, normalize(centre - point)
+        points = origins + t[:, None] * directions
+        u, v = pose.uv_of(points)
+        wl = np.abs(np.vecdot(points - pose.position, pose.normal))
+        ok = ((disc >= 0) & (t > PLANE_EPS) & (np.abs(u) <= 0.5 * mirror.extent[0])
+              & (np.abs(v) <= 0.5 * mirror.extent[1]) & (wl <= abs(R))
+              & (wl < best_wl))
+        best = np.where(ok, t, best)
+        best_wl = np.where(ok, wl, best_wl)
+    return best
 
 
-def convex_mirror_transform(ray: Ray, mirror: ConvexMirror) -> Ray:
-    """Specular reflection off the combiner cap (flat when a_mag = 1)."""
+def reflect_convex_mirror(mirror: ConvexMirror, points: np.ndarray,
+                          directions: np.ndarray) -> np.ndarray:
+    """Specular reflection at `points` on the combiner (flat at a_mag = 1)."""
     if mirror.a_mag == 1.0:
-        hit = intersect_plane(ray, mirror.pose, mirror.extent)
-        if hit is None:
-            raise NoIntersection(f"ray misses mirror {mirror.ident!r}")
-        return replace(ray, origin=hit.point,
-                       direction=reflect(ray.direction, mirror.pose.normal))
-    got = _sphere_cap_hit(ray, mirror)
-    if got is None:
-        raise NoIntersection(f"ray misses mirror {mirror.ident!r}")
-    _, point, n = got
-    return replace(ray, origin=point, direction=reflect(ray.direction, n))
+        return reflect_rows(directions, mirror.pose.normal)
+    centre = mirror.pose.position + mirror.curvature_radius * mirror.pose.normal
+    return reflect_rows(directions, normalize_rows(centre - points))
 
 
-def classify_tmd_mode(incidence, plate: TmdPlate, draw: float) -> str:
-    """Map a uniform draw in [0,1) to one plate interaction.
+def classify_plate_modes(plate: TmdPlate, incidence: np.ndarray,
+                         draws: np.ndarray) -> np.ndarray:
+    """Plate interaction codes (indices into PLATE_INTERACTIONS) for rows of
+    plate-local incidence directions and uniform draws in [0, 1).
 
     [0,1) is partitioned into double | single | pass bands of the plate's
     mode weights, remainder absorbed.  A polarizer keeps the partition but
@@ -310,36 +298,41 @@ def classify_tmd_mode(incidence, plate: TmdPlate, draw: float) -> str:
     p_eff = p_double * (1 - tan(theta) / (2 * mirror_ratio)), clamped to
     [0,1]; the freed mass is absorbed.
     """
-    if not 0.0 <= draw < 1.0:
-        raise ValueError(f"draw {draw} outside [0, 1)")
     p_d, p_s, p_p = plate.mode_weights
     if plate.angular_fill:
-        cw = abs(float(incidence[2]))
-        tan = math.sqrt(max(1.0 - cw * cw, 0.0)) / max(cw, 1e-12)
-        p_d = min(max(p_d * (1.0 - tan / (2.0 * plate.mirror_ratio)), 0.0), 1.0)
+        cw = np.abs(incidence[:, 2])
+        tan = np.sqrt(np.maximum(1.0 - cw * cw, 0.0)) / np.maximum(cw, 1e-12)
+        p_d = np.minimum(np.maximum(p_d * (1.0 - tan / (2.0 * plate.mirror_ratio)),
+                                    0.0), 1.0)
     b1 = p_d
     b2 = b1 + p_s
-    b3 = b2 + p_p
-    if draw < b1:
-        return INTERACT_DOUBLE
-    if draw < b2:
-        if plate.polarizer:
-            return INTERACT_ABSORB
-        return INTERACT_SINGLE_U if draw < b1 + 0.5 * p_s else INTERACT_SINGLE_V
-    if draw < b3:
-        return INTERACT_PASS
-    return INTERACT_ABSORB
+    single = (_ABSORB if plate.polarizer
+              else np.where(draws < b1 + 0.5 * p_s, _SINGLE_U, _SINGLE_V))
+    return np.where(draws < b1, _DOUBLE,
+                    np.where(draws < b2, single,
+                             np.where(draws < b2 + p_p, _PASS, _ABSORB)))
 
 
-def quantize_uv(u: float, v: float, pitch: float):
+def classify_tmd_mode(incidence, plate: TmdPlate, draw: float) -> str:
+    """One plate interaction for a plate-local incidence direction and a
+    uniform draw in [0,1) (see classify_plate_modes)."""
+    if not 0.0 <= draw < 1.0:
+        raise ValueError(f"draw {draw} outside [0, 1)")
+    incidence = np.asarray(incidence, dtype=np.float64)[None]
+    code = classify_plate_modes(plate, incidence, np.array([draw]))[0]
+    return PLATE_INTERACTIONS[code]
+
+
+def quantize_uv(u, v, pitch: float):
     """Snap plate-local coordinates to the centre of their pitch cell."""
-    qu = (math.floor(u / pitch) + 0.5) * pitch
-    qv = (math.floor(v / pitch) + 0.5) * pitch
-    return qu, qv
+    return (np.floor(u / pitch) + 0.5) * pitch, (np.floor(v / pitch) + 0.5) * pitch
 
 
-def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
-    """Carry a ray through the plate for an already chosen interaction mode.
+def plate_exit(plate: TmdPlate, points: np.ndarray, local_dirs: np.ndarray,
+               codes: np.ndarray):
+    """(exit_points, out_directions) of rays that hit the plate at `points`
+    with plate-local directions `local_dirs`, for already chosen interaction
+    codes (no absorbed rows).
 
     double_reflect negates both transverse direction components (the
     retroreflection that builds the plane-symmetric image), single_reflect_u/v
@@ -347,20 +340,71 @@ def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
     snaps the exit point to the containing cell centre; pass-through exits
     exactly at the hit point.
     """
-    if mode not in _MODE_FLIPS:
-        raise ValueError(f"unknown plate mode {mode!r}")
-    hit = intersect_plane(ray, plate.pose, plate.extent)
+    pose = plate.pose
+    u, v = pose.uv_of(points)
+    if plate.pitch > 0:
+        snap = codes != _PASS
+        qu, qv = quantize_uv(u, v, plate.pitch)
+        u, v = np.where(snap, qu, u), np.where(snap, qv, v)
+    exits = pose.position + u[:, None] * pose.u_axis + v[:, None] * pose.v_axis
+    return exits, pose.to_world_dirs(local_dirs * _PLATE_FLIPS[codes])
+
+
+def _hit(ray: Ray, pose: Pose, extent, what: str):
+    hit = intersect_plane(ray, pose, extent)
     if hit is None:
-        raise NoIntersection(f"ray misses plate {plate.ident!r}")
-    dl = plate.pose.to_local_dir(ray.direction)
-    out_local = dl * np.asarray(_MODE_FLIPS[mode])
-    u, v = hit.uv
-    if plate.pitch > 0 and mode != INTERACT_PASS:
-        u, v = quantize_uv(u, v, plate.pitch)
-    origin = (plate.pose.position + u * plate.pose.u_axis + v * plate.pose.v_axis)
-    return replace(ray, origin=origin,
-                   direction=plate.pose.to_world_dir(out_local),
-                   mode=_MODE_TAG[mode])
+        raise NoIntersection(f"ray misses {what}")
+    return hit
+
+
+def thin_lens_transform(ray: Ray, lens: ThinLens) -> Ray:
+    """Refract a ray through an ideal thin lens (see refract_thin_lens)."""
+    d = lens.aperture_diameter
+    hit = _hit(ray, lens.pose, (d, d), f"lens {lens.ident!r}")
+    clear, out = refract_thin_lens(lens, hit.point[None], ray.direction[None])
+    if not clear[0]:
+        raise NoIntersection(f"ray misses the clear aperture of lens {lens.ident!r}")
+    return replace(ray, origin=hit.point, direction=out[0])
+
+
+def half_mirror_interact(ray: Ray, mirror: HalfMirror):
+    """Split a ray on a half mirror into (reflected, transmitted).
+
+    The two branch weights sum to the incident weight exactly.
+    """
+    hit = _hit(ray, mirror.pose, mirror.extent, f"half mirror {mirror.ident!r}")
+    out, w_r, w_t = split_half_mirror(mirror, ray.direction[None],
+                                      np.array([ray.weight]))
+    reflected = replace(ray, origin=hit.point, direction=out[0],
+                        weight=float(w_r[0]))
+    transmitted = replace(ray, origin=hit.point, weight=float(w_t[0]))
+    return reflected, transmitted
+
+
+def convex_mirror_transform(ray: Ray, mirror: ConvexMirror) -> Ray:
+    """Specular reflection off the combiner cap (flat when a_mag = 1)."""
+    what = f"mirror {mirror.ident!r}"
+    if mirror.a_mag == 1.0:
+        point = _hit(ray, mirror.pose, mirror.extent, what).point
+    else:
+        t = float(sphere_cap_hits(mirror, ray.origin[None], ray.direction[None])[0])
+        if t == math.inf:
+            raise NoIntersection(f"ray misses {what}")
+        point = ray.at(t)
+    out = reflect_convex_mirror(mirror, point[None], ray.direction[None])
+    return replace(ray, origin=point, direction=out[0])
+
+
+def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
+    """Carry a ray through the plate for an already chosen interaction mode
+    (see plate_exit)."""
+    if mode not in _MODE_TAG:
+        raise ValueError(f"unknown plate mode {mode!r}")
+    hit = _hit(ray, plate.pose, plate.extent, f"plate {plate.ident!r}")
+    local = plate.pose.to_local_dirs(ray.direction[None])
+    exits, out = plate_exit(plate, hit.point[None], local,
+                            np.array([PLATE_INTERACTIONS.index(mode)]))
+    return replace(ray, origin=exits[0], direction=out[0], mode=_MODE_TAG[mode])
 
 
 def screen_emit(screen: Screen, uv, toward=None) -> float:

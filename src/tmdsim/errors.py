@@ -34,6 +34,10 @@ class ParseError(TmdSimError):
         self.message = message
 
 
+class UsageError(TmdSimError):
+    """A setting given on the command line or in the environment is unusable."""
+
+
 class EmptySpot(TmdSimError):
     """No terminal ray crosses the requested spot plane."""
 

@@ -16,14 +16,13 @@ a surface.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
-                       TmdPlate, split_weight)
+                       TmdPlate, split_weights)
 from .errors import IoError
 from .geometry import (PARALLEL_EPS, PLANE_EPS, RAY_ADVANCE, WEIGHT_CUTOFF,
                        Pose)
@@ -160,15 +159,6 @@ def _sample_screen(screen: Screen, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Batch tracing
 
-def _split_weights_vec(w: np.ndarray, fraction: float):
-    # Same exact-sum split as elements.split_weight, elementwise.
-    if fraction >= 0.5:
-        part = w * fraction
-        return part, w - part
-    rest = w * (1.0 - fraction)
-    return w - rest, rest
-
-
 def _trace_batches(records, o, d, w, pix, acc, max_bounces: int):
     if not records:
         return
@@ -217,7 +207,7 @@ def _trace_batches(records, o, d, w, pix, acc, max_bounces: int):
                 mirror: HalfMirror = rec.el
                 n = rec.axes[:, 2]
                 rd = bd - 2.0 * (bd @ n)[:, None] * n
-                wr, wt = _split_weights_vec(bw, mirror.reflectance)
+                wr, wt = split_weights(bw, mirror.reflectance)
                 for nd, nw in ((rd, wr), (bd, wt)):
                     keep = nw >= WEIGHT_CUTOFF
                     if keep.any():
@@ -335,12 +325,13 @@ def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
     if nworkers == 1:
         results = map(run, blocks)
     else:
-        pool = ThreadPoolExecutor(max_workers=nworkers)
-        results = pool.map(run, blocks)
+        # Imported here because only multi-worker renders use it, and it
+        # pulls logging and threading into every start-up otherwise.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            results = list(pool.map(run, blocks))
     for block, rows_acc in zip(blocks, results):
         acc[block] = rows_acc.reshape(block.stop - block.start, w_px)
-    if nworkers != 1:
-        pool.shutdown()
     pixels = np.repeat(acc[:, :, None], 3, axis=2)
     return Image(w_px, h_px, pixels)
 

@@ -171,6 +171,25 @@ class TestTrace:
                            "--axis", "0,0,1")
         assert code == 4
 
+    def test_cone_axis_along_y(self, capsys):
+        code, out, _ = run(capsys, "trace", "--preset", "half_mirror",
+                           "--source", "1,20,21", "--axis", "0,-1,0")
+        assert code == 0
+        assert "rays,128" in out
+
+    @pytest.mark.parametrize("command", [
+        ["trace", "--preset", "half_mirror", "--source", "0,0,5", "--rays", "8"],
+        ["render", "--preset", "defocus_flat", "--rpp", "1", "--out", "x.ppm"],
+    ])
+    def test_non_integer_workers_env_exit_2(self, command, capsys, monkeypatch,
+                                            tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TMDSIM_WORKERS", "abc")
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert "TMDSIM_WORKERS must be an integer" in err
+        assert out == ""
+
     def test_preset_runs(self, capsys):
         code, out, _ = run(capsys, "trace", "--preset", "half_mirror",
                            "--source", "0,0,5", "--rays", "32")

@@ -1,0 +1,227 @@
+"""Bit-for-bit golden digests of forward-trace bundles.
+
+Each digest covers a bundle's statistics, its terminal rays and its full
+path trees (interaction labels, element names, leg start points, in-flight
+rays, terminals and branching).  The values were recorded with the per-ray
+scalar tracer that the batched kernel replaced, so any change to the
+arithmetic of the forward trace, however small, fails here.
+"""
+import hashlib
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
+                             ThinLens, TmdPlate)
+from tmdsim.geometry import Pose, Ray, normalize, vec3
+from tmdsim.presets import build_preset
+from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
+from tmdsim.tracer import (Cone, RngStream, cone_directions, terminal_rays,
+                           trace_bundle, trace_ray)
+
+N_RAYS = 48
+SEED = 5
+
+
+def _facing_z(z, normal=(0.0, 0.0, 1.0)):
+    return Pose.facing(vec3(0.0, 0.0, z), vec3(*normal))
+
+
+def _ping_pong_scene(ra, rb):
+    # Two facing splitters: long branch trees, and depending on the
+    # reflectances a trunk that fades out or one cut off by the bounce
+    # budget.
+    a = HalfMirror("a", _facing_z(0.0), (80.0, 80.0), reflectance=ra)
+    b = HalfMirror("b", _facing_z(12.0), (80.0, 80.0), reflectance=rb)
+    wall = Screen("wall", _facing_z(-400.0), (300.0, 300.0),
+                  make_pattern("checker 4", 16))
+    eye = EyeCamera("eye", camera_pose(vec3(0.0, 0.0, 300.0), (0.0, 0.0, -1.0)))
+    return Scene((a, b), eye, wall, "ping_pong")
+
+
+def _mixed_scene():
+    # A lens whose mount is hit, an angle-dependent pitched plate, a flat
+    # mirror, a curved cap and an absorber.
+    lens = ThinLens("lens", _facing_z(-30.0), 35.0, 16.0,
+                    housing_extent=(40.0, 40.0))
+    plate = TmdPlate("plate", Pose.identity(), (90.0, 90.0), pitch=0.3,
+                     mode_weights=(0.5, 0.3, 0.15), angular_fill=True,
+                     mirror_ratio=1.5)
+    flat = ConvexMirror("flat", _facing_z(45.0, (0.3, 0.0, -1.0)), 1.0,
+                        (30.0, 30.0), eye_distance=40.0)
+    cap = ConvexMirror("cap", _facing_z(-70.0, (0.0, 0.2, 1.0)), 1.8,
+                       (60.0, 60.0), eye_distance=50.0)
+    stop = Absorber("stop", _facing_z(25.0), (6.0, 6.0))
+    eye = EyeCamera("eye", camera_pose(vec3(0.0, 0.0, 60.0), (0.0, 0.0, -1.0)),
+                    aperture_diameter=10.0)
+    return Scene((lens, plate, flat, cap, stop), eye, None, "mixed")
+
+
+def _panel(scene):
+    return next(el for el in scene.elements if el.ident == "panel")
+
+
+def _in_front_of_panel(offset):
+    return lambda scene: _panel(scene).pose.position + vec3(*offset)
+
+
+def _eye(scene):
+    return scene.eye.pose.position
+
+
+# name -> (scene builder, source(scene), aim(scene), cone half angle, deg)
+CASES = {
+    "half_mirror": (lambda: build_preset("half_mirror"),
+                    _in_front_of_panel((1.0, -1.0, 1.0)),
+                    lambda scene: vec3(0.0, 0.0, 20.0), 2.0),
+    "convex_mirror": (lambda: build_preset("convex_mirror"),
+                      _in_front_of_panel((0.5, -0.5, 1.0)), _eye, 2.0),
+    "tmd_see_through": (lambda: build_preset("tmd_see_through"),
+                        _in_front_of_panel((5.0, -3.0, 0.5)), _eye, 2.0),
+    "ame_dk2": (lambda: build_preset("ame_dk2"),
+                _in_front_of_panel((2.0, -1.5, 0.5)), _eye, 2.0),
+    "ame_cardboard": (lambda: build_preset("ame_cardboard"),
+                      _in_front_of_panel((-3.0, 2.5, 0.5)), _eye, 3.0),
+    "defocus_flat": (lambda: build_preset("defocus_flat"),
+                     _in_front_of_panel((3.0, -2.0, 0.5)), _eye, 3.0),
+    "defocus_eyepiece": (lambda: build_preset("defocus_eyepiece"),
+                         _in_front_of_panel((3.0, -2.0, 0.5)), _eye, 3.0),
+    "ping_pong_fade": (lambda: _ping_pong_scene(0.5, 0.5),
+                       lambda scene: vec3(1.0, 2.0, 5.0),
+                       lambda scene: vec3(0.0, 0.0, 12.0), 20.0),
+    "ping_pong_budget": (lambda: _ping_pong_scene(0.97, 0.9),
+                         lambda scene: vec3(1.0, 2.0, 5.0),
+                         lambda scene: vec3(0.0, 0.0, 12.0), 20.0),
+    "ping_pong_leak": (lambda: _ping_pong_scene(0.97, 0.3),
+                       lambda scene: vec3(1.0, 2.0, 5.0),
+                       lambda scene: vec3(0.0, 0.0, 12.0), 20.0),
+    "mixed": (_mixed_scene, lambda scene: vec3(1.0, -2.0, -60.0),
+              lambda scene: vec3(0.0, 0.0, 0.0), 25.0),
+}
+
+GOLDEN = {
+    "ame_cardboard":
+        "c089d208348851cf75ee3424ec4ad02d2030f627845a39fb0f654febdd8dd5cc",
+    "ame_dk2":
+        "8c343624c2afb1405c6a614633f4d05488527ee8c8e6bf68367a06d1dec4e1cb",
+    "convex_mirror":
+        "727df59c73f908bdb70da82606602ccc7af3dd58fdba7de059036d2ede01b737",
+    "defocus_eyepiece":
+        "6d96dbea07364d56bba4c4d7d8a538a39ad7a488faf2f0b1d262455f7aa8c150",
+    "defocus_flat":
+        "31177bfa1670475dc3c3951de293444613417f89c6870f15f7d5e0c3c4c99b44",
+    "half_mirror":
+        "220ca0c9f125d0b6ce54c8ff684904e36ec10f42ddefde63ec5fedb1ac83114e",
+    "mixed":
+        "69fe6b8a8b3a2886815a3d6e3882662f3bbf9cb474e5a7b5cfaa0c0e9be1fa24",
+    "ping_pong_budget":
+        "a37d23afb250c6881c15c3e718f99d1d59882311a109525b0b3645352442bd79",
+    "ping_pong_fade":
+        "6059c139fdbd88508c98ea7cef7f8c736506719c9d7b84001869dce4045e9437",
+    "ping_pong_leak":
+        "f567e4bdf282a3576a1edfda7aae861697642e7a37a22b6fdbe17aa1f5ec0298",
+    "tmd_see_through":
+        "8936f126a1c8d6fd495826679033469f56b1c8ee215205151d426298870d2b3c",
+}
+
+_SCENES: dict = {}
+
+
+def case_inputs(name):
+    """(scene, source, cone) of a golden case; scenes are built once."""
+    build, source_of, aim_of, half_angle = CASES[name]
+    if name not in _SCENES:
+        _SCENES[name] = build()
+    scene = _SCENES[name]
+    source = source_of(scene)
+    cone = Cone(normalize(aim_of(scene) - source), math.radians(half_angle))
+    return scene, source, cone
+
+
+def _ray_bytes(ray):
+    return (ray.origin.tobytes() + ray.direction.tobytes()
+            + struct.pack("<d", ray.weight) + ray.mode.encode())
+
+
+def update_with_path(h, path):
+    """Feed one path tree, depth first, into a hash."""
+    for node in path.walk():
+        h.update(f"path|{node.terminal}|{len(node.segments)}|"
+                 f"{len(node.children)}".encode())
+        for seg in node.segments:
+            h.update(f"seg|{seg.interaction}|{seg.element}|".encode())
+            h.update(_ray_bytes(seg.ray))
+            h.update(b"none" if seg.point is None
+                     else np.asarray(seg.point, dtype=np.float64).tobytes())
+
+
+def bundle_digest(bundle):
+    h = hashlib.sha256()
+    h.update(json.dumps(bundle.stats, sort_keys=True).encode())
+    for ray in terminal_rays(bundle):
+        h.update(_ray_bytes(ray))
+    for root in bundle.paths:
+        update_with_path(h, root)
+    return h.hexdigest()
+
+
+def case_digest(name, **kw):
+    scene, source, cone = case_inputs(name)
+    return bundle_digest(trace_bundle(scene, source, N_RAYS, cone, seed=SEED,
+                                      **kw))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bundle_matches_golden_digest(name):
+    assert case_digest(name) == GOLDEN[name]
+
+
+def _path_digest(path):
+    h = hashlib.sha256()
+    update_with_path(h, path)
+    return h.hexdigest()
+
+
+@given(st.sampled_from(sorted(CASES)), st.integers(0, 2 ** 32),
+       st.integers(1, 24), st.data())
+@settings(max_examples=40, deadline=None)
+def test_trace_ray_matches_bundle_path(name, seed, n, data):
+    i = data.draw(st.integers(0, n - 1))
+    scene, source, cone = case_inputs(name)
+    bundle = trace_bundle(scene, source, n, cone, seed=seed)
+    dirs = cone_directions(cone, n)
+    path = trace_ray(scene, Ray(source, dirs[i]), rng=RngStream(seed, i))
+    assert _path_digest(path) == _path_digest(bundle.paths[i])
+
+
+@given(st.sampled_from(sorted(CASES)), st.integers(0, 2 ** 32),
+       st.integers(1, 40))
+@settings(max_examples=30, deadline=None)
+def test_worker_count_never_changes_a_bundle(name, seed, n):
+    scene, source, cone = case_inputs(name)
+    one = trace_bundle(scene, source, n, cone, seed=seed, workers=1)
+    three = trace_bundle(scene, source, n, cone, seed=seed, workers=3)
+    assert bundle_digest(one) == bundle_digest(three)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stats_keys_in_depth_first_order(name):
+    # The stats dicts list their keys as a walk of the path trees first
+    # meets them, segment by segment.
+    scene, source, cone = case_inputs(name)
+    bundle = trace_bundle(scene, source, N_RAYS, cone, seed=SEED)
+    interactions, terminals, modes = {}, {}, {}
+    for root in bundle.paths:
+        for path in root.walk():
+            for seg in path.segments:
+                interactions.setdefault(seg.interaction)
+            terminals.setdefault(path.terminal)
+            modes.setdefault(path.segments[-1].ray.mode)
+    assert list(bundle.stats["interactions"]) == list(interactions)
+    assert list(bundle.stats["terminals"]) == list(terminals)
+    assert list(bundle.stats["mode_weight"]) == list(modes)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tmdsim.elements import Absorber, HalfMirror, Screen, ThinLens, TmdPlate
-from tmdsim.errors import EmptySpot
+from tmdsim.errors import EmptySpot, UsageError
 from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
                              vec3)
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
@@ -76,6 +76,13 @@ class TestSequences:
     def test_cone_deterministic(self):
         cone = Cone(Z_PLUS, 0.1)
         assert np.array_equal(cone_directions(cone, 16), cone_directions(cone, 16))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cone_axis_along_y(self, sign):
+        axis = vec3(0.0, sign, 0.0)
+        dirs = cone_directions(Cone(axis, math.radians(5.0)), 200)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+        assert (dirs @ axis).min() >= math.cos(math.radians(5.0)) - 1e-12
 
     def test_cone_validation(self):
         with pytest.raises(ValueError):
@@ -238,6 +245,12 @@ class TestBundle:
         assert s1.stats == s4.stats
         for a, b in zip(terminal_rays(s1), terminal_rays(s4)):
             assert np.array_equal(a.origin, b.origin)
+
+    def test_workers_env_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("TMDSIM_WORKERS", "abc")
+        with pytest.raises(UsageError, match="TMDSIM_WORKERS"):
+            resolve_workers()
+        assert resolve_workers(2) == 2
 
     def test_workers_env(self, monkeypatch):
         monkeypatch.setenv("TMDSIM_WORKERS", "3")
