@@ -41,9 +41,12 @@ def _parse_triplet(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected x,y,z, got {text!r}")
     try:
-        return vec3(*(float(p) for p in parts))
+        v = vec3(*(float(p) for p in parts))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers in {text!r}") from None
+    if not np.isfinite(v).all():
+        raise argparse.ArgumentTypeError(f"expected finite numbers in {text!r}")
+    return v
 
 
 def _parse_offsets(text: str) -> tuple:

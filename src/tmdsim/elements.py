@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidGeometry, NoIntersection, OutOfBounds
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS, Pose,
-                       Ray, intersect_plane, normalize_rows, reflect_rows)
+                       Ray, intersect_plane, normalize_rows, reflect_rows,
+                       require_finite)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -44,6 +45,7 @@ _MODE_TAG = {
 
 
 def _positive_extent(extent) -> tuple:
+    require_finite("extent", extent)
     w, h = float(extent[0]), float(extent[1])
     if w <= 0 or h <= 0:
         raise InvalidGeometry(f"extent must be positive, got {(w, h)}")
@@ -61,6 +63,8 @@ class ThinLens:
     housing_extent: Optional[tuple] = None
 
     def __post_init__(self):
+        require_finite("lens focal length", self.focal_length)
+        require_finite("lens aperture", self.aperture_diameter)
         if self.focal_length == 0:
             raise InvalidGeometry("lens focal length must be nonzero")
         if self.aperture_diameter <= 0:
@@ -84,6 +88,7 @@ class HalfMirror:
 
     def __post_init__(self):
         object.__setattr__(self, "extent", _positive_extent(self.extent))
+        require_finite("half-mirror reflectance", self.reflectance)
         if not 0.0 < self.reflectance < 1.0:
             raise InvalidGeometry("half-mirror reflectance must be in (0, 1)")
 
@@ -105,6 +110,8 @@ class ConvexMirror:
 
     def __post_init__(self):
         object.__setattr__(self, "extent", _positive_extent(self.extent))
+        require_finite("mirror magnification", self.a_mag)
+        require_finite("mirror eye_distance", self.eye_distance)
         if self.a_mag <= 0:
             raise InvalidGeometry("mirror magnification must be positive")
         if self.eye_distance <= 0:
@@ -140,6 +147,9 @@ class TmdPlate:
 
     def __post_init__(self):
         object.__setattr__(self, "extent", _positive_extent(self.extent))
+        require_finite("plate pitch", self.pitch)
+        require_finite("plate mirror_ratio", self.mirror_ratio)
+        require_finite("plate mode weights", self.mode_weights)
         if self.pitch < 0:
             raise InvalidGeometry("plate pitch cannot be negative")
         if self.mirror_ratio <= 0:
@@ -169,6 +179,7 @@ class Screen:
         img = np.array(self.image, dtype=np.float64)
         if img.ndim != 2 or img.size == 0:
             raise InvalidGeometry("screen image must be a non-empty 2-d grid")
+        require_finite("screen radiance", img)
         if img.min() < 0:
             raise InvalidGeometry("screen radiance samples must be non-negative")
         img.flags.writeable = False
@@ -407,16 +418,10 @@ def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
     return replace(ray, origin=exits[0], direction=out[0], mode=_MODE_TAG[mode])
 
 
-def screen_emit(screen: Screen, uv, toward=None) -> float:
-    """Radiance leaving the screen at local (u, v); direction-independent.
-
-    Bilinear between texel centres, clamped at the borders.  Raises
-    OutOfBounds when (u, v) falls outside the screen extent.
-    """
-    u, v = float(uv[0]), float(uv[1])
+def sample_screen(screen: Screen, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Radiance of each row of local (u, v) screen coordinates: bilinear
+    between texel centres, clamped at the borders.  No bounds check."""
     w, h = screen.extent
-    if abs(u) > 0.5 * w + 1e-9 or abs(v) > 0.5 * h + 1e-9:
-        raise OutOfBounds(f"({u}, {v}) outside screen {screen.ident!r}")
     su = (u + 0.5 * w) / w
     sv = (v + 0.5 * h) / h
     if screen.flip_uv[0]:
@@ -426,15 +431,27 @@ def screen_emit(screen: Screen, uv, toward=None) -> float:
     rows, cols = screen.image.shape
     x = su * cols - 0.5
     y = (1.0 - sv) * rows - 0.5
-    x0 = math.floor(x)
-    y0 = math.floor(y)
+    x0 = np.floor(x)
+    y0 = np.floor(y)
     fx = x - x0
     fy = y - y0
-    xa = min(max(x0, 0), cols - 1)
-    xb = min(max(x0 + 1, 0), cols - 1)
-    ya = min(max(y0, 0), rows - 1)
-    yb = min(max(y0 + 1, 0), rows - 1)
+    xa = np.clip(x0.astype(np.int64), 0, cols - 1)
+    xb = np.clip(x0.astype(np.int64) + 1, 0, cols - 1)
+    ya = np.clip(y0.astype(np.int64), 0, rows - 1)
+    yb = np.clip(y0.astype(np.int64) + 1, 0, rows - 1)
     img = screen.image
     top = img[ya, xa] * (1.0 - fx) + img[ya, xb] * fx
     bot = img[yb, xa] * (1.0 - fx) + img[yb, xb] * fx
-    return float(top * (1.0 - fy) + bot * fy)
+    return top * (1.0 - fy) + bot * fy
+
+
+def screen_emit(screen: Screen, uv, toward=None) -> float:
+    """Radiance leaving the screen at local (u, v); direction-independent
+    (see sample_screen).  Raises OutOfBounds when (u, v) falls outside the
+    screen extent.
+    """
+    u, v = float(uv[0]), float(uv[1])
+    w, h = screen.extent
+    if abs(u) > 0.5 * w + 1e-9 or abs(v) > 0.5 * h + 1e-9:
+        raise OutOfBounds(f"({u}, {v}) outside screen {screen.ident!r}")
+    return float(sample_screen(screen, np.array([u]), np.array([v]))[0])

@@ -62,6 +62,13 @@ def reflect(direction, normal) -> np.ndarray:
     return reflect_rows(d[None], np.asarray(normal, dtype=np.float64))[0]
 
 
+def require_finite(what: str, value) -> None:
+    """Raise InvalidGeometry unless every number in `value` is finite."""
+    if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+        raise InvalidGeometry(f"{what} must be finite, got "
+                              f"{np.asarray(value).tolist()}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.flags.writeable = False
@@ -133,6 +140,8 @@ class Pose:
     rotation: np.ndarray
 
     def __post_init__(self):
+        require_finite("pose position", self.position)
+        require_finite("pose rotation", self.rotation)
         object.__setattr__(self, "position", _frozen(self.position))
         R = np.array(self.rotation, dtype=np.float64)
         if R.shape != (3, 3) or not np.allclose(R @ R.T, np.eye(3), atol=1e-10):

@@ -12,17 +12,36 @@ count only changes wall time because pixel blocks are fixed and disjoint.
 
 The camera never occludes itself: the scene's eye is the ray source, not
 a surface.
+
+The batch loop is written so that reworking it cannot move a pixel: numpy
+rounds the same sum differently depending on how the call is laid out.
+
+- Every dot of a row with a fixed vector is a gemv, `(n, 3) @ (3,)` on
+  C-contiguous rows (the sphere cap's row-by-row dots are einsums).
+  `np.vecdot`, `einsum`, an `(n, 3) @ (3, k)` gemm or a `(3, n)` layout
+  would each round some rows differently.
+- A gemv rounds each row the same whichever rows are around it, except a
+  one-row `(1, 3) @ (3,)`, which numpy sends to dot.  So rows are only
+  split off by index (`np.take`) into the groups the maths needs, each
+  hit element's rays in batch order, and the plane test tests its bounds
+  on the whole batch when a single row is ahead of the plane.
+- A per-row scalar or a fixed 3-vector broadcast over `(n, 3)` rows is
+  computed one column at a time (the helpers below): the same IEEE
+  operation on every element, with long inner loops instead of 3-long ones.
+- ROW_BLOCK and the one batch per aperture sample fix which batches exist
+  and the order in which samples add into each pixel.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
-                       TmdPlate, split_weights)
+                       TmdPlate, sample_screen, split_weights)
 from .errors import IoError
 from .geometry import (PARALLEL_EPS, PLANE_EPS, RAY_ADVANCE, WEIGHT_CUTOFF,
                        Pose)
@@ -50,6 +69,64 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
+# Row arithmetic.  Each helper does, one column at a time, exactly the IEEE
+# operations of the (n, 3) broadcast written in its docstring.
+
+def _col(a: np.ndarray, j: int):
+    """Column j of (n, 3) rows, or component j of a fixed 3-vector."""
+    return a[:, j] if a.ndim == 2 else a[j]
+
+
+def _along(o: np.ndarray, t: np.ndarray, d: np.ndarray, minus=None) -> np.ndarray:
+    """o + t[:, None] * d, then `- minus` (a fixed 3-vector) if given."""
+    out = np.empty_like(d)
+    for j in range(3):
+        col = out[:, j]
+        np.multiply(t, d[:, j], out=col)
+        col += o[:, j]
+        if minus is not None:
+            col -= minus[j]
+    return out
+
+
+def _sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b, either of them a fixed 3-vector."""
+    out = np.empty_like(a if a.ndim == 2 else b)
+    for j in range(3):
+        np.subtract(_col(a, j), _col(b, j), out=out[:, j])
+    return out
+
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """v / np.linalg.norm(v, axis=1, keepdims=True), in place."""
+    n = np.linalg.norm(v, axis=1)
+    for j in range(3):
+        v[:, j] /= n
+    return v
+
+
+def _reflected(d: np.ndarray, dots: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """d - 2.0 * dots[:, None] * n for one normal (3,) or one per row."""
+    s = 2.0 * dots
+    out = np.empty_like(d)
+    for j in range(3):
+        col = out[:, j]
+        np.multiply(s, _col(n, j), out=col)
+        np.subtract(d[:, j], col, out=col)
+    return out
+
+
+def _rows(a: np.ndarray, idx: Optional[np.ndarray]) -> np.ndarray:
+    return a if idx is None else np.take(a, idx, axis=0)
+
+
+def _subset(mask: np.ndarray) -> Optional[np.ndarray]:
+    """Indices of the true rows, or None when every row is true."""
+    idx = np.flatnonzero(mask)
+    return None if len(idx) == len(mask) else idx
+
+
+# ---------------------------------------------------------------------------
 # Scene preparation
 
 @dataclass
@@ -59,6 +136,11 @@ class _Record:
     pos: np.ndarray
     axes: np.ndarray  # 3x3, columns (u, v, w)
     half: tuple       # bounding half extent (plane kinds)
+
+    def __post_init__(self):
+        self.u_ax, self.v_ax, self.w_ax = (self.axes[:, j] for j in range(3))
+        if self.kind == "mirror_cap":
+            self.centre = self.pos + self.el.curvature_radius * self.w_ax
 
 
 def _prep_scene(scene: Scene):
@@ -92,24 +174,35 @@ def _prep_scene(scene: Scene):
     return records
 
 
-def _plane_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-    w = rec.axes[:, 2]
-    denom = d @ w
+def _plane_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> Optional[np.ndarray]:
+    """Hit distance of each row on the element's rectangle (inf on a miss),
+    or None when no row hits.  The bounds are tested only on the rows ahead
+    of the plane, or on the whole batch when a single row is."""
+    denom = d @ rec.w_ax
     near = np.abs(denom) < PARALLEL_EPS
-    t = ((rec.pos - o) @ w) / np.where(near, 1.0, denom)
-    point = o + t[:, None] * d
-    rel = point - rec.pos
-    u = rel @ rec.axes[:, 0]
-    v = rel @ rec.axes[:, 1]
-    ok = (~near) & (t > PLANE_EPS) & (np.abs(u) <= rec.half[0]) & (np.abs(v) <= rec.half[1])
-    return np.where(ok, t, np.inf)
+    if near.any():
+        denom = np.where(near, 1.0, denom)
+    t = (_sub(rec.pos, o) @ rec.w_ax) / denom
+    ahead = ~near & (t > PLANE_EPS)
+    rows = np.flatnonzero(ahead)
+    if len(rows) == 0:
+        return None
+    if len(rows) in (1, len(t)):
+        rows = None
+    rel = _along(_rows(o, rows), _rows(t, rows), _rows(d, rows), rec.pos)
+    inside = ((np.abs(rel @ rec.u_ax) <= rec.half[0])
+              & (np.abs(rel @ rec.v_ax) <= rec.half[1]))
+    if rows is None:
+        ok = ahead & inside
+    else:
+        ok = np.zeros(len(t), dtype=bool)
+        ok[rows[inside]] = True
+    return np.where(ok, t, np.inf) if ok.any() else None
 
 
 def _cap_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-    m: ConvexMirror = rec.el
-    R = m.curvature_radius
-    centre = rec.pos + R * rec.axes[:, 2]
-    oc = o - centre
+    R = rec.el.curvature_radius
+    oc = _sub(o, rec.centre)
     b = np.einsum("ij,ij->i", d, oc)
     c = np.einsum("ij,ij->i", oc, oc) - R * R
     disc = b * b - c
@@ -117,11 +210,10 @@ def _cap_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     best = np.full(len(o), np.inf)
     score = np.full(len(o), np.inf)
     for root in (-b - sq, -b + sq):
-        point = o + root[:, None] * d
-        rel = point - rec.pos
-        u = rel @ rec.axes[:, 0]
-        v = rel @ rec.axes[:, 1]
-        wl = np.abs(rel @ rec.axes[:, 2])
+        rel = _along(o, root, d, rec.pos)
+        u = rel @ rec.u_ax
+        v = rel @ rec.v_ax
+        wl = np.abs(rel @ rec.w_ax)
         ok = ((disc >= 0) & (root > PLANE_EPS) & (wl <= abs(R))
               & (np.abs(u) <= rec.half[0]) & (np.abs(v) <= rec.half[1]))
         better = ok & (wl < score)
@@ -130,134 +222,144 @@ def _cap_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     return best
 
 
-def _sample_screen(screen: Screen, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized twin of elements.screen_emit (same maths, same clamping)."""
-    w, h = screen.extent
-    su = (u + 0.5 * w) / w
-    sv = (v + 0.5 * h) / h
-    if screen.flip_uv[0]:
-        su = 1.0 - su
-    if screen.flip_uv[1]:
-        sv = 1.0 - sv
-    rows, cols = screen.image.shape
-    x = su * cols - 0.5
-    y = (1.0 - sv) * rows - 0.5
-    x0 = np.floor(x)
-    y0 = np.floor(y)
-    fx = x - x0
-    fy = y - y0
-    xa = np.clip(x0.astype(np.int64), 0, cols - 1)
-    xb = np.clip(x0.astype(np.int64) + 1, 0, cols - 1)
-    ya = np.clip(y0.astype(np.int64), 0, rows - 1)
-    yb = np.clip(y0.astype(np.int64) + 1, 0, rows - 1)
-    img = screen.image
-    top = img[ya, xa] * (1.0 - fx) + img[ya, xb] * fx
-    bot = img[yb, xa] * (1.0 - fx) + img[yb, xb] * fx
-    return top * (1.0 - fy) + bot * fy
-
-
 # ---------------------------------------------------------------------------
 # Batch tracing
 
 def _trace_batches(records, o, d, w, pix, acc, max_bounces: int):
     if not records:
         return
-    queue = [(o, d, w, pix, 0)]
+    queue = deque([(o, d, w, pix, 0)])
     while queue:
-        o, d, w, pix, bounce = queue.pop(0)
+        o, d, w, pix, bounce = queue.popleft()
         if len(o) == 0 or bounce > max_bounces:
             continue
-        ts = np.empty((len(records), len(o)))
+        # Nearest hit: the first element wins a tie, as np.argmin would.
+        tmin = np.full(len(o), np.inf)
+        el_idx = np.full(len(o), -1)
+        hit = []
         for k, rec in enumerate(records):
-            ts[k] = _cap_ts(rec, o, d) if rec.kind == "mirror_cap" else _plane_ts(rec, o, d)
-        el_idx = np.argmin(ts, axis=0)
-        tmin = ts[el_idx, np.arange(len(o))]
-        live = np.isfinite(tmin)
-        for k, rec in enumerate(records):
-            mask = live & (el_idx == k)
-            if not mask.any():
+            ts = _cap_ts(rec, o, d) if rec.kind == "mirror_cap" else _plane_ts(rec, o, d)
+            if ts is None:
                 continue
-            t = tmin[mask]
-            bo, bd, bw, bp = o[mask], d[mask], w[mask], pix[mask]
-            point = bo + t[:, None] * bd
-            rel = point - rec.pos
-            u = rel @ rec.axes[:, 0]
-            v = rel @ rec.axes[:, 1]
-            if rec.kind == "screen":
-                np.add.at(acc, bp, bw * _sample_screen(rec.el, u, v))
-            elif rec.kind == "absorber":
-                pass
-            elif rec.kind == "lens":
-                lens: ThinLens = rec.el
-                inside = u * u + v * v <= (0.5 * lens.aperture_diameter) ** 2
-                if inside.any():
-                    dl = bd[inside] @ rec.axes
-                    aw = np.abs(dl[:, 2])
-                    fine = aw > 1e-12
-                    safe = np.where(fine, aw, 1.0)
-                    sx = dl[:, 0] / safe - u[inside] / lens.focal_length
-                    sy = dl[:, 1] / safe - v[inside] / lens.focal_length
-                    out = np.stack([sx, sy, np.sign(dl[:, 2])], axis=1)
-                    out /= np.linalg.norm(out, axis=1, keepdims=True)
-                    nd = out @ rec.axes.T
-                    no = point[inside] + RAY_ADVANCE * nd
-                    queue.append((no[fine], nd[fine], bw[inside][fine],
-                                  bp[inside][fine], bounce + 1))
-            elif rec.kind in ("half_mirror",):
-                mirror: HalfMirror = rec.el
-                n = rec.axes[:, 2]
-                rd = bd - 2.0 * (bd @ n)[:, None] * n
-                wr, wt = split_weights(bw, mirror.reflectance)
-                for nd, nw in ((rd, wr), (bd, wt)):
-                    keep = nw >= WEIGHT_CUTOFF
-                    if keep.any():
-                        no = point[keep] + RAY_ADVANCE * nd[keep]
-                        queue.append((no, nd[keep], nw[keep], bp[keep], bounce + 1))
-            elif rec.kind == "mirror_flat":
-                n = rec.axes[:, 2]
-                nd = bd - 2.0 * (bd @ n)[:, None] * n
-                queue.append((point + RAY_ADVANCE * nd, nd, bw, bp, bounce + 1))
-            elif rec.kind == "mirror_cap":
-                m: ConvexMirror = rec.el
-                centre = rec.pos + m.curvature_radius * rec.axes[:, 2]
-                n = centre - point
-                n /= np.linalg.norm(n, axis=1, keepdims=True)
-                nd = bd - 2.0 * np.einsum("ij,ij->i", bd, n)[:, None] * n
-                queue.append((point + RAY_ADVANCE * nd, nd, bw, bp, bounce + 1))
-            elif rec.kind == "tmd":
-                plate: TmdPlate = rec.el
-                p_d, p_s, p_p = plate.mode_weights
-                dl = bd @ rec.axes
-                if plate.angular_fill:
-                    cw = np.abs(dl[:, 2])
-                    tan = np.sqrt(np.maximum(1.0 - cw ** 2, 0.0)) / np.maximum(cw, 1e-12)
-                    pd_eff = np.clip(p_d * (1.0 - tan / (2.0 * plate.mirror_ratio)), 0.0, 1.0)
-                else:
-                    pd_eff = np.full(len(bd), p_d)
-                ps_eff = 0.0 if plate.polarizer else p_s
-                if plate.pitch > 0:
-                    qu = (np.floor(u / plate.pitch) + 0.5) * plate.pitch
-                    qv = (np.floor(v / plate.pitch) + 0.5) * plate.pitch
-                    qpoint = (rec.pos + qu[:, None] * rec.axes[:, 0]
-                              + qv[:, None] * rec.axes[:, 1])
-                else:
-                    qpoint = point
-                branches = (
-                    ((-1.0, -1.0, 1.0), pd_eff, qpoint),
-                    ((-1.0, 1.0, 1.0), 0.5 * ps_eff, qpoint),
-                    ((1.0, -1.0, 1.0), 0.5 * ps_eff, qpoint),
-                    ((1.0, 1.0, 1.0), p_p, point),
-                )
-                for flips, frac, exit_point in branches:
-                    nw = bw * frac
-                    keep = nw >= WEIGHT_CUTOFF
-                    if not keep.any():
-                        continue
-                    nd = (dl[keep] * np.asarray(flips)) @ rec.axes.T
-                    no = exit_point[keep] + RAY_ADVANCE * nd
-                    queue.append((no, nd, nw, bp[keep], bounce + 1))
-            else:  # pragma: no cover
-                raise TypeError(rec.kind)
+            closer = ts < tmin
+            np.copyto(el_idx, k, where=closer)
+            np.copyto(tmin, ts, where=closer)
+            hit.append(k)
+        for k in hit:
+            rows = np.flatnonzero(el_idx == k)
+            if len(rows) == 0:
+                continue
+            rec = records[k]
+            if rec.kind == "absorber":
+                continue
+            if len(rows) == len(o):
+                t, bo, bd, bw, bp = tmin, o, d, w, pix
+            else:
+                t, bo, bd, bw, bp = (np.take(a, rows, axis=0)
+                                     for a in (tmin, o, d, w, pix))
+            _interact(rec, t, bo, bd, bw, bp, acc, queue, bounce + 1)
+
+
+def _push(queue, point, nd, nw, bp, bounce, keep=None):
+    """Queue rays leaving `point` along `nd`: the rows in `keep` of the
+    other arrays (all rows when None); `nd` already holds only those."""
+    point, nw, bp = (_rows(a, keep) for a in (point, nw, bp))
+    queue.append((point + RAY_ADVANCE * nd, nd, nw, bp, bounce))
+
+
+def _interact(rec, t, bo, bd, bw, bp, acc, queue, bounce):
+    """Apply the element of `rec` to the rays that hit it at distances `t`:
+    accumulate screen radiance into `acc`, queue the outgoing rays."""
+    point = _along(bo, t, bd)
+    if rec.kind == "mirror_flat":
+        nd = _reflected(bd, bd @ rec.w_ax, rec.w_ax)
+        _push(queue, point, nd, bw, bp, bounce)
+        return
+    if rec.kind == "mirror_cap":
+        n = _normalized(_sub(rec.centre, point))
+        _push(queue, point, _reflected(bd, np.einsum("ij,ij->i", bd, n), n),
+              bw, bp, bounce)
+        return
+    if rec.kind == "half_mirror":
+        wr, wt = split_weights(bw, rec.el.reflectance)
+        for nd, nw in ((_reflected(bd, bd @ rec.w_ax, rec.w_ax), wr), (bd, wt)):
+            keep = nw >= WEIGHT_CUTOFF
+            if keep.any():
+                keep = _subset(keep)
+                _push(queue, point, _rows(nd, keep), nw, bp, bounce, keep)
+        return
+    rel = _sub(point, rec.pos)
+    u = rel @ rec.u_ax
+    v = rel @ rec.v_ax
+    if rec.kind == "screen":
+        acc[bp] += bw * sample_screen(rec.el, u, v)
+    elif rec.kind == "lens":
+        _refract(rec, point, u, v, bd, bw, bp, queue, bounce)
+    elif rec.kind == "tmd":
+        _plate(rec, point, u, v, bd, bw, bp, queue, bounce)
+    else:  # pragma: no cover
+        raise TypeError(rec.kind)
+
+
+def _refract(rec, point, u, v, bd, bw, bp, queue, bounce):
+    lens: ThinLens = rec.el
+    inside = u * u + v * v <= (0.5 * lens.aperture_diameter) ** 2
+    if not inside.any():
+        return
+    keep = _subset(inside)
+    dl = _rows(bd, keep) @ rec.axes
+    aw = np.abs(dl[:, 2])
+    fine = aw > 1e-12
+    out = np.empty_like(dl)
+    safe = np.where(fine, aw, 1.0)
+    np.subtract(dl[:, 0] / safe, _rows(u, keep) / lens.focal_length, out=out[:, 0])
+    np.subtract(dl[:, 1] / safe, _rows(v, keep) / lens.focal_length, out=out[:, 1])
+    np.sign(dl[:, 2], out=out[:, 2])
+    nd = _normalized(out) @ rec.axes.T
+    if not fine.all():
+        fine = np.flatnonzero(fine)
+        nd = np.take(nd, fine, axis=0)
+        keep = fine if keep is None else keep[fine]
+    _push(queue, point, nd, bw, bp, bounce, keep)
+
+
+def _plate(rec, point, u, v, bd, bw, bp, queue, bounce):
+    plate: TmdPlate = rec.el
+    p_d, p_s, p_p = plate.mode_weights
+    dl = bd @ rec.axes
+    if plate.angular_fill:
+        cw = np.abs(dl[:, 2])
+        tan = np.sqrt(np.maximum(1.0 - cw ** 2, 0.0)) / np.maximum(cw, 1e-12)
+        p_d = np.clip(p_d * (1.0 - tan / (2.0 * plate.mirror_ratio)), 0.0, 1.0)
+    single = 0.5 * (0.0 if plate.polarizer else p_s)
+    cell = point
+    if plate.pitch > 0:
+        # pos + qu * u_axis + qv * v_axis, a column at a time.
+        p = plate.pitch
+        qu = (np.floor(u / p) + 0.5) * p
+        qv = (np.floor(v / p) + 0.5) * p
+        cell = np.empty_like(point)
+        for j in range(3):
+            col = cell[:, j]
+            np.multiply(qu, rec.u_ax[j], out=col)
+            np.add(rec.pos[j], col, out=col)
+            col += qv * rec.v_ax[j]
+    # (flip u, flip v) of the local direction, weight and exit point of the
+    # double, two single and pass branches (see elements.plate_exit).
+    for flips, frac, exit_at in (((True, True), p_d, cell),
+                                 ((True, False), single, cell),
+                                 ((False, True), single, cell),
+                                 ((False, False), p_p, point)):
+        nw = bw * frac
+        keep = nw >= WEIGHT_CUTOFF
+        if not keep.any():
+            continue
+        keep = _subset(keep)
+        local = np.array(_rows(dl, keep))
+        for j, flip in enumerate(flips):
+            if flip:
+                np.negative(local[:, j], out=local[:, j])
+        _push(queue, exit_at, local @ rec.axes.T, nw, bp, bounce, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +398,7 @@ def _render_rows(records, camera: EyeCamera, rows: slice, offsets: np.ndarray,
     pix = np.arange(n)
     for ax, ay in offsets:
         origin = E + ax * U + ay * V
-        d = P - origin
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        d = _normalized(_sub(P, origin))
         o = np.broadcast_to(origin, (n, 3)).copy()
         _trace_batches(records, o, d, np.ones(n), pix, acc, max_bounces)
     return acc / len(offsets)

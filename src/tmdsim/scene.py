@@ -39,7 +39,7 @@ import numpy as np
 from .elements import (DEFAULT_MODE_WEIGHTS, DEFAULT_REFLECTANCE, Absorber,
                        ConvexMirror, HalfMirror, Screen, ThinLens, TmdPlate)
 from .errors import InvalidGeometry, ParseError, ValidationError
-from .geometry import Pose, normalize, orthonormal_frame
+from .geometry import Pose, normalize, orthonormal_frame, require_finite
 
 DEFAULT_SENSOR = (256, 256, 0.5)
 DEFAULT_IMAGE_RES = 64
@@ -88,6 +88,9 @@ class EyeCamera:
     sensor: tuple = DEFAULT_SENSOR
 
     def __post_init__(self):
+        require_finite("camera focal length", self.focal_length)
+        require_finite("camera aperture", self.aperture_diameter)
+        require_finite("camera sensor", self.sensor)
         if self.focal_length <= 0:
             raise InvalidGeometry("camera focal length must be positive")
         if self.aperture_diameter <= 0:
@@ -179,6 +182,13 @@ def _as_float(tok: str, line: int) -> float:
         raise ParseError(line, f"expected a number, got {tok!r}") from None
 
 
+def _as_count(tok: str, line: int) -> int:
+    value = _as_float(tok, line)
+    if not math.isfinite(value):
+        raise ParseError(line, f"expected a count, got {tok!r}")
+    return int(value)
+
+
 def _take_floats(keys, name, line, count, default=None):
     if name not in keys:
         if default is None:
@@ -213,6 +223,9 @@ def _take_pose(keys, line) -> Pose:
     position = _take_floats(keys, "position", line, 3, (0.0, 0.0, 0.0))
     norm = _take_floats(keys, "normal", line, 3, (0.0, 0.0, 1.0))
     up = _take_floats(keys, "up", line, 3, (0.0, 1.0, 0.0))
+    # Non-finite numbers are invalid geometry, not a bad orientation.
+    require_finite("position", position)
+    require_finite("orientation", norm + up)
     try:
         return Pose.facing(position, norm, up)
     except (InvalidGeometry, ValueError) as exc:
@@ -227,7 +240,7 @@ def _take_image(keys, line):
         keys.pop("image_res", None)
         if len(toks) < 3:
             raise ParseError(vline, "image_data needs: rows cols v0 v1 ...")
-        rows, cols = int(_as_float(toks[0], vline)), int(_as_float(toks[1], vline))
+        rows, cols = _as_count(toks[0], vline), _as_count(toks[1], vline)
         vals = [_as_float(t, vline) for t in toks[2:]]
         if rows <= 0 or cols <= 0 or len(vals) != rows * cols:
             raise ParseError(vline, f"image_data expects {rows}x{cols} samples")
@@ -241,7 +254,7 @@ def _take_image(keys, line):
     res = _take_floats(keys, "image_res", line, 1, float(DEFAULT_IMAGE_RES))
     try:
         return make_pattern(spec, int(res)), spec
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(vline, str(exc)) from None
 
 
@@ -295,6 +308,8 @@ def _build_eye(ident, keys, line) -> EyeCamera:
     look = _take_floats(keys, "look", line, 3, (0.0, 0.0, -1.0))
     up = _take_floats(keys, "up", line, 3, (0.0, 1.0, 0.0))
     sensor = _take_floats(keys, "sensor", line, 3, tuple(map(float, DEFAULT_SENSOR)))
+    require_finite("eye position", position)
+    require_finite("eye orientation", look + up)
     try:
         pose = camera_pose(position, look, up)
     except (InvalidGeometry, ValueError) as exc:
@@ -302,7 +317,7 @@ def _build_eye(ident, keys, line) -> EyeCamera:
     return EyeCamera(ident, pose,
                      focal_length=_take_floats(keys, "focal_length", line, 1, 100.0),
                      aperture_diameter=_take_floats(keys, "aperture", line, 1, 4.0),
-                     sensor=(int(sensor[0]), int(sensor[1]), sensor[2]))
+                     sensor=sensor)
 
 
 def parse_scene(text: str) -> Scene:

@@ -10,7 +10,8 @@ from tmdsim.elements import (ConvexMirror, HalfMirror, INTERACT_ABSORB,
                              INTERACT_SINGLE_U, INTERACT_SINGLE_V, Screen,
                              ThinLens, TmdPlate, classify_tmd_mode,
                              convex_mirror_transform, half_mirror_interact,
-                             quantize_uv, screen_emit, split_weight,
+                             quantize_uv, sample_screen, screen_emit,
+                             split_weight,
                              thin_lens_transform, tmd_transform)
 from tmdsim.errors import InvalidGeometry, NoIntersection, OutOfBounds
 from tmdsim.geometry import Pose, Ray, closest_point_to_rays, normalize, vec3
@@ -363,6 +364,44 @@ class TestScreenEmit:
     def test_negative_image_rejected(self):
         with pytest.raises(InvalidGeometry):
             self.screen([[0.5, -0.1], [0.0, 0.0]])
+
+
+def _bilinear_reference(screen, u, v):
+    """Bilinear screen lookup in plain Python floats."""
+    w, h = screen.extent
+    su = (u + 0.5 * w) / w
+    sv = (v + 0.5 * h) / h
+    if screen.flip_uv[0]:
+        su = 1.0 - su
+    if screen.flip_uv[1]:
+        sv = 1.0 - sv
+    rows, cols = screen.image.shape
+    x = su * cols - 0.5
+    y = (1.0 - sv) * rows - 0.5
+    x0, y0 = math.floor(x), math.floor(y)
+    fx, fy = x - x0, y - y0
+    xa, xb = min(max(x0, 0), cols - 1), min(max(x0 + 1, 0), cols - 1)
+    ya, yb = min(max(y0, 0), rows - 1), min(max(y0 + 1, 0), rows - 1)
+    img = screen.image
+    top = img[ya, xa] * (1.0 - fx) + img[ya, xb] * fx
+    bot = img[yb, xa] * (1.0 - fx) + img[yb, xb] * fx
+    return float(top * (1.0 - fy) + bot * fy)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.tuples(st.booleans(), st.booleans()))
+@settings(max_examples=60, deadline=None)
+def test_screen_emit_is_sample_screen_row_bit_for_bit(seed, n, flip):
+    rng = np.random.default_rng(seed)
+    extent = tuple(rng.uniform(0.5, 300.0, 2))
+    image = rng.uniform(0.0, 2.0, tuple(rng.integers(1, 9, 2)))
+    s = Screen("S", facing_z(), extent, image, flip)
+    u = rng.uniform(-0.5, 0.5, n) * extent[0]
+    v = rng.uniform(-0.5, 0.5, n) * extent[1]
+    batch = sample_screen(s, u, v)
+    for i in range(n):
+        one = screen_emit(s, (u[i], v[i]))
+        assert one == batch[i] == _bilinear_reference(s, float(u[i]), float(v[i]))
 
 
 class TestValidationMisc:

@@ -1,0 +1,200 @@
+"""Non-finite numbers are rejected at the boundary.
+
+A nan or inf in any number of a pose, an element or the eye raises
+InvalidGeometry from the constructor, and a scene file carrying one makes
+the CLI exit with code 3 before anything is traced or rendered.  A
+non-finite `trace --source` or `--axis` is a usage error (code 2).
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmdsim.cli import main
+from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
+                             ThinLens, TmdPlate)
+from tmdsim.errors import InvalidGeometry
+from tmdsim.geometry import Pose
+from tmdsim.scene import EyeCamera
+
+BAD = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _pose(position=(1.0, 2.0, 3.0), rotation=None):
+    return Pose(position, np.eye(3) if rotation is None else rotation)
+
+
+# constructor -> keyword arguments of a valid instance
+VALID = {
+    Pose: dict(position=(1.0, 2.0, 3.0), rotation=np.eye(3)),
+    ThinLens: dict(ident="lens", pose=_pose(), focal_length=35.0,
+                   aperture_diameter=16.0, housing_extent=(30.0, 30.0)),
+    HalfMirror: dict(ident="hm", pose=_pose(), extent=(80.0, 60.0),
+                     reflectance=0.4),
+    ConvexMirror: dict(ident="cap", pose=_pose(), a_mag=1.5, extent=(40.0, 40.0),
+                       eye_distance=50.0),
+    TmdPlate: dict(ident="plate", pose=_pose(), extent=(120.0, 100.0), pitch=0.5,
+                   mirror_ratio=3.0, mode_weights=(0.6, 0.3, 0.1)),
+    Screen: dict(ident="panel", pose=_pose(), extent=(40.0, 30.0),
+                 image=np.full((4, 5), 0.5)),
+    Absorber: dict(ident="stop", pose=_pose(), extent=(6.0, 6.0)),
+    EyeCamera: dict(ident="eye", pose=_pose(), focal_length=100.0,
+                    aperture_diameter=4.0, sensor=(64, 48, 0.5)),
+}
+# (constructor, numeric field) pairs; each field is a number or an array
+FIELDS = [(cls, name) for cls, kw in VALID.items() for name, value in kw.items()
+          if name not in ("ident", "pose")]
+
+
+def _poked(value, flat_index, bad):
+    """`value` with one of its numbers replaced by `bad`, in its own shape."""
+    if np.ndim(value) == 0:
+        return bad
+    arr = np.array(value, dtype=np.float64)
+    arr.flat[flat_index % arr.size] = bad
+    return arr if isinstance(value, np.ndarray) else tuple(arr.tolist())
+
+
+def test_valid_instances_build():
+    for cls, kw in VALID.items():
+        cls(**kw)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 19), BAD)
+@settings(max_examples=150, deadline=None)
+def test_non_finite_field_raises_invalid_geometry(field, flat_index, bad):
+    cls, name = field
+    kw = dict(VALID[cls])
+    kw[name] = _poked(kw[name], flat_index, bad)
+    with pytest.raises(InvalidGeometry, match="finite"):
+        cls(**kw)
+
+
+@given(st.sampled_from([cls for cls in VALID if cls is not Pose]),
+       st.sampled_from(["position", "rotation"]), st.integers(0, 8), BAD)
+@settings(max_examples=60, deadline=None)
+def test_element_on_a_non_finite_pose_cannot_be_built(cls, field, flat_index, bad):
+    kw = dict(VALID[Pose])
+    kw[field] = _poked(kw[field], flat_index, bad)
+    with pytest.raises(InvalidGeometry, match="finite"):
+        cls(**dict(VALID[cls], pose=Pose(**kw)))
+
+
+SCENE = """
+scene every_kind
+eye cam {
+  aperture = 4.0
+  focal_length = 100.0
+  look = 0 0 -1
+  position = 0 0 60
+  sensor = 8 6 0.5
+  up = 0 1 0
+}
+element tmd plate {
+  extent = 200 200
+  mirror_ratio = 3.0
+  normal = 0 0 1
+  pitch = 0.5
+  position = 0 0 0
+  up = 0 1 0
+  weights = 0.6 0.3 0.1
+}
+element lens eyepiece {
+  aperture = 16.0
+  focal_length = 35.0
+  housing = 30 30
+  normal = 0 0 1
+  position = 0 0 -30
+}
+element half_mirror splitter {
+  extent = 80 80
+  normal = 0 0.6 0.8
+  position = 0 0 -80
+  reflectance = 0.4
+}
+element convex_mirror cap {
+  a_mag = 1.5
+  eye_distance = 50.0
+  extent = 40 40
+  normal = 0 0 1
+  position = 0 30 -120
+}
+element absorber stop {
+  extent = 6 6
+  normal = 0 0 1
+  position = 0 0 20
+}
+element screen panel {
+  brightness = 0.8
+  extent = 40 40
+  image_data = 2 2 0.1 0.2 0.3 0.4
+  normal = 0 0 1
+  position = 0 0 -60
+}
+background world {
+  extent = 900 900
+  image = uniform 0.2
+  normal = 0 0 1
+  position = 0 0 -400
+}
+"""
+
+
+def _numeric_tokens():
+    """(line index, token index) of every number in SCENE that is a
+    geometric or radiometric quantity (image_data's grid size is a count)."""
+    spots = []
+    for i, line in enumerate(SCENE.splitlines()):
+        if " = " not in line:
+            continue
+        key, value = (part.strip() for part in line.split(" = ", 1))
+        tokens = value.split()
+        first = 2 if key == "image_data" else 0
+        for j, tok in enumerate(tokens[first:], start=first):
+            try:
+                float(tok)
+            except ValueError:
+                break
+            spots.append((i, j))
+    return spots
+
+
+SPOTS = _numeric_tokens()
+
+
+def test_scene_renders_as_written(tmp_path, capsys):
+    path = tmp_path / "ok.scene"
+    path.write_text(SCENE)
+    assert main(["render", str(path), "--out", str(tmp_path / "ok.ppm"),
+                 "--rpp", "1"]) == 0
+
+
+@given(st.sampled_from(SPOTS), st.sampled_from(["nan", "inf", "-inf"]))
+@settings(max_examples=80, deadline=None)
+def test_cli_exits_3_on_a_non_finite_scene_number(tmp_path_factory, spot, bad):
+    line, tok = spot
+    lines = SCENE.splitlines()
+    key, value = lines[line].split(" = ", 1)
+    tokens = value.split()
+    tokens[tok] = bad
+    lines[line] = f"{key} = {' '.join(tokens)}"
+    folder = tmp_path_factory.mktemp("nonfinite")
+    path = folder / "bad.scene"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["render", str(path), "--out", str(folder / "bad.ppm"),
+                 "--rpp", "1"]) == 3
+    assert not (folder / "bad.ppm").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--source", "nan,20,21"),
+                                        ("--source", "1,inf,21"),
+                                        ("--axis", "0,-inf,0")])
+def test_cli_rejects_a_non_finite_trace_vector(flag, value, capsys):
+    argv = ["trace", "--preset", "half_mirror", "--source", "1,20,21",
+            "--rays", "8", flag, value]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "finite" in capsys.readouterr().err

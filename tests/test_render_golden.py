@@ -1,0 +1,292 @@
+"""Bit-for-bit golden digests of backward renders.
+
+Each digest is a sha256 of an image's linear float64 pixels.  The values
+were recorded with the mask-gather renderer that the index-grouped batch
+loop replaced, so any change to the arithmetic of the backward tracer, or
+to the order in which samples add into a pixel, fails here.
+
+The presets render on a small sensor cropped around the centre of their
+own (same pixel pitch), 40 x 34 pixels, so a render is two row blocks.  The
+custom scenes cover the element branches the presets leave out, and two
+degenerate batch shapes: one-row batches (a 1 x 1 sensor) and a batch in
+which exactly one ray is ahead of a plane or hits an element.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
+                             ThinLens, TmdPlate)
+from tmdsim.geometry import Pose, normalize, vec3
+from tmdsim.presets import PRESET_BUILDERS, build_preset
+from tmdsim.render import render_view
+from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
+
+CROP = (40, 34)
+
+
+def _facing(position, normal=(0.0, 0.0, 1.0), up=(0.0, 1.0, 0.0)):
+    return Pose.facing(vec3(*position), vec3(*normal), up)
+
+
+def _with_sensor(camera, width, height, pitch=None):
+    return EyeCamera(camera.ident, camera.pose, camera.focal_length,
+                     camera.aperture_diameter,
+                     (width, height, camera.sensor[2] if pitch is None else pitch))
+
+
+def _cropped(name):
+    scene = build_preset(name)
+    return scene, _with_sensor(scene.eye, *CROP)
+
+
+def _ping_pong():
+    # An angle-dependent plate over two parallel splitters tilted by 45
+    # degrees.  The plate's double band shrinks toward the corners, so the
+    # rows of a batch carry different weights.  Between the splitters the
+    # trapped branch walks sideways, halving its weight at every hit, and
+    # fades below WEIGHT_CUTOFF (some rows of a batch before others) well
+    # before the 24-bounce budget ends.  No ray comes back up to the plate.
+    plate = TmdPlate("plate", _facing((0.0, 0.0, 40.0)), (200.0, 200.0),
+                     mode_weights=(0.9, 0.0, 0.1), angular_fill=True,
+                     mirror_ratio=0.2)
+    tilt = (0.0, 1.0, 1.0)
+    b = HalfMirror("b", _facing((0.0, 0.0, -40.0), tilt), (200.0, 200.0),
+                   reflectance=0.5)
+    a = HalfMirror("a", _facing(tuple(vec3(0.0, 0.0, -40.0)
+                                      - 3.0 * normalize(vec3(*tilt))), tilt),
+                   (200.0, 200.0), reflectance=0.5)
+    side = Screen("side", _facing((0.0, 60.0, -20.0), (0.0, -1.0, 0.0),
+                                  (0.0, 0.0, 1.0)),
+                  (900.0, 900.0), make_pattern("hgrad", 16))
+    wall = Screen("wall", _facing((0.0, 0.0, -400.0)), (900.0, 900.0),
+                  make_pattern("checker 4", 16))
+    eye = EyeCamera("eye", camera_pose(vec3(0.0, 0.0, 300.0), (0.0, 0.0, -1.0)),
+                    sensor=(24, 20, 1.5))
+    return Scene((plate, a, b, side), eye, wall, "ping_pong")
+
+
+def _mixed():
+    # A lens whose mount is hit, a pitched polarizer plate with angular
+    # fill, a 45-degree flat mirror onto a side screen, a curved cap and
+    # an absorber, in front of a plate-imaged panel and a background.
+    lens = ThinLens("lens", _facing((28.0, 0.0, 60.0)), 35.0, 16.0,
+                    housing_extent=(30.0, 30.0))
+    flat = ConvexMirror("flat", _facing((-30.0, 8.0, 50.0), (1.0, 0.0, 1.0)),
+                        1.0, (20.0, 20.0), eye_distance=150.0)
+    cap = ConvexMirror("cap", _facing((-5.0, -30.0, 40.0), (0.0, 0.2, 1.0)),
+                       1.8, (24.0, 24.0), eye_distance=160.0)
+    stop = Absorber("stop", _facing((8.0, 14.0, 100.0)), (6.0, 6.0))
+    plate = TmdPlate("plate", Pose.identity(), (140.0, 140.0), pitch=0.3,
+                     mode_weights=(0.5, 0.3, 0.15), angular_fill=True,
+                     mirror_ratio=1.5, polarizer=True)
+    panel = Screen("panel", _facing((0.0, 0.0, -60.0)), (60.0, 60.0),
+                   make_pattern("checker 8", 32), (True, False))
+    side = Screen("side", _facing((90.0, 0.0, 50.0), (-1.0, 0.0, 0.0)),
+                  (200.0, 200.0), make_pattern("hgrad", 16))
+    # Behind the eye: only light sent back up (off the cap) reaches it.
+    sky = Screen("sky", _facing((0.0, 0.0, 400.0), (0.0, 0.0, -1.0)),
+                 (2000.0, 2000.0), make_pattern("checker 4", 16))
+    world = Screen("world", _facing((0.0, 0.0, -600.0)), (4000.0, 4000.0),
+                   make_pattern("uniform 0.2", 4))
+    eye = EyeCamera("eye", camera_pose(vec3(0.0, 0.0, 200.0), (0.0, 0.0, -1.0)),
+                    aperture_diameter=6.0, sensor=(48, 40, 1.0))
+    return Scene((lens, flat, cap, stop, plate, panel, side, sky), eye, world,
+                 "mixed")
+
+
+def _pixel_direction(camera, x, y):
+    w_px, h_px, pitch = camera.sensor
+    pose = camera.pose
+    target = (pose.position - camera.focal_length * pose.normal
+              + (0.5 * h_px - (y + 0.5)) * pitch * pose.v_axis
+              + (x + 0.5 - 0.5 * w_px) * pitch * pose.u_axis)
+    return normalize(target - pose.position)
+
+
+ONE_RAY_SENSOR = (12, 10, 1.0)
+
+
+def _one_ray_scene(with_tilted=True):
+    # Pinhole rays from the eye.  The tilted absorber's plane passes 1 mm
+    # from the eye with its normal chosen so that only the corner pixel's
+    # ray is ahead of it, and the tiny mirror is hit by that pixel's ray
+    # alone, which sends a one-row batch on to the side screen.
+    eye = EyeCamera("eye", camera_pose(vec3(0.0, 0.0, 200.0), (0.0, 0.0, -1.0)),
+                    sensor=ONE_RAY_SENSOR)
+    corner = _pixel_direction(eye, ONE_RAY_SENSOR[0] - 1, 0)
+    nxt = _pixel_direction(eye, ONE_RAY_SENSOR[0] - 2, 0)
+    # Normal in the plane of the eye axis and the corner direction, tipped
+    # so the corner ray leans toward it and its neighbour leans away.
+    axis = vec3(0.0, 0.0, -1.0)
+    side = normalize(corner - (corner @ axis) * axis)
+    lean = 0.5 * ((corner @ side) / (corner @ axis) + (nxt @ side) / (nxt @ axis))
+    normal = normalize(side - lean * axis)
+    assert corner @ normal > 0 > nxt @ normal
+    elements = []
+    if with_tilted:
+        elements.append(Absorber("tilted", Pose.facing(
+            eye.pose.position + 1.0 * normal, normal), (1000.0, 1000.0)))
+    hit = eye.pose.position + 150.0 * corner
+    elements.append(ConvexMirror("tiny", _facing(tuple(hit), (1.0, 0.0, 1.0)), 1.0,
+                                 (0.2, 0.2), eye_distance=100.0))
+    elements.append(Screen("side", _facing((200.0, 0.0, 0.0), (-1.0, 0.0, 0.0)),
+                           (2000.0, 2000.0), make_pattern("hgrad", 8)))
+    world = Screen("world", _facing((0.0, 0.0, -300.0)), (4000.0, 4000.0),
+                   make_pattern("checker 2", 8))
+    return Scene(tuple(elements), eye, world, "one_ray"), eye
+
+
+def _one_pixel(name):
+    scene = build_preset(name)
+    return scene, _with_sensor(scene.eye, 1, 1)
+
+
+def _one_pixel_mixed(target):
+    # A 1 x 1 camera of the mixed scene aimed at one spot, so every batch
+    # of the render has a single row.
+    scene = _mixed()
+    eye = scene.eye
+    camera = EyeCamera(eye.ident, camera_pose(eye.pose.position,
+                                              vec3(*target) - eye.pose.position),
+                       eye.focal_length, eye.aperture_diameter, (1, 1, 1.0))
+    return scene, camera
+
+
+# name -> (scene, camera) builder
+CASES = {f"{name}_crop": (lambda name=name: _cropped(name))
+         for name in sorted(PRESET_BUILDERS)}
+CASES.update({
+    "ping_pong": lambda: (_ping_pong(), None),
+    "mixed": lambda: (_mixed(), None),
+    "one_ray_ahead": _one_ray_scene,
+    "one_ray_hit": lambda: _one_ray_scene(with_tilted=False),
+    "ame_dk2_1x1": lambda: _one_pixel("ame_dk2"),
+    "mixed_1x1_cap": lambda: _one_pixel_mixed((-5.0, -30.0, 40.0)),
+    # On the rim of the clear aperture: the pinhole ray hits the mount,
+    # some of the four aperture samples pass the lens.
+    "mixed_1x1_rim": lambda: _one_pixel_mixed((36.2, 0.0, 60.0)),
+})
+MAX_BOUNCES = {"ping_pong": 24}
+RPP = (1, 4)
+SEED = 9
+
+GOLDEN = {
+    "ame_cardboard_crop/rpp1":
+        "1657cb9380f79efdf97ffe8517ca1e3d41023697b5c35d4dad5e49e440094c20",
+    "ame_cardboard_crop/rpp4":
+        "2155e126fa451ac75c1b571498ba1244882c44bb46cae51467c061c364c72dad",
+    "ame_dk2_1x1/rpp1":
+        "8bf2735a32b3ad78424e31b0e1ee9f7485ee95389578689bf1d059112c18dacb",
+    "ame_dk2_1x1/rpp4":
+        "e4d370f1d705b5ccaa8fde296b80eebe7b2afba1f04c1dfcaa144152f197f7ae",
+    "ame_dk2_crop/rpp1":
+        "7e1d4fa5dd531ab4b67f403671c80b07f3af5bf8c0cdd7904d18f7499df09407",
+    "ame_dk2_crop/rpp4":
+        "75d02f42fe0cdcbaecc4d47fffa7104da53b60f6c5eba4d3ee2711891de77415",
+    "convex_mirror_crop/rpp1":
+        "b1212cf2f3c6d0935dd3112def1a7c521d115d5940d58671c27375283e93066d",
+    "convex_mirror_crop/rpp4":
+        "dc767966c953a44a676f3abe3e6313629e99941c1bc051cfb5236531063c86d5",
+    "defocus_eyepiece_crop/rpp1":
+        "7a4c604d4904287d7a6d1d51bad2124340452080e05e3bf55e6596754c12204f",
+    "defocus_eyepiece_crop/rpp4":
+        "95ed4956fcfc55f34420285a41fd93e25a0cc8593206dc1a597817e860a373b3",
+    "defocus_flat_crop/rpp1":
+        "1dedc24daa1eed8af446ce7132625198afe9efb499086a8452cee09d09a7cef2",
+    "defocus_flat_crop/rpp4":
+        "792f730e1a0c01ac4768363a1fbf52eba352a77c4841fc478c1181ebac23d5fe",
+    "half_mirror_crop/rpp1":
+        "6af9c72737114dee659690aa045f65529d9255b42e4fd55cc1808ec8c3f0367d",
+    "half_mirror_crop/rpp4":
+        "6397544d3355e3a850074a3fea8438cb5fda5b5a2446adec14eed6d93f4e62b3",
+    "mixed/rpp1":
+        "28bd408dabe89466e791cbc44cabe526498e075545f76dc6563fea599c4bf571",
+    "mixed/rpp4":
+        "f8300b2c1959ad0ce82a1e1a854f7816d19bb64d1f2692047878e00476932e4b",
+    "mixed_1x1_cap/rpp1":
+        "ad34225d865aabdffaa886f9e3809997a584ba2ab5d0f1b8aea83124e43ca6f7",
+    "mixed_1x1_cap/rpp4":
+        "ec2552bf8a198c985a0d6b9a54acfcccec8b4e7390b44a09db3b8b2da170047e",
+    "mixed_1x1_rim/rpp1":
+        "c79e69891b927d0cc9fea498663cedb006ef2917ab3365ba492657cc844cd6e0",
+    "mixed_1x1_rim/rpp4":
+        "6d05b4886bdebc40c3143c45abd07489c9748e0e37b602eb72551943f0dad430",
+    "one_ray_ahead/rpp1":
+        "920dcde93133c5ea4c097bfbd44cbee66b3b32fb3355d6b18a99ba3f7a83c4f4",
+    "one_ray_ahead/rpp4":
+        "46047a2ad13ffa8c8af27ccbb6ac2b48b885daa59ce5f577906014fc1b30e155",
+    "one_ray_hit/rpp1":
+        "dc110534054ca1625ff9fee167b8643eefc2d941fd5522f2143bd1ee602e135a",
+    "one_ray_hit/rpp4":
+        "89ee4fe212198b82be7801304207123b94fe54421a1fbcefb9c92cf906f2126e",
+    "ping_pong/rpp1":
+        "c983ce2982d8da0c3fbeaaebf9d67a5eda7f55ca585334d821393f292200f921",
+    "ping_pong/rpp4":
+        "2feb4d3201714b7645bbfdaa898bb5f6cc0cd015c486e4f77ccb8b651e17b055",
+    "tmd_see_through_crop/rpp1":
+        "7dc42446cc46f89e3784852a1cbd73a85e62a9020615c1527d45abfa0b4ad904",
+    "tmd_see_through_crop/rpp4":
+        "cfd81c7179517a6c87cb6374fd7b162df6d5185484cf6d7cd809cdae9207b0aa",
+}
+
+_SCENES: dict = {}
+
+
+def render_digest(name, rpp, workers=1):
+    if name not in _SCENES:
+        _SCENES[name] = CASES[name]()
+    scene, camera = _SCENES[name]
+    image = render_view(scene, camera, rays_per_pixel=rpp, seed=SEED,
+                        max_bounces=MAX_BOUNCES.get(name, 12), workers=workers)
+    h = hashlib.sha256(f"{image.width}x{image.height}|".encode())
+    h.update(np.ascontiguousarray(image.pixels, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("rpp", RPP)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_render_matches_golden_digest(name, rpp):
+    assert render_digest(name, rpp) == GOLDEN[f"{name}/rpp{rpp}"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_worker_count_never_changes_a_render(name):
+    assert render_digest(name, 4, workers=3) == GOLDEN[f"{name}/rpp4"]
+
+
+def test_one_ray_scene_isolates_the_corner_pixel():
+    # The tilted absorber takes the corner ray and nothing else; without it
+    # the tiny mirror sends that ray alone to the side screen.
+    scene, camera = _one_ray_scene()
+    bare, _ = _one_ray_scene(with_tilted=False)
+    world = Scene((), camera, scene.background)
+    pinhole = dict(rays_per_pixel=1, workers=1)
+    ref = render_view(world, camera, **pinhole).luminance()
+    for s, expect_corner in ((scene, 0.0), (bare, None)):
+        lum = render_view(s, camera, **pinhole).luminance()
+        differs = np.argwhere(lum != ref)
+        assert differs.tolist() == [[0, ONE_RAY_SENSOR[0] - 1]]
+        if expect_corner is not None:
+            assert lum[0, -1] == expect_corner
+
+
+def test_plate_rows_below_the_cutoff_are_dropped_alone():
+    # Toward the corners the angular-fill double band falls to zero, so in
+    # one batch some rows keep their double branch and others drop it.  On
+    # a uniform panel each pixel is the sum of its surviving branch weights.
+    plate = TmdPlate("plate", Pose.identity(), (200.0, 200.0),
+                     mode_weights=(0.9, 0.0, 0.1), angular_fill=True,
+                     mirror_ratio=0.1)
+    panel = Screen("panel", _facing((0.0, 0.0, -50.0)), (900.0, 900.0),
+                   make_pattern("uniform 1.0", 4))
+    eye = EyeCamera("eye", camera_pose(vec3(0.0, 0.0, 300.0), (0.0, 0.0, -1.0)),
+                    sensor=(24, 20, 1.5))
+    scene = Scene((plate, panel), eye)
+    lum = render_view(scene, rays_per_pixel=1, workers=1).luminance()
+    assert lum[0, 0] == pytest.approx(0.1, rel=1e-12)
+    assert lum[-1, -1] == pytest.approx(0.1, rel=1e-12)
+    assert lum[10, 12] > 0.5
+    assert np.array_equal(render_view(scene, rays_per_pixel=4, workers=3).pixels,
+                          render_view(scene, rays_per_pixel=4, workers=1).pixels)
