@@ -49,6 +49,17 @@ def _parse_triplet(text: str) -> np.ndarray:
     return v
 
 
+def _parse_half_angle(text: str) -> float:
+    try:
+        deg = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < math.radians(deg) <= math.pi:  # as cone_directions checks
+        raise argparse.ArgumentTypeError(f"half angle must lie in (0, 180] "
+                                         f"degrees, got {text!r}")
+    return deg
+
+
 def _parse_offsets(text: str) -> tuple:
     try:
         return tuple(float(p) for p in text.split(","))
@@ -103,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="point source position x,y,z in mm")
     p.add_argument("--axis", type=_parse_triplet,
                    help="cone axis x,y,z (default: toward the eye)")
-    p.add_argument("--half-angle", type=float, default=2.0,
+    p.add_argument("--half-angle", type=_parse_half_angle, default=2.0,
                    help="cone half angle, degrees")
     p.add_argument("--rays", type=int, default=128)
     p.add_argument("--seed", type=int, default=42)

@@ -76,6 +76,11 @@ class ThinLens:
             raise InvalidGeometry("lens housing smaller than the clear aperture")
         object.__setattr__(self, "housing_extent", housing)
 
+    @property
+    def extent(self) -> tuple:
+        """The rectangle a ray hits: the mount around the clear aperture."""
+        return self.housing_extent
+
 
 @dataclass(frozen=True)
 class HalfMirror:
@@ -118,10 +123,19 @@ class ConvexMirror:
             raise InvalidGeometry("mirror eye_distance must be positive")
 
     @property
+    def flat(self) -> bool:
+        return self.a_mag == 1.0
+
+    @property
     def curvature_radius(self) -> float:
-        if self.a_mag == 1.0:
+        if self.flat:
             return math.inf
         return 2.0 * self.eye_distance * self.a_mag / (self.a_mag - 1.0)
+
+    @property
+    def centre(self) -> np.ndarray:
+        """Centre of curvature (meaningless for a flat mirror)."""
+        return self.pose.position + self.curvature_radius * self.pose.normal
 
 
 @dataclass(frozen=True)
@@ -199,9 +213,6 @@ class Absorber:
         object.__setattr__(self, "extent", _positive_extent(self.extent))
 
 
-OpticalElement = (ThinLens, HalfMirror, ConvexMirror, TmdPlate, Screen, Absorber)
-
-
 def split_weights(weights: np.ndarray, fraction: float):
     """Split each weight into (weight*fraction, remainder) so the two parts
     sum back to the weight exactly.  The larger part is computed by product
@@ -269,7 +280,7 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
     """
     R = mirror.curvature_radius
     pose = mirror.pose
-    oc = origins - (pose.position + R * pose.normal)
+    oc = origins - mirror.centre
     b = np.vecdot(directions, oc)
     disc = b * b - (np.vecdot(oc, oc) - R * R)
     sq = np.sqrt(np.where(disc < 0, 0.0, disc))
@@ -290,10 +301,23 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
 def reflect_convex_mirror(mirror: ConvexMirror, points: np.ndarray,
                           directions: np.ndarray) -> np.ndarray:
     """Specular reflection at `points` on the combiner (flat at a_mag = 1)."""
-    if mirror.a_mag == 1.0:
+    if mirror.flat:
         return reflect_rows(directions, mirror.pose.normal)
-    centre = mirror.pose.position + mirror.curvature_radius * mirror.pose.normal
-    return reflect_rows(directions, normalize_rows(centre - points))
+    return reflect_rows(directions, normalize_rows(mirror.centre - points))
+
+
+def double_band(plate: TmdPlate, incidence: np.ndarray):
+    """Double-reflect weight for rows of plate-local incidence directions.
+    With angular_fill it shrinks with incidence angle, p_eff = p_double *
+    (1 - tan(theta) / (2 * mirror_ratio)), clamped to [0,1]; the freed mass
+    is absorbed."""
+    p_d = plate.mode_weights[0]
+    if not plate.angular_fill:
+        return p_d
+    cw = np.abs(incidence[:, 2])
+    tan = np.sqrt(np.maximum(1.0 - cw * cw, 0.0)) / np.maximum(cw, 1e-12)
+    return np.minimum(np.maximum(p_d * (1.0 - tan / (2.0 * plate.mirror_ratio)),
+                                 0.0), 1.0)
 
 
 def classify_plate_modes(plate: TmdPlate, incidence: np.ndarray,
@@ -302,20 +326,13 @@ def classify_plate_modes(plate: TmdPlate, incidence: np.ndarray,
     plate-local incidence directions and uniform draws in [0, 1).
 
     [0,1) is partitioned into double | single | pass bands of the plate's
-    mode weights, remainder absorbed.  A polarizer keeps the partition but
-    blocks the single band: that light is absorbed, not redistributed.  The
-    single band is itself split evenly between the two slat orientations.
-    With angular_fill enabled the double band shrinks with incidence angle,
-    p_eff = p_double * (1 - tan(theta) / (2 * mirror_ratio)), clamped to
-    [0,1]; the freed mass is absorbed.
+    mode weights (the double band from `double_band`), remainder absorbed.
+    A polarizer keeps the partition but blocks the single band: that light
+    is absorbed, not redistributed.  The single band is itself split evenly
+    between the two slat orientations.
     """
-    p_d, p_s, p_p = plate.mode_weights
-    if plate.angular_fill:
-        cw = np.abs(incidence[:, 2])
-        tan = np.sqrt(np.maximum(1.0 - cw * cw, 0.0)) / np.maximum(cw, 1e-12)
-        p_d = np.minimum(np.maximum(p_d * (1.0 - tan / (2.0 * plate.mirror_ratio)),
-                                    0.0), 1.0)
-    b1 = p_d
+    _, p_s, p_p = plate.mode_weights
+    b1 = double_band(plate, incidence)
     b2 = b1 + p_s
     single = (_ABSORB if plate.polarizer
               else np.where(draws < b1 + 0.5 * p_s, _SINGLE_U, _SINGLE_V))
@@ -395,7 +412,7 @@ def half_mirror_interact(ray: Ray, mirror: HalfMirror):
 def convex_mirror_transform(ray: Ray, mirror: ConvexMirror) -> Ray:
     """Specular reflection off the combiner cap (flat when a_mag = 1)."""
     what = f"mirror {mirror.ident!r}"
-    if mirror.a_mag == 1.0:
+    if mirror.flat:
         point = _hit(ray, mirror.pose, mirror.extent, what).point
     else:
         t = float(sphere_cap_hits(mirror, ray.origin[None], ray.direction[None])[0])

@@ -18,6 +18,9 @@ PLANE_EPS = 1e-9        # smallest accepted ray/surface hit distance, mm
 PARALLEL_EPS = 1e-12    # |d.n| below this counts as parallel to the surface
 RAY_ADVANCE = 1e-6      # origin advance after every interaction, mm
 WEIGHT_CUTOFF = 1e-4    # rays below this weight are dropped
+# A `max_bounces` budget counts surface hits, the final screen or eye hit
+# included: both tracers stop a ray that has already made max_bounces
+# interactions before it can hit anything else.
 
 MODE_PRIMARY = "primary"
 MODE_DOUBLE = "double_reflect"
@@ -30,11 +33,11 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
 
 
 def normalize(v) -> np.ndarray:
-    """Unit vector along v; raises ValueError on a (near-)zero input."""
+    """Unit vector along v; raises ValueError on a zero or non-finite v."""
     v = np.asarray(v, dtype=np.float64)
     n = math.sqrt(float(v @ v))
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero vector")
+    if not 1e-300 <= n < math.inf:
+        raise ValueError("cannot normalize a zero or non-finite vector")
     return v / n
 
 
@@ -46,8 +49,8 @@ def normalize(v) -> np.ndarray:
 def normalize_rows(v: np.ndarray) -> np.ndarray:
     """`normalize` applied to each row (same bits per row)."""
     n = np.sqrt(np.vecdot(v, v))
-    if (n < 1e-300).any():
-        raise ValueError("cannot normalize a zero vector")
+    if not ((n >= 1e-300) & (n < math.inf)).all():
+        raise ValueError("cannot normalize a zero or non-finite vector")
     return v / n[:, None]
 
 

@@ -127,8 +127,7 @@ def ame_preset(hmd: HmdSpec, d2: float, d4: float, *,
     plate = TmdPlate("plate", Pose.identity(), (l3, l3), pitch=pitch,
                      mode_weights=mode_weights, polarizer=polarizer)
     lens = ThinLens("eyepiece", Pose.facing(vec3(0, 0, -d2), (0.0, 0.0, 1.0)),
-                    focal_length=f, aperture_diameter=lens_aperture,
-                    housing_extent=(lens_aperture, lens_aperture))
+                    focal_length=f, aperture_diameter=lens_aperture)
     screen = _screen("panel", vec3(0, 0, -(d2 + f)), (0.0, 0.0, 1.0),
                      (screen_width, screen_width * aspect), pattern, (True, True))
     eye = EyeCamera("eye", camera_pose(vec3(0, 0, d4), (0.0, 0.0, -1.0)))
@@ -160,8 +159,7 @@ def defocus_scene(eyepiece: bool, *, pitch: float = 0.0,
     # 40 mm lens, screen 60 mm behind it: real image 120 mm past the lens
     # (magnification -2), i.e. 40 mm short of the plate; aerial image at +40.
     lens = ThinLens("relay", Pose.facing(vec3(0, 0, -160.0), (0.0, 0.0, 1.0)),
-                    focal_length=40.0, aperture_diameter=80.0,
-                    housing_extent=(80.0, 80.0))
+                    focal_length=40.0, aperture_diameter=80.0)
     screen = _screen("panel", vec3(0, 0, -220.0), (0.0, 0.0, 1.0),
                      (40.0, 40.0), pattern, (True, True))
     eye = EyeCamera("camera", camera_pose(vec3(0, 0, 160.0), (0.0, 0.0, -1.0)),

@@ -41,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
-                       TmdPlate, sample_screen, split_weights)
+                       TmdPlate, double_band, quantize_uv, sample_screen,
+                       split_weights)
 from .errors import IoError
 from .geometry import (PARALLEL_EPS, PLANE_EPS, RAY_ADVANCE, WEIGHT_CUTOFF,
                        Pose)
@@ -129,49 +130,15 @@ def _subset(mask: np.ndarray) -> Optional[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Scene preparation
 
-@dataclass
 class _Record:
-    kind: str
-    el: object
-    pos: np.ndarray
-    axes: np.ndarray  # 3x3, columns (u, v, w)
-    half: tuple       # bounding half extent (plane kinds)
+    """One surface's pose and half extent, read once per render."""
 
-    def __post_init__(self):
+    def __init__(self, el):
+        self.el = el
+        self.pos = el.pose.position
+        self.axes = el.pose.rotation  # columns (u, v, w)
         self.u_ax, self.v_ax, self.w_ax = (self.axes[:, j] for j in range(3))
-        if self.kind == "mirror_cap":
-            self.centre = self.pos + self.el.curvature_radius * self.w_ax
-
-
-def _prep_scene(scene: Scene):
-    records = []
-    elements = list(scene.elements)
-    if scene.background is not None:
-        elements.append(scene.background)
-    for el in elements:
-        if isinstance(el, Screen):
-            kind = "screen"
-            extent = el.extent
-        elif isinstance(el, TmdPlate):
-            kind = "tmd"
-            extent = el.extent
-        elif isinstance(el, HalfMirror):
-            kind = "half_mirror"
-            extent = el.extent
-        elif isinstance(el, ThinLens):
-            kind = "lens"
-            extent = el.housing_extent
-        elif isinstance(el, ConvexMirror):
-            kind = "mirror_flat" if el.a_mag == 1.0 else "mirror_cap"
-            extent = el.extent
-        elif isinstance(el, Absorber):
-            kind = "absorber"
-            extent = el.extent
-        else:  # pragma: no cover
-            raise TypeError(f"unrenderable element {type(el).__name__}")
-        records.append(_Record(kind, el, el.pose.position, el.pose.rotation,
-                               (0.5 * extent[0], 0.5 * extent[1])))
-    return records
+        self.half = (0.5 * el.extent[0], 0.5 * el.extent[1])
 
 
 def _plane_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> Optional[np.ndarray]:
@@ -202,7 +169,7 @@ def _plane_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> Optional[np.ndarray
 
 def _cap_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     R = rec.el.curvature_radius
-    oc = _sub(o, rec.centre)
+    oc = _sub(o, rec.el.centre)
     b = np.einsum("ij,ij->i", d, oc)
     c = np.einsum("ij,ij->i", oc, oc) - R * R
     disc = b * b - c
@@ -231,14 +198,17 @@ def _trace_batches(records, o, d, w, pix, acc, max_bounces: int):
     queue = deque([(o, d, w, pix, 0)])
     while queue:
         o, d, w, pix, bounce = queue.popleft()
-        if len(o) == 0 or bounce > max_bounces:
+        if len(o) == 0 or bounce >= max_bounces:
             continue
         # Nearest hit: the first element wins a tie, as np.argmin would.
         tmin = np.full(len(o), np.inf)
         el_idx = np.full(len(o), -1)
         hit = []
         for k, rec in enumerate(records):
-            ts = _cap_ts(rec, o, d) if rec.kind == "mirror_cap" else _plane_ts(rec, o, d)
+            if isinstance(rec.el, ConvexMirror) and not rec.el.flat:
+                ts = _cap_ts(rec, o, d)
+            else:
+                ts = _plane_ts(rec, o, d)
             if ts is None:
                 continue
             closer = ts < tmin
@@ -250,7 +220,7 @@ def _trace_batches(records, o, d, w, pix, acc, max_bounces: int):
             if len(rows) == 0:
                 continue
             rec = records[k]
-            if rec.kind == "absorber":
+            if isinstance(rec.el, Absorber):
                 continue
             if len(rows) == len(o):
                 t, bo, bd, bw, bp = tmin, o, d, w, pix
@@ -270,18 +240,18 @@ def _push(queue, point, nd, nw, bp, bounce, keep=None):
 def _interact(rec, t, bo, bd, bw, bp, acc, queue, bounce):
     """Apply the element of `rec` to the rays that hit it at distances `t`:
     accumulate screen radiance into `acc`, queue the outgoing rays."""
+    el = rec.el
     point = _along(bo, t, bd)
-    if rec.kind == "mirror_flat":
-        nd = _reflected(bd, bd @ rec.w_ax, rec.w_ax)
+    if isinstance(el, ConvexMirror):
+        if el.flat:
+            nd = _reflected(bd, bd @ rec.w_ax, rec.w_ax)
+        else:
+            n = _normalized(_sub(el.centre, point))
+            nd = _reflected(bd, np.einsum("ij,ij->i", bd, n), n)
         _push(queue, point, nd, bw, bp, bounce)
         return
-    if rec.kind == "mirror_cap":
-        n = _normalized(_sub(rec.centre, point))
-        _push(queue, point, _reflected(bd, np.einsum("ij,ij->i", bd, n), n),
-              bw, bp, bounce)
-        return
-    if rec.kind == "half_mirror":
-        wr, wt = split_weights(bw, rec.el.reflectance)
+    if isinstance(el, HalfMirror):
+        wr, wt = split_weights(bw, el.reflectance)
         for nd, nw in ((_reflected(bd, bd @ rec.w_ax, rec.w_ax), wr), (bd, wt)):
             keep = nw >= WEIGHT_CUTOFF
             if keep.any():
@@ -291,14 +261,14 @@ def _interact(rec, t, bo, bd, bw, bp, acc, queue, bounce):
     rel = _sub(point, rec.pos)
     u = rel @ rec.u_ax
     v = rel @ rec.v_ax
-    if rec.kind == "screen":
-        acc[bp] += bw * sample_screen(rec.el, u, v)
-    elif rec.kind == "lens":
+    if isinstance(el, Screen):
+        acc[bp] += bw * sample_screen(el, u, v)
+    elif isinstance(el, ThinLens):
         _refract(rec, point, u, v, bd, bw, bp, queue, bounce)
-    elif rec.kind == "tmd":
+    elif isinstance(el, TmdPlate):
         _plate(rec, point, u, v, bd, bw, bp, queue, bounce)
     else:  # pragma: no cover
-        raise TypeError(rec.kind)
+        raise TypeError(f"unrenderable element {type(el).__name__}")
 
 
 def _refract(rec, point, u, v, bd, bw, bp, queue, bounce):
@@ -325,19 +295,14 @@ def _refract(rec, point, u, v, bd, bw, bp, queue, bounce):
 
 def _plate(rec, point, u, v, bd, bw, bp, queue, bounce):
     plate: TmdPlate = rec.el
-    p_d, p_s, p_p = plate.mode_weights
+    _, p_s, p_p = plate.mode_weights
     dl = bd @ rec.axes
-    if plate.angular_fill:
-        cw = np.abs(dl[:, 2])
-        tan = np.sqrt(np.maximum(1.0 - cw ** 2, 0.0)) / np.maximum(cw, 1e-12)
-        p_d = np.clip(p_d * (1.0 - tan / (2.0 * plate.mirror_ratio)), 0.0, 1.0)
+    p_d = double_band(plate, dl)
     single = 0.5 * (0.0 if plate.polarizer else p_s)
     cell = point
     if plate.pitch > 0:
         # pos + qu * u_axis + qv * v_axis, a column at a time.
-        p = plate.pitch
-        qu = (np.floor(u / p) + 0.5) * p
-        qv = (np.floor(v / p) + 0.5) * p
+        qu, qv = quantize_uv(u, v, plate.pitch)
         cell = np.empty_like(point)
         for j in range(3):
             col = cell[:, j]
@@ -413,7 +378,7 @@ def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
     processed in fixed blocks whatever the worker count.
     """
     camera = camera or scene.eye
-    records = _prep_scene(scene)
+    records = [_Record(el) for el in scene.surfaces]
     w_px, h_px, _ = camera.sensor
     offsets = _aperture_points(camera, rays_per_pixel, seed)
     blocks = [slice(r, min(r + ROW_BLOCK, h_px)) for r in range(0, h_px, ROW_BLOCK)]

@@ -116,14 +116,18 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        idents = [e.ident for e in self.elements]
-        if self.background is not None:
-            idents.append(self.background.ident)
-        idents.append(self.eye.ident)
+        idents = [e.ident for e in self.surfaces] + [self.eye.ident]
         dupes = {i for i in idents if idents.count(i) > 1}
         if dupes or "" in idents:
             raise ValidationError(f"element identifiers must be unique and non-empty "
                                   f"(duplicates: {sorted(dupes)})")
+
+    @property
+    def surfaces(self) -> tuple:
+        """Everything a ray can hit: the elements, then the background."""
+        if self.background is None:
+            return self.elements
+        return self.elements + (self.background,)
 
     def element(self, ident: str):
         for e in self.elements:
@@ -274,8 +278,9 @@ def _build_element(kind, ident, keys, line):
         return TmdPlate(
             ident, _take_pose(keys, line),
             _take_floats(keys, "extent", line, 2),
-            pitch=_take_floats(keys, "pitch", line, 1, 0.0),
-            mirror_ratio=_take_floats(keys, "mirror_ratio", line, 1, 3.0),
+            pitch=_take_floats(keys, "pitch", line, 1, TmdPlate.pitch),
+            mirror_ratio=_take_floats(keys, "mirror_ratio", line, 1,
+                                      TmdPlate.mirror_ratio),
             mode_weights=_take_floats(keys, "weights", line, 3, DEFAULT_MODE_WEIGHTS),
             polarizer=_take_bool(keys, "polarizer", line),
             angular_fill=_take_bool(keys, "angular_fill", line))
@@ -315,8 +320,10 @@ def _build_eye(ident, keys, line) -> EyeCamera:
     except (InvalidGeometry, ValueError) as exc:
         raise ParseError(line, f"bad eye orientation: {exc}") from None
     return EyeCamera(ident, pose,
-                     focal_length=_take_floats(keys, "focal_length", line, 1, 100.0),
-                     aperture_diameter=_take_floats(keys, "aperture", line, 1, 4.0),
+                     focal_length=_take_floats(keys, "focal_length", line, 1,
+                                               EyeCamera.focal_length),
+                     aperture_diameter=_take_floats(keys, "aperture", line, 1,
+                                                    EyeCamera.aperture_diameter),
                      sensor=sensor)
 
 

@@ -256,10 +256,7 @@ class BundleResult:
 
 
 def _hit_distances(surface, origins, directions):
-    if isinstance(surface, ThinLens):
-        return plane_hits(origins, directions, surface.pose,
-                          surface.housing_extent)
-    if isinstance(surface, ConvexMirror) and surface.a_mag != 1.0:
+    if isinstance(surface, ConvexMirror) and not surface.flat:
         return sphere_cap_hits(surface, origins, directions)
     return plane_hits(origins, directions, surface.pose, surface.extent)
 
@@ -274,9 +271,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
            seed: int, max_bounces: int) -> BundleResult:
     """Trace rays (rows) to their terminals, all live rays one bounce per
     pass.  Every ray alive at pass k has made k interactions."""
-    surfaces = list(scene.elements)
-    if scene.background is not None:
-        surfaces.append(scene.background)
+    surfaces = scene.surfaces
     eye_k = len(surfaces)
     modes = list(_MODES) if mode in _MODES else list(_MODES) + [mode]
     n = len(origins)

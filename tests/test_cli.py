@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tmdsim
 from tmdsim.cli import main
 from tmdsim.scene import parse_scene
 
@@ -164,6 +167,21 @@ class TestTrace:
             main(["trace", "--preset", "half_mirror", "--source", "1,2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("angle", ["nan", "0", "-2", "200", "inf", "x"])
+    def test_half_angle_outside_0_180_exit_2(self, angle, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["trace", "--preset", "half_mirror", "--source", "0,0,5",
+                  f"--half-angle={angle}"])
+        assert err.value.code == 2
+        assert "--half-angle" in capsys.readouterr().err
+
+    def test_half_angle_180_accepted(self, capsys):
+        code, out, _ = run(capsys, "trace", "--preset", "half_mirror",
+                           "--source", "0,0,5", "--rays", "32",
+                           "--half-angle", "180")
+        assert code == 0
+        assert "emitted_weight,32" in out
+
     def test_degenerate_exit_4(self, tmp_path, capsys):
         f = tmp_path / "dark.scene"
         f.write_text(ABSORBING_SCENE)
@@ -267,14 +285,22 @@ class TestPresets:
         assert err.value.code == 2
 
 
+def _run_module(*args):
+    """`python -m tmdsim ...` in a child process that imports the same
+    package as these tests, installed or not."""
+    src = str(Path(tmdsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tmdsim", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run([sys.executable, "-m", "tmdsim", "design",
-                               "--hmd", "dk2"], capture_output=True, text=True)
+        proc = _run_module("design", "--hmd", "dk2")
         assert proc.returncode == 0
         assert "ame_fov_deg,110.000000" in proc.stdout
 
     def test_no_command_is_usage_error(self):
-        proc = subprocess.run([sys.executable, "-m", "tmdsim"],
-                              capture_output=True, text=True)
+        proc = _run_module()
         assert proc.returncode == 2

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tmdsim.errors import DegenerateBundle, InvalidGeometry
 from tmdsim.geometry import (PLANE_EPS, RAY_ADVANCE, Pose, Ray, advanced,
                              closest_point_to_rays, intersect_plane,
-                             normalize, orthonormal_frame, reflect, vec3)
+                             normalize, normalize_rows, orthonormal_frame,
+                             reflect, vec3)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 unit_ish = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
@@ -27,6 +28,17 @@ class TestNormalizeReflect:
     def test_normalize_zero_raises(self):
         with pytest.raises(ValueError):
             normalize(vec3(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_normalize_non_finite_raises(self, bad):
+        with pytest.raises(ValueError):
+            normalize(vec3(bad, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_normalize_rows_non_finite_raises(self, bad):
+        rows = np.array([[3.0, 4.0, 0.0], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            normalize_rows(rows)
 
     def test_reflect_normal_incidence(self):
         d = vec3(0.0, 0.0, -1.0)

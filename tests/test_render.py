@@ -6,12 +6,13 @@ import pytest
 
 from tmdsim.elements import Screen, TmdPlate
 from tmdsim.errors import IoError
-from tmdsim.geometry import Pose, vec3
+from tmdsim.geometry import Pose, normalize, vec3
 from tmdsim.presets import build_preset, defocus_scene, tmd_see_through_preset
 from tmdsim.render import (Image, SweepResult, best_offset, defocus_sweep,
                            read_ppm, render_view, sharpness_metric, tone_map,
                            write_csv, write_ppm)
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
+from tmdsim.tracer import Cone, trace_bundle
 
 
 def grey_image(arr):
@@ -215,6 +216,32 @@ class TestRenderEngine:
             scene = defocus_scene(False, pitch=pitch)
             imgs[pitch] = sharpness_metric(render_view(scene, rays_per_pixel=16))
         assert imgs[0.3] >= imgs[0.5]
+
+
+class TestBounceBudget:
+    def test_both_tracers_count_the_final_hit(self):
+        # screen -> lens -> plate -> eye forward, eye -> plate -> lens ->
+        # screen backward: three surface hits either way.
+        scene = build_preset("ame_dk2")
+        eye = scene.eye
+        camera = EyeCamera(eye.ident, eye.pose, eye.focal_length,
+                           eye.aperture_diameter, (32, 32, eye.sensor[2]))
+        screen_z = scene.element("panel").pose.position[2]
+        source = vec3(2.0, -1.5, screen_z + 0.5)
+        cone = Cone(normalize(eye.pose.position - source), math.radians(2.0))
+        full = render_view(scene, camera, rays_per_pixel=1, workers=1)
+        assert full.pixels.max() > 0.0
+        for budget, sees in ((2, False), (3, True)):
+            image = render_view(scene, camera, rays_per_pixel=1,
+                                max_bounces=budget, workers=1)
+            terminals = trace_bundle(scene, source, 64, cone,
+                                     max_bounces=budget).stats["terminals"]
+            if sees:
+                assert np.array_equal(image.pixels, full.pixels)
+                assert terminals.get("reached_eye", 0) > 0
+            else:
+                assert not image.pixels.any()
+                assert terminals == {"max_bounces": 64}
 
 
 class TestSweep:
