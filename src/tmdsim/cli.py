@@ -171,6 +171,8 @@ def _cmd_trace(args, parser) -> int:
     scene = _load_scene(args, parser)
     if args.rays <= 0:
         parser.error("--rays must be positive")
+    if args.max_bounces <= 0:
+        parser.error("--max-bounces must be positive")
     axis = args.axis
     if axis is None:
         axis = scene.eye.pose.position - args.source
@@ -218,6 +220,8 @@ def _cmd_render(args, parser) -> int:
     scene = _load_scene(args, parser)
     if args.rpp <= 0:
         parser.error("--rpp must be positive")
+    if args.max_bounces <= 0:
+        parser.error("--max-bounces must be positive")
     image = render_view(scene, rays_per_pixel=args.rpp, seed=args.seed,
                         max_bounces=args.max_bounces, workers=args.workers)
     write_ppm(image, args.out)

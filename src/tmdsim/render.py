@@ -9,6 +9,8 @@ multipliers.  That keeps images noise-free and makes the polarizer
 identity exact — blocking the single band is bitwise identical to zeroing
 its weight.  Images are deterministic in (scene, camera, seed); the worker
 count only changes wall time because pixel blocks are fixed and disjoint.
+Several workers are forked processes, each rendering whole blocks with
+the same code, so they overlap where threads would queue on the GIL.
 
 The camera never occludes itself: the scene's eye is the ray source, not
 a surface.
@@ -34,8 +36,10 @@ rounds the same sum differently depending on how the call is laid out.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -369,33 +373,52 @@ def _render_rows(records, camera: EyeCamera, rows: slice, offsets: np.ndarray,
     return acc / len(offsets)
 
 
+def _pool_size(workers: int, n_blocks: int) -> int:
+    """Processes worth forking for `workers` over `n_blocks` row blocks:
+    never more than there are blocks or usable cores, because the pool
+    forks every one of them at its first task."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return min(workers, n_blocks, cores)
+
+
 def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
                 rays_per_pixel: int = 16, seed: int = 42,
                 max_bounces: int = 12, workers: Optional[int] = None) -> Image:
     """Render the scene from its eye (or an explicit camera).
 
     Deterministic in (scene, camera, rays_per_pixel, seed): pixel rows are
-    processed in fixed blocks whatever the worker count.
+    processed in fixed blocks whatever the worker count.  With more than
+    one worker the blocks are rendered by a pool of forked processes, at
+    most one per usable core and per block; where the platform cannot
+    fork, they are rendered in this process.  Raises UsageError for a
+    worker count below 1 and ValueError for a bounce budget below 1.
     """
+    if max_bounces < 1:
+        raise ValueError("max_bounces must be >= 1")
     camera = camera or scene.eye
     records = [_Record(el) for el in scene.surfaces]
     w_px, h_px, _ = camera.sensor
     offsets = _aperture_points(camera, rays_per_pixel, seed)
     blocks = [slice(r, min(r + ROW_BLOCK, h_px)) for r in range(0, h_px, ROW_BLOCK)]
-
-    def run(block: slice) -> np.ndarray:
-        return _render_rows(records, camera, block, offsets, max_bounces)
+    run = partial(_render_rows, records, camera, offsets=offsets,
+                  max_bounces=max_bounces)
 
     acc = np.zeros((h_px, w_px))
-    nworkers = resolve_workers(workers)
-    if nworkers == 1:
-        results = map(run, blocks)
-    else:
-        # Imported here because only multi-worker renders use it, and it
-        # pulls logging and threading into every start-up otherwise.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(run, blocks))
+    nprocs = _pool_size(resolve_workers(workers), len(blocks))
+    results = map(run, blocks)
+    if nprocs > 1:
+        # Imported here because only multi-worker renders use them, and
+        # they add about 20 ms to every start-up otherwise.  Forked, not
+        # spawned, children start with numpy and the package imported;
+        # where the platform cannot fork, the serial map above stands.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(nprocs, multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(run, blocks))
     for block, rows_acc in zip(blocks, results):
         acc[block] = rows_acc.reshape(block.stop - block.start, w_px)
     pixels = np.repeat(acc[:, :, None], 3, axis=2)

@@ -395,7 +395,7 @@ def trace_ray(scene: Scene, ray: Ray, max_bounces: int = 16,
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: explicit argument, else the TMDSIM_WORKERS variable,
     else 1.  Outputs never depend on it; only wall time does.  Raises
-    UsageError when the variable is not an integer."""
+    UsageError when the variable is not an integer or the count is below 1."""
     if workers is None:
         text = os.environ.get(WORKERS_ENV, "1") or "1"
         try:
@@ -403,7 +403,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
         except ValueError:
             raise UsageError(f"{WORKERS_ENV} must be an integer, "
                              f"got {text!r}") from None
-    return max(1, int(workers))
+    workers = int(workers)
+    if workers < 1:
+        raise UsageError(f"the worker count must be at least 1, got {workers}")
+    return workers
 
 
 def _first_seen(codes: np.ndarray) -> list:
@@ -446,6 +449,8 @@ def trace_bundle(scene: Scene, source_point, n_rays: int, cone: Cone,
     """
     if n_rays <= 0:
         raise ValueError("n_rays must be positive")
+    if max_bounces < 1:
+        raise ValueError("max_bounces must be >= 1")
     resolve_workers(workers)
     source = np.asarray(source_point, dtype=np.float64)
     directions = normalize_rows(cone_directions(cone, n_rays))

@@ -260,6 +260,44 @@ class TestSweep:
         assert err.value.code == 2
 
 
+class TestCountsBelowOne:
+    # Trace, render and sweep take --workers; trace and render take
+    # --max-bounces.  Render and sweep would write into the cwd, which
+    # must stay empty.
+    COMMANDS = [
+        ["trace", "--preset", "half_mirror", "--source", "0,0,5", "--rays", "8"],
+        ["render", "--preset", "defocus_flat", "--rpp", "1", "--out", "x.ppm"],
+        ["sweep", "--preset", "defocus_flat", "--rpp", "1", "--offsets", "0",
+         "--out-dir", "series"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_worker_count_exit_2(self, command, count, capsys, monkeypatch,
+                                 tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *command, "--workers", count)
+        assert code == 2
+        assert "worker count must be at least 1" in err
+        assert out == ""
+        monkeypatch.setenv("TMDSIM_WORKERS", count)
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert "worker count must be at least 1" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", COMMANDS[:2])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_max_bounces_exit_2(self, command, budget, capsys, monkeypatch,
+                                tmp_path):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--max-bounces", budget])
+        assert err.value.code == 2
+        assert "--max-bounces must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestPresets:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "presets")
@@ -285,14 +323,18 @@ class TestPresets:
         assert err.value.code == 2
 
 
-def _run_module(*args):
-    """`python -m tmdsim ...` in a child process that imports the same
-    package as these tests, installed or not."""
+def _run_python(*args):
+    """`python ...` in a child process that imports the same package as
+    these tests, installed or not."""
     src = str(Path(tmdsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "tmdsim", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def _run_module(*args):
+    return _run_python("-m", "tmdsim", *args)
 
 
 class TestEntryPoint:
@@ -304,3 +346,12 @@ class TestEntryPoint:
     def test_no_command_is_usage_error(self):
         proc = _run_module()
         assert proc.returncode == 2
+
+    def test_import_leaves_the_worker_pool_unloaded(self):
+        # Only multi-worker renders need these; importing them at start-up
+        # would cost every command about 20 ms.
+        proc = _run_python("-c", "import sys, tmdsim.cli; print(sorted(m for m in "
+                           "('multiprocessing', 'concurrent.futures') "
+                           "if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,16 +1,19 @@
 import itertools
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
+from tmdsim import render
 from tmdsim.elements import Screen, TmdPlate
 from tmdsim.errors import IoError
 from tmdsim.geometry import Pose, normalize, vec3
 from tmdsim.presets import build_preset, defocus_scene, tmd_see_through_preset
-from tmdsim.render import (Image, SweepResult, best_offset, defocus_sweep,
-                           read_ppm, render_view, sharpness_metric, tone_map,
-                           write_csv, write_ppm)
+from tmdsim.render import (ROW_BLOCK, Image, SweepResult, _pool_size,
+                           best_offset, defocus_sweep, read_ppm, render_view,
+                           sharpness_metric, tone_map, write_csv, write_ppm)
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
 from tmdsim.tracer import Cone, trace_bundle
 
@@ -242,6 +245,50 @@ class TestBounceBudget:
             else:
                 assert not image.pixels.any()
                 assert terminals == {"max_bounces": 64}
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="max_bounces"):
+            render_view(build_preset("defocus_flat"), rays_per_pixel=1,
+                        max_bounces=budget)
+
+
+class TestWorkerPool:
+    def test_pool_size_is_capped(self):
+        # Pure arithmetic: no render and no process is started here.
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cores = os.cpu_count() or 1
+        assert 1 <= _pool_size(10**6, 8) <= min(8, cores)
+        assert _pool_size(10**6, 10**6) == cores
+        assert _pool_size(3, 1) == 1
+        assert _pool_size(1, 8) == 1
+        assert _pool_size(2, 8) == min(2, cores)
+
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        # The forked workers inherit the patched module, so the failure
+        # happens inside them; the caller must get that error back (not a
+        # BrokenProcessPool, which is no ValueError) and must not hang.
+        def broken(*args, **kwargs):
+            raise ValueError("interaction failed")
+
+        def hung(signum, frame):
+            raise TimeoutError("render_view did not return")
+
+        monkeypatch.setattr(render, "_interact", broken)
+        eye = build_preset("defocus_flat").eye
+        camera = EyeCamera(eye.ident, eye.pose, eye.focal_length,
+                           eye.aperture_diameter, (16, 2 * ROW_BLOCK, eye.sensor[2]))
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ValueError, match="interaction failed"):
+                render_view(build_preset("defocus_flat"), camera,
+                            rays_per_pixel=1, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestSweep:

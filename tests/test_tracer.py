@@ -252,6 +252,21 @@ class TestBundle:
             resolve_workers()
         assert resolve_workers(2) == 2
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_worker_count_below_one(self, workers, monkeypatch):
+        with pytest.raises(UsageError, match="at least 1"):
+            resolve_workers(workers)
+        monkeypatch.setenv("TMDSIM_WORKERS", str(workers))
+        with pytest.raises(UsageError, match="at least 1"):
+            resolve_workers()
+        with pytest.raises(UsageError, match="at least 1"):
+            self.bundle(plate_scene(), workers=workers)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_bounce_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="max_bounces"):
+            self.bundle(plate_scene(), max_bounces=budget)
+
     def test_workers_env(self, monkeypatch):
         monkeypatch.setenv("TMDSIM_WORKERS", "3")
         assert resolve_workers() == 3
