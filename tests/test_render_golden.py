@@ -9,16 +9,20 @@ The presets render on a small sensor cropped around the centre of their
 own (same pixel pitch), 40 x 34 pixels, so a render is two row blocks.  The
 custom scenes cover the element branches the presets leave out, and two
 degenerate batch shapes: one-row batches (a 1 x 1 sensor) and a batch in
-which exactly one ray is ahead of a plane or hits an element.
+which exactly one ray is ahead of a plane or hits an element.  The turned
+scenes move the mixed and ping-pong scenes by a rigid motion with no
+axis-aligned part; their digests were recorded on the renderer that still
+kept its own copy of the row arithmetic.
 """
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
                              ThinLens, TmdPlate)
-from tmdsim.geometry import Pose, normalize, vec3
+from tmdsim.geometry import Pose, normalize, orthonormal_frame, vec3
 from tmdsim.presets import PRESET_BUILDERS, build_preset
 from tmdsim.render import render_view
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
@@ -154,6 +158,25 @@ def _one_pixel_mixed(target):
     return scene, camera
 
 
+# A rigid motion with no axis-aligned part: every normal and up hint it
+# carries has three nonzero components, so each dot and rotation of the
+# renderer sums three nonzero products.
+TURN = orthonormal_frame(vec3(0.3, -0.5, 0.8), (0.6, 0.7, 0.2))
+SHIFT = vec3(7.0, -4.0, 3.0)
+
+
+def _turned_pose(pose):
+    return Pose.facing(TURN @ pose.position + SHIFT, TURN @ pose.normal,
+                       TURN @ pose.v_axis)
+
+
+def _turned(scene):
+    moved = [replace(el, pose=_turned_pose(el.pose)) for el in scene.surfaces]
+    background = moved.pop() if scene.background is not None else None
+    eye = replace(scene.eye, pose=_turned_pose(scene.eye.pose))
+    return Scene(tuple(moved), eye, background, scene.name)
+
+
 # name -> (scene, camera) builder
 CASES = {f"{name}_crop": (lambda name=name: _cropped(name))
          for name in sorted(PRESET_BUILDERS)}
@@ -167,6 +190,8 @@ CASES.update({
     # On the rim of the clear aperture: the pinhole ray hits the mount,
     # some of the four aperture samples pass the lens.
     "mixed_1x1_rim": lambda: _one_pixel_mixed((36.2, 0.0, 60.0)),
+    "mixed_turned": lambda: (_turned(_mixed()), None),
+    "ping_pong_turned": lambda: (_turned(_ping_pong()), None),
 })
 MAX_BOUNCES = {"ping_pong": 24}
 RPP = (1, 4)
@@ -213,6 +238,10 @@ GOLDEN = {
         "c79e69891b927d0cc9fea498663cedb006ef2917ab3365ba492657cc844cd6e0",
     "mixed_1x1_rim/rpp4":
         "6d05b4886bdebc40c3143c45abd07489c9748e0e37b602eb72551943f0dad430",
+    "mixed_turned/rpp1":
+        "4ff86a4d2902e370a90a1f75630be0240d3e88e76422aec4a2c3b5307a75ba4f",
+    "mixed_turned/rpp4":
+        "8cb4232ddb2c28d21e55b1a800e4c568c4966487d5df70424c2646d3f5e3a8b1",
     "one_ray_ahead/rpp1":
         "920dcde93133c5ea4c097bfbd44cbee66b3b32fb3355d6b18a99ba3f7a83c4f4",
     "one_ray_ahead/rpp4":
@@ -225,6 +254,10 @@ GOLDEN = {
         "c983ce2982d8da0c3fbeaaebf9d67a5eda7f55ca585334d821393f292200f921",
     "ping_pong/rpp4":
         "2feb4d3201714b7645bbfdaa898bb5f6cc0cd015c486e4f77ccb8b651e17b055",
+    "ping_pong_turned/rpp1":
+        "f0334389ded4e75740d93e4b77fc9fb1df1d02df0449315552564c90510c1056",
+    "ping_pong_turned/rpp4":
+        "ed2afefb0329d1cc885eed3d071028e5ca94e08c2c03b312f3a6fa33f51bb4f9",
     "tmd_see_through_crop/rpp1":
         "7dc42446cc46f89e3784852a1cbd73a85e62a9020615c1527d45abfa0b4ad904",
     "tmd_see_through_crop/rpp4":
