@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import InvalidGeometry, NoIntersection, OutOfBounds
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS, Pose,
-                       Ray, intersect_plane, normalize_rows, reflect_rows,
-                       require_finite)
+                       Ray, dot_rows, intersect_plane, normalize_rows,
+                       reflect_rows, require_finite, subset, sub_rows,
+                       take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -236,29 +237,36 @@ def split_weight(weight: float, fraction: float):
 # Batch interactions.  Each takes the rays that hit one element as rows
 # (hit points, incoming directions, ...) and returns the outgoing rows; the
 # outgoing directions are not yet normalized, exactly as the scalar forms
-# below hand them to `Ray`, which normalizes them.  The scalar forms are
-# 1-row calls of these, so each interaction's maths exists once.
+# below hand them to `Ray`, which normalizes them.  The scalar forms and
+# the renderer call these, so each interaction's maths exists once.
 
-def refract_thin_lens(lens: ThinLens, points: np.ndarray, directions: np.ndarray):
-    """(clear, out_directions) for rays hitting the lens plane at `points`.
+def refract_thin_lens(lens: ThinLens, u: np.ndarray, v: np.ndarray,
+                      directions: np.ndarray):
+    """(rows, exit_local) for rays crossing the lens plane at local (u, v)
+    with world `directions`.
 
-    `clear` marks the rows inside the clear aperture; the other rows hit
-    the mount and their directions are meaningless.  In the lens frame a
-    ray crossing at transverse offset h has its slope changed by -h/f
-    (measured per unit travel along the axis, in the direction of
-    propagation), so a point source at distance s_o images exactly at
-    1/s_i = 1/f - 1/s_o.  Rays through the centre are unchanged.
+    `rows` indexes the rays that pass (None when every ray does): those
+    inside the clear aperture that do not graze the lens plane.  The mount
+    absorbs the others.  `exit_local` holds the passing rays' exit
+    directions in the lens frame, not normalized: each tracer normalizes
+    them by its own rule.  In the lens frame a ray crossing at transverse
+    offset h has its slope changed by -h/f (measured per unit travel along
+    the axis, in the direction of propagation), so a point source at
+    distance s_o images exactly at 1/s_i = 1/f - 1/s_o.  Rays through the
+    centre are unchanged.
     """
-    u, v = lens.pose.uv_of(points)
-    clear = u * u + v * v <= (0.5 * lens.aperture_diameter) ** 2
-    dl = lens.pose.to_local_dirs(directions)
-    aw = np.abs(dl[:, 2])
-    if (clear & (aw < 1e-12)).any():
-        raise NoIntersection(f"ray grazes lens {lens.ident!r}")
-    out_local = np.stack([dl[:, 0] / aw - u / lens.focal_length,
-                          dl[:, 1] / aw - v / lens.focal_length,
-                          np.copysign(1.0, dl[:, 2])], axis=1)
-    return clear, lens.pose.to_world_dirs(normalize_rows(out_local))
+    rows = subset(u * u + v * v <= (0.5 * lens.aperture_diameter) ** 2)
+    local = lens.pose.to_local_dirs(take_rows(directions, rows))
+    aw = np.abs(local[:, 2])
+    fine = aw > 1e-12
+    if not fine.all():
+        fine = np.flatnonzero(fine)
+        local, aw = local[fine], aw[fine]
+        rows = fine if rows is None else rows[fine]
+    f = lens.focal_length
+    return rows, np.stack([local[:, 0] / aw - take_rows(u, rows) / f,
+                           local[:, 1] / aw - take_rows(v, rows) / f,
+                           np.sign(local[:, 2])], axis=1)
 
 
 def split_half_mirror(mirror: HalfMirror, directions: np.ndarray,
@@ -289,7 +297,7 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
     for t in (-b - sq, -b + sq):
         points = origins + t[:, None] * directions
         u, v = pose.uv_of(points)
-        wl = np.abs(np.vecdot(points - pose.position, pose.normal))
+        wl = np.abs(dot_rows(sub_rows(points, pose.position), pose.normal))
         ok = ((disc >= 0) & (t > PLANE_EPS) & (np.abs(u) <= 0.5 * mirror.extent[0])
               & (np.abs(v) <= 0.5 * mirror.extent[1]) & (wl <= abs(R))
               & (wl < best_wl))
@@ -356,26 +364,27 @@ def quantize_uv(u, v, pitch: float):
     return (np.floor(u / pitch) + 0.5) * pitch, (np.floor(v / pitch) + 0.5) * pitch
 
 
-def plate_exit(plate: TmdPlate, points: np.ndarray, local_dirs: np.ndarray,
-               codes: np.ndarray):
+def plate_exit(plate: TmdPlate, points: np.ndarray, u: np.ndarray,
+               v: np.ndarray, local_dirs: np.ndarray, codes):
     """(exit_points, out_directions) of rays that hit the plate at `points`
-    with plate-local directions `local_dirs`, for already chosen interaction
-    codes (no absorbed rows).
+    (local coordinates u, v) with plate-local directions `local_dirs`, for
+    already chosen interaction codes: one for every row or one per row, and
+    none of them absorbed.
 
     double_reflect negates both transverse direction components (the
     retroreflection that builds the plane-symmetric image), single_reflect_u/v
-    negates one, pass_through none.  For the reflected modes a nonzero pitch
-    snaps the exit point to the containing cell centre; pass-through exits
-    exactly at the hit point.
+    negates one, pass_through none.  A ray exits at its hit point, except
+    that a nonzero pitch snaps the reflected modes to the centre of the
+    containing cell.
     """
     pose = plate.pose
-    u, v = pose.uv_of(points)
-    if plate.pitch > 0:
-        snap = codes != _PASS
-        qu, qv = quantize_uv(u, v, plate.pitch)
-        u, v = np.where(snap, qu, u), np.where(snap, qv, v)
-    exits = pose.position + u[:, None] * pose.u_axis + v[:, None] * pose.v_axis
-    return exits, pose.to_world_dirs(local_dirs * _PLATE_FLIPS[codes])
+    out = pose.to_world_dirs(local_dirs * _PLATE_FLIPS[codes])
+    if plate.pitch == 0:
+        return points, out
+    qu, qv = quantize_uv(u, v, plate.pitch)
+    cells = pose.position + qu[:, None] * pose.u_axis + qv[:, None] * pose.v_axis
+    snap = np.asarray(codes) != _PASS
+    return np.where(snap[..., None], cells, points), out
 
 
 def _hit(ray: Ray, pose: Pose, extent, what: str):
@@ -389,10 +398,12 @@ def thin_lens_transform(ray: Ray, lens: ThinLens) -> Ray:
     """Refract a ray through an ideal thin lens (see refract_thin_lens)."""
     d = lens.aperture_diameter
     hit = _hit(ray, lens.pose, (d, d), f"lens {lens.ident!r}")
-    clear, out = refract_thin_lens(lens, hit.point[None], ray.direction[None])
-    if not clear[0]:
+    _, out = refract_thin_lens(lens, np.array(hit.uv[:1]), np.array(hit.uv[1:]),
+                               ray.direction[None])
+    if len(out) == 0:
         raise NoIntersection(f"ray misses the clear aperture of lens {lens.ident!r}")
-    return replace(ray, origin=hit.point, direction=out[0])
+    return replace(ray, origin=hit.point,
+                   direction=lens.pose.to_world_dirs(normalize_rows(out))[0])
 
 
 def half_mirror_interact(ray: Ray, mirror: HalfMirror):
@@ -430,8 +441,9 @@ def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
         raise ValueError(f"unknown plate mode {mode!r}")
     hit = _hit(ray, plate.pose, plate.extent, f"plate {plate.ident!r}")
     local = plate.pose.to_local_dirs(ray.direction[None])
-    exits, out = plate_exit(plate, hit.point[None], local,
-                            np.array([PLATE_INTERACTIONS.index(mode)]))
+    exits, out = plate_exit(plate, hit.point[None], np.array(hit.uv[:1]),
+                            np.array(hit.uv[1:]), local,
+                            PLATE_INTERACTIONS.index(mode))
     return replace(ray, origin=exits[0], direction=out[0], mode=_MODE_TAG[mode])
 
 

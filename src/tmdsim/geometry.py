@@ -41,10 +41,79 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
-# Batch forms.  Rays are held as (n, 3) row arrays.  Every 3-vector dot is an
-# np.vecdot and every rotation a stacked np.matmul: both round each row
-# exactly like the scalar `a @ b` on that row, so a batch result is bit for
-# bit the result of the scalar code on each ray.
+# Row forms.  Rays are held as (n, 3) row arrays, and both tracers do their
+# row arithmetic through the forms below.  numpy rounds the same sum
+# differently depending on how a call is laid out, so the layout is fixed
+# here, once, and every form gives a row the same bits whichever rows share
+# its batch (a lone row, a pair or the full batch; the per-ray API's one-row
+# calls round like any batch):
+#
+# - Every dot of rows with a fixed 3-vector is a gemv, `(n, 3) @ (3,)` on
+#   C-contiguous rows, through `dot_rows`.  numpy sends a one-row
+#   `(1, 3) @ (3,)` to dot, which rounds differently, so a lone row is
+#   padded to two.  np.vecdot, einsum, an `(n, 3) @ (3, k)` gemm or a
+#   `(3, n)` layout would each round some rows differently.
+# - A rotation is `d @ R` into the local frame and `d @ R.T` out of it, with
+#   R.T held C-contiguous: a one-row product on the transposed view rounds
+#   differently from its batch.
+# - A per-row scalar or a fixed 3-vector broadcast over rows is computed one
+#   column at a time (`along_rows`, `sub_rows`, `reflect_rows`): the same
+#   IEEE operation on every element, with long inner loops instead of
+#   3-long ones.
+#
+# Pinned twins.  Two pieces of row maths keep one form per tracer, because
+# each tracer's golden digests pin its own rounding of them:
+# - row normalization: `normalize_rows` (the square root of np.vecdot)
+#   here, np.linalg.norm in the renderer; either swap moves 11 trace or 6
+#   render digests;
+# - the per-row dots of the sphere-cap test and of the curved-mirror
+#   reflection: np.vecdot in elements.py, einsum in the renderer; either
+#   swap moves the convex_mirror and mixed digests.
+
+
+def dot_rows(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Dot of each row with a fixed 3-vector, as one gemv."""
+    if len(rows) == 1:
+        return (np.concatenate((rows, rows)) @ vec)[:1]
+    return rows @ vec
+
+
+def _col(a: np.ndarray, j: int):
+    """Column j of (n, 3) rows, or component j of a fixed 3-vector."""
+    return a[:, j] if a.ndim == 2 else a[j]
+
+
+def along_rows(o: np.ndarray, t: np.ndarray, d: np.ndarray,
+               minus=None) -> np.ndarray:
+    """o + t[:, None] * d, then `- minus` (a fixed 3-vector) if given."""
+    out = np.empty_like(d)
+    for j in range(3):
+        col = out[:, j]
+        np.multiply(t, d[:, j], out=col)
+        col += o[:, j]
+        if minus is not None:
+            col -= minus[j]
+    return out
+
+
+def sub_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b over rows, either of them a fixed 3-vector."""
+    out = np.empty_like(a if a.ndim == 2 else b)
+    for j in range(3):
+        np.subtract(_col(a, j), _col(b, j), out=out[:, j])
+    return out
+
+
+def take_rows(a: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
+    """The rows of `a` at the indices `rows` (all of `a` when None)."""
+    return a if rows is None else np.take(a, rows, axis=0)
+
+
+def subset(mask: np.ndarray) -> Optional[np.ndarray]:
+    """Indices of the true rows, or None when every row is true."""
+    idx = np.flatnonzero(mask)
+    return None if len(idx) == len(mask) else idx
+
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:
     """`normalize` applied to each row (same bits per row)."""
@@ -54,9 +123,22 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     return v / n[:, None]
 
 
-def reflect_rows(directions: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Mirror each row about a unit normal (one (3,) normal or one per row)."""
-    return directions - (2.0 * np.vecdot(directions, normals))[:, None] * normals
+def reflect_rows(directions: np.ndarray, normals: np.ndarray,
+                 dots: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mirror each row about a unit normal, d - 2(d.n)n, for one (3,) normal
+    or one per row.  `dots` are the rows' d.n where the caller computed them
+    (see the pinned twins); otherwise a gemv for one normal and np.vecdot
+    for one per row."""
+    if dots is None:
+        dots = (dot_rows(directions, normals) if normals.ndim == 1
+                else np.vecdot(directions, normals))
+    s = 2.0 * dots
+    out = np.empty_like(directions)
+    for j in range(3):
+        col = out[:, j]
+        np.multiply(s, _col(normals, j), out=col)
+        np.subtract(directions[:, j], col, out=col)
+    return out
 
 
 def reflect(direction, normal) -> np.ndarray:
@@ -150,6 +232,8 @@ class Pose:
         if R.shape != (3, 3) or not np.allclose(R @ R.T, np.eye(3), atol=1e-10):
             raise InvalidGeometry("pose rotation is not orthonormal")
         object.__setattr__(self, "rotation", _frozen(R))
+        # R.T held C-contiguous for `to_world_dirs` (see the row forms).
+        object.__setattr__(self, "_rotation_t", _frozen(R.T))
 
     @classmethod
     def identity(cls, position=(0.0, 0.0, 0.0)) -> "Pose":
@@ -186,17 +270,17 @@ class Pose:
         return self.rotation @ np.asarray(d, dtype=np.float64)
 
     def to_local_dirs(self, d: np.ndarray) -> np.ndarray:
-        """`to_local_dir` of each row (same bits per row)."""
-        return np.matmul(self.rotation.T[None], d[:, :, None])[:, :, 0]
+        """World directions given as rows, in the local frame."""
+        return d @ self.rotation
 
     def to_world_dirs(self, d: np.ndarray) -> np.ndarray:
-        """`to_world_dir` of each row (same bits per row)."""
-        return np.matmul(self.rotation[None], d[:, :, None])[:, :, 0]
+        """Local directions given as rows, in the world frame."""
+        return d @ self._rotation_t
 
     def uv_of(self, points: np.ndarray):
         """Local (u, v) coordinates of world points given as rows."""
-        rel = points - self.position
-        return np.vecdot(rel, self.u_axis), np.vecdot(rel, self.v_axis)
+        rel = sub_rows(points, self.position)
+        return dot_rows(rel, self.u_axis), dot_rows(rel, self.v_axis)
 
 
 class PlaneHit(NamedTuple):
@@ -208,19 +292,35 @@ class PlaneHit(NamedTuple):
 def plane_crossings(origins: np.ndarray, directions: np.ndarray, pose: Pose):
     """Where each ray meets the unbounded plane of `pose`.
 
-    Returns (t, points, u, v) over the rows.  t is inf for a ray parallel to
-    the plane or crossing it no farther than PLANE_EPS ahead; the other
-    values of such a row are meaningless.
+    Returns (t, rows, u, v).  t is each ray's hit distance, inf for a ray
+    parallel to the plane or crossing it no farther than PLANE_EPS ahead.
+    `rows` indexes the other rays, the ones ahead of the plane (None when
+    that is every ray), and u, v are the local coordinates of their
+    crossings, in the order of `rows`.
     """
     n = pose.normal
-    denom = np.vecdot(directions, n)
+    denom = dot_rows(directions, n)
     parallel = np.abs(denom) < PARALLEL_EPS
-    t = np.vecdot(pose.position - origins, n) / np.where(parallel, 1.0, denom)
+    if parallel.any():
+        denom = np.where(parallel, 1.0, denom)
+    t = dot_rows(sub_rows(pose.position, origins), n) / denom
     ahead = ~parallel & (t > PLANE_EPS)
-    t = np.where(ahead, t, np.inf)
-    points = origins + np.where(ahead, t, 0.0)[:, None] * directions
-    u, v = pose.uv_of(points)
-    return t, points, u, v
+    rows = subset(ahead)
+    if rows is not None:
+        t[~ahead] = np.inf
+    rel = along_rows(take_rows(origins, rows), take_rows(t, rows),
+                     take_rows(directions, rows), pose.position)
+    return t, rows, dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
+
+
+def _inside(u, v, extent):
+    return (np.abs(u) <= 0.5 * extent[0]) & (np.abs(v) <= 0.5 * extent[1])
+
+
+def mark_misses(t: np.ndarray, rows: Optional[np.ndarray], out: np.ndarray) -> None:
+    """Set t to inf at the rays of `rows` (see plane_crossings) that `out`
+    marks."""
+    t[out if rows is None else rows[out]] = np.inf
 
 
 def plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
@@ -229,23 +329,23 @@ def plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
     misses), or None when every ray misses.
 
     `extent` is the full (width, height) of the rectangle centred on the
-    pose; hits farther than PLANE_EPS along the ray are accepted.
+    pose; hits farther than PLANE_EPS along the ray are accepted.  The
+    bounds are tested only on the rays ahead of the plane.
     """
-    t, _, u, v = plane_crossings(origins, directions, pose)
-    t[_outside(u, v, extent)] = np.inf
-    return t if np.isfinite(t).any() else None
-
-
-def _outside(u, v, extent):
-    return (np.abs(u) > 0.5 * float(extent[0])) | (np.abs(v) > 0.5 * float(extent[1]))
+    t, rows, u, v = plane_crossings(origins, directions, pose)
+    inside = _inside(u, v, extent)
+    if not inside.any():
+        return None
+    mark_misses(t, rows, ~inside)
+    return t
 
 
 def intersect_plane(ray: Ray, pose: Pose, extent) -> Optional[PlaneHit]:
     """First hit of a ray on a bounded rectangle, or None (see plane_hits)."""
-    t, points, u, v = plane_crossings(ray.origin[None], ray.direction[None], pose)
-    if t[0] == np.inf or _outside(u, v, extent)[0]:
+    t, _, u, v = plane_crossings(ray.origin[None], ray.direction[None], pose)
+    if t[0] == np.inf or not _inside(u, v, extent)[0]:
         return None
-    return PlaneHit(float(t[0]), points[0], (float(u[0]), float(v[0])))
+    return PlaneHit(float(t[0]), ray.at(t[0]), (float(u[0]), float(v[0])))
 
 
 def closest_point_to_rays(rays: Sequence[Ray]):

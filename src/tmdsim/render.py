@@ -15,23 +15,12 @@ the same code, so they overlap where threads would queue on the GIL.
 The camera never occludes itself: the scene's eye is the ray source, not
 a surface.
 
-The batch loop is written so that reworking it cannot move a pixel: numpy
-rounds the same sum differently depending on how the call is laid out.
-
-- Every dot of a row with a fixed vector is a gemv, `(n, 3) @ (3,)` on
-  C-contiguous rows (the sphere cap's row-by-row dots are einsums).
-  `np.vecdot`, `einsum`, an `(n, 3) @ (3, k)` gemm or a `(3, n)` layout
-  would each round some rows differently.
-- A gemv rounds each row the same whichever rows are around it, except a
-  one-row `(1, 3) @ (3,)`, which numpy sends to dot.  So rows are only
-  split off by index (`np.take`) into the groups the maths needs, each
-  hit element's rays in batch order, and the plane test tests its bounds
-  on the whole batch when a single row is ahead of the plane.
-- A per-row scalar or a fixed 3-vector broadcast over `(n, 3)` rows is
-  computed one column at a time (the helpers below): the same IEEE
-  operation on every element, with long inner loops instead of 3-long ones.
-- ROW_BLOCK and the one batch per aperture sample fix which batches exist
-  and the order in which samples add into each pixel.
+The row arithmetic is geometry.py's and elements.py's, under the layout
+rules stated once in geometry.py, so no rework of the batch loop can move
+a pixel.  The renderer keeps only its pinned twins named there: its row
+normalization and the per-row dots of the sphere cap and of the curved
+mirror.  ROW_BLOCK and the one batch per aperture sample fix which batches
+exist and the order in which samples add into each pixel.
 """
 from __future__ import annotations
 
@@ -45,11 +34,12 @@ from typing import Optional
 import numpy as np
 
 from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
-                       TmdPlate, double_band, quantize_uv, sample_screen,
-                       split_weights)
+                       TmdPlate, double_band, plate_exit, refract_thin_lens,
+                       sample_screen, split_half_mirror)
 from .errors import IoError
-from .geometry import (PARALLEL_EPS, PLANE_EPS, RAY_ADVANCE, WEIGHT_CUTOFF,
-                       Pose)
+from .geometry import (PLANE_EPS, RAY_ADVANCE, WEIGHT_CUTOFF, Pose, along_rows,
+                       dot_rows, plane_hits, reflect_rows, sub_rows, subset,
+                       take_rows)
 from .scene import EyeCamera, Scene
 from .tracer import r2_sequence, resolve_workers, uniform_draw
 
@@ -73,35 +63,6 @@ class SweepResult:
     images: Optional[list] = None
 
 
-# ---------------------------------------------------------------------------
-# Row arithmetic.  Each helper does, one column at a time, exactly the IEEE
-# operations of the (n, 3) broadcast written in its docstring.
-
-def _col(a: np.ndarray, j: int):
-    """Column j of (n, 3) rows, or component j of a fixed 3-vector."""
-    return a[:, j] if a.ndim == 2 else a[j]
-
-
-def _along(o: np.ndarray, t: np.ndarray, d: np.ndarray, minus=None) -> np.ndarray:
-    """o + t[:, None] * d, then `- minus` (a fixed 3-vector) if given."""
-    out = np.empty_like(d)
-    for j in range(3):
-        col = out[:, j]
-        np.multiply(t, d[:, j], out=col)
-        col += o[:, j]
-        if minus is not None:
-            col -= minus[j]
-    return out
-
-
-def _sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b, either of them a fixed 3-vector."""
-    out = np.empty_like(a if a.ndim == 2 else b)
-    for j in range(3):
-        np.subtract(_col(a, j), _col(b, j), out=out[:, j])
-    return out
-
-
 def _normalized(v: np.ndarray) -> np.ndarray:
     """v / np.linalg.norm(v, axis=1, keepdims=True), in place."""
     n = np.linalg.norm(v, axis=1)
@@ -110,70 +71,10 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _reflected(d: np.ndarray, dots: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """d - 2.0 * dots[:, None] * n for one normal (3,) or one per row."""
-    s = 2.0 * dots
-    out = np.empty_like(d)
-    for j in range(3):
-        col = out[:, j]
-        np.multiply(s, _col(n, j), out=col)
-        np.subtract(d[:, j], col, out=col)
-    return out
-
-
-def _rows(a: np.ndarray, idx: Optional[np.ndarray]) -> np.ndarray:
-    return a if idx is None else np.take(a, idx, axis=0)
-
-
-def _subset(mask: np.ndarray) -> Optional[np.ndarray]:
-    """Indices of the true rows, or None when every row is true."""
-    idx = np.flatnonzero(mask)
-    return None if len(idx) == len(mask) else idx
-
-
-# ---------------------------------------------------------------------------
-# Scene preparation
-
-class _Record:
-    """One surface's pose and half extent, read once per render."""
-
-    def __init__(self, el):
-        self.el = el
-        self.pos = el.pose.position
-        self.axes = el.pose.rotation  # columns (u, v, w)
-        self.u_ax, self.v_ax, self.w_ax = (self.axes[:, j] for j in range(3))
-        self.half = (0.5 * el.extent[0], 0.5 * el.extent[1])
-
-
-def _plane_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> Optional[np.ndarray]:
-    """Hit distance of each row on the element's rectangle (inf on a miss),
-    or None when no row hits.  The bounds are tested only on the rows ahead
-    of the plane, or on the whole batch when a single row is."""
-    denom = d @ rec.w_ax
-    near = np.abs(denom) < PARALLEL_EPS
-    if near.any():
-        denom = np.where(near, 1.0, denom)
-    t = (_sub(rec.pos, o) @ rec.w_ax) / denom
-    ahead = ~near & (t > PLANE_EPS)
-    rows = np.flatnonzero(ahead)
-    if len(rows) == 0:
-        return None
-    if len(rows) in (1, len(t)):
-        rows = None
-    rel = _along(_rows(o, rows), _rows(t, rows), _rows(d, rows), rec.pos)
-    inside = ((np.abs(rel @ rec.u_ax) <= rec.half[0])
-              & (np.abs(rel @ rec.v_ax) <= rec.half[1]))
-    if rows is None:
-        ok = ahead & inside
-    else:
-        ok = np.zeros(len(t), dtype=bool)
-        ok[rows[inside]] = True
-    return np.where(ok, t, np.inf) if ok.any() else None
-
-
-def _cap_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-    R = rec.el.curvature_radius
-    oc = _sub(o, rec.el.centre)
+def _cap_ts(el: ConvexMirror, o: np.ndarray, d: np.ndarray) -> np.ndarray:
+    R = el.curvature_radius
+    pose = el.pose
+    oc = sub_rows(o, el.centre)
     b = np.einsum("ij,ij->i", d, oc)
     c = np.einsum("ij,ij->i", oc, oc) - R * R
     disc = b * b - c
@@ -181,12 +82,12 @@ def _cap_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     best = np.full(len(o), np.inf)
     score = np.full(len(o), np.inf)
     for root in (-b - sq, -b + sq):
-        rel = _along(o, root, d, rec.pos)
-        u = rel @ rec.u_ax
-        v = rel @ rec.v_ax
-        wl = np.abs(rel @ rec.w_ax)
+        rel = along_rows(o, root, d, pose.position)
+        u = dot_rows(rel, pose.u_axis)
+        v = dot_rows(rel, pose.v_axis)
+        wl = np.abs(dot_rows(rel, pose.normal))
         ok = ((disc >= 0) & (root > PLANE_EPS) & (wl <= abs(R))
-              & (np.abs(u) <= rec.half[0]) & (np.abs(v) <= rec.half[1]))
+              & (np.abs(u) <= 0.5 * el.extent[0]) & (np.abs(v) <= 0.5 * el.extent[1]))
         better = ok & (wl < score)
         best = np.where(better, root, best)
         score = np.where(better, wl, score)
@@ -196,8 +97,8 @@ def _cap_ts(rec: _Record, o: np.ndarray, d: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Batch tracing
 
-def _trace_batches(records, o, d, w, pix, acc, max_bounces: int):
-    if not records:
+def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
+    if not surfaces:
         return
     queue = deque([(o, d, w, pix, 0)])
     while queue:
@@ -208,11 +109,11 @@ def _trace_batches(records, o, d, w, pix, acc, max_bounces: int):
         tmin = np.full(len(o), np.inf)
         el_idx = np.full(len(o), -1)
         hit = []
-        for k, rec in enumerate(records):
-            if isinstance(rec.el, ConvexMirror) and not rec.el.flat:
-                ts = _cap_ts(rec, o, d)
+        for k, el in enumerate(surfaces):
+            if isinstance(el, ConvexMirror) and not el.flat:
+                ts = _cap_ts(el, o, d)
             else:
-                ts = _plane_ts(rec, o, d)
+                ts = plane_hits(o, d, el.pose, el.extent)
             if ts is None:
                 continue
             closer = ts < tmin
@@ -221,114 +122,69 @@ def _trace_batches(records, o, d, w, pix, acc, max_bounces: int):
             hit.append(k)
         for k in hit:
             rows = np.flatnonzero(el_idx == k)
-            if len(rows) == 0:
+            if len(rows) == 0 or isinstance(surfaces[k], Absorber):
                 continue
-            rec = records[k]
-            if isinstance(rec.el, Absorber):
-                continue
-            if len(rows) == len(o):
-                t, bo, bd, bw, bp = tmin, o, d, w, pix
-            else:
-                t, bo, bd, bw, bp = (np.take(a, rows, axis=0)
-                                     for a in (tmin, o, d, w, pix))
-            _interact(rec, t, bo, bd, bw, bp, acc, queue, bounce + 1)
+            rows = None if len(rows) == len(o) else rows
+            _interact(surfaces[k], *(take_rows(a, rows) for a in (tmin, o, d, w, pix)),
+                      acc, queue, bounce + 1)
 
 
-def _push(queue, point, nd, nw, bp, bounce, keep=None):
-    """Queue rays leaving `point` along `nd`: the rows in `keep` of the
-    other arrays (all rows when None); `nd` already holds only those."""
-    point, nw, bp = (_rows(a, keep) for a in (point, nw, bp))
-    queue.append((point + RAY_ADVANCE * nd, nd, nw, bp, bounce))
+def _push(queue, points, nd, nw, bp, bounce, keep=None):
+    """Queue rays leaving `points` along `nd`, with the weights and pixels
+    of the rows in `keep` of `nw` and `bp` (all rows when None)."""
+    nw, bp = take_rows(nw, keep), take_rows(bp, keep)
+    queue.append((points + RAY_ADVANCE * nd, nd, nw, bp, bounce))
 
 
-def _interact(rec, t, bo, bd, bw, bp, acc, queue, bounce):
-    """Apply the element of `rec` to the rays that hit it at distances `t`:
+def _interact(el, t, bo, bd, bw, bp, acc, queue, bounce):
+    """Apply element `el` to the rays that hit it at distances `t`:
     accumulate screen radiance into `acc`, queue the outgoing rays."""
-    el = rec.el
-    point = _along(bo, t, bd)
+    point = along_rows(bo, t, bd)
     if isinstance(el, ConvexMirror):
         if el.flat:
-            nd = _reflected(bd, bd @ rec.w_ax, rec.w_ax)
+            nd = reflect_rows(bd, el.pose.normal)
         else:
-            n = _normalized(_sub(el.centre, point))
-            nd = _reflected(bd, np.einsum("ij,ij->i", bd, n), n)
+            n = _normalized(sub_rows(el.centre, point))
+            nd = reflect_rows(bd, n, np.einsum("ij,ij->i", bd, n))
         _push(queue, point, nd, bw, bp, bounce)
         return
     if isinstance(el, HalfMirror):
-        wr, wt = split_weights(bw, el.reflectance)
-        for nd, nw in ((_reflected(bd, bd @ rec.w_ax, rec.w_ax), wr), (bd, wt)):
+        reflected, wr, wt = split_half_mirror(el, bd, bw)
+        for nd, nw in ((reflected, wr), (bd, wt)):
             keep = nw >= WEIGHT_CUTOFF
             if keep.any():
-                keep = _subset(keep)
-                _push(queue, point, _rows(nd, keep), nw, bp, bounce, keep)
+                keep = subset(keep)
+                _push(queue, take_rows(point, keep), take_rows(nd, keep), nw, bp,
+                      bounce, keep)
         return
-    rel = _sub(point, rec.pos)
-    u = rel @ rec.u_ax
-    v = rel @ rec.v_ax
+    u, v = el.pose.uv_of(point)
     if isinstance(el, Screen):
         acc[bp] += bw * sample_screen(el, u, v)
     elif isinstance(el, ThinLens):
-        _refract(rec, point, u, v, bd, bw, bp, queue, bounce)
+        rows, out = refract_thin_lens(el, u, v, bd)
+        _push(queue, take_rows(point, rows), el.pose.to_world_dirs(_normalized(out)),
+              bw, bp, bounce, rows)
     elif isinstance(el, TmdPlate):
-        _plate(rec, point, u, v, bd, bw, bp, queue, bounce)
+        _plate(el, point, u, v, bd, bw, bp, queue, bounce)
     else:  # pragma: no cover
         raise TypeError(f"unrenderable element {type(el).__name__}")
 
 
-def _refract(rec, point, u, v, bd, bw, bp, queue, bounce):
-    lens: ThinLens = rec.el
-    inside = u * u + v * v <= (0.5 * lens.aperture_diameter) ** 2
-    if not inside.any():
-        return
-    keep = _subset(inside)
-    dl = _rows(bd, keep) @ rec.axes
-    aw = np.abs(dl[:, 2])
-    fine = aw > 1e-12
-    out = np.empty_like(dl)
-    safe = np.where(fine, aw, 1.0)
-    np.subtract(dl[:, 0] / safe, _rows(u, keep) / lens.focal_length, out=out[:, 0])
-    np.subtract(dl[:, 1] / safe, _rows(v, keep) / lens.focal_length, out=out[:, 1])
-    np.sign(dl[:, 2], out=out[:, 2])
-    nd = _normalized(out) @ rec.axes.T
-    if not fine.all():
-        fine = np.flatnonzero(fine)
-        nd = np.take(nd, fine, axis=0)
-        keep = fine if keep is None else keep[fine]
-    _push(queue, point, nd, bw, bp, bounce, keep)
-
-
-def _plate(rec, point, u, v, bd, bw, bp, queue, bounce):
-    plate: TmdPlate = rec.el
+def _plate(plate, point, u, v, bd, bw, bp, queue, bounce):
     _, p_s, p_p = plate.mode_weights
-    dl = bd @ rec.axes
-    p_d = double_band(plate, dl)
+    local = plate.pose.to_local_dirs(bd)
     single = 0.5 * (0.0 if plate.polarizer else p_s)
-    cell = point
-    if plate.pitch > 0:
-        # pos + qu * u_axis + qv * v_axis, a column at a time.
-        qu, qv = quantize_uv(u, v, plate.pitch)
-        cell = np.empty_like(point)
-        for j in range(3):
-            col = cell[:, j]
-            np.multiply(qu, rec.u_ax[j], out=col)
-            np.add(rec.pos[j], col, out=col)
-            col += qv * rec.v_ax[j]
-    # (flip u, flip v) of the local direction, weight and exit point of the
-    # double, two single and pass branches (see elements.plate_exit).
-    for flips, frac, exit_at in (((True, True), p_d, cell),
-                                 ((True, False), single, cell),
-                                 ((False, True), single, cell),
-                                 ((False, False), p_p, point)):
+    # Each branch's interaction code indexes PLATE_INTERACTIONS: double,
+    # single u, single v, pass.
+    for code, frac in enumerate((double_band(plate, local), single, single, p_p)):
         nw = bw * frac
         keep = nw >= WEIGHT_CUTOFF
         if not keep.any():
             continue
-        keep = _subset(keep)
-        local = np.array(_rows(dl, keep))
-        for j, flip in enumerate(flips):
-            if flip:
-                np.negative(local[:, j], out=local[:, j])
-        _push(queue, exit_at, local @ rec.axes.T, nw, bp, bounce, keep)
+        keep = subset(keep)
+        exits, nd = plate_exit(plate, *(take_rows(a, keep) for a in (point, u, v, local)),
+                               code)
+        _push(queue, exits, nd, nw, bp, bounce, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +206,7 @@ def _aperture_points(camera: EyeCamera, rays_per_pixel: int, seed: int):
     return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
 
 
-def _render_rows(records, camera: EyeCamera, rows: slice, offsets: np.ndarray,
+def _render_rows(surfaces, camera: EyeCamera, rows: slice, offsets: np.ndarray,
                  max_bounces: int) -> np.ndarray:
     w_px, h_px, pitch = camera.sensor
     U, V = camera.pose.u_axis, camera.pose.v_axis
@@ -367,9 +223,9 @@ def _render_rows(records, camera: EyeCamera, rows: slice, offsets: np.ndarray,
     pix = np.arange(n)
     for ax, ay in offsets:
         origin = E + ax * U + ay * V
-        d = _normalized(_sub(P, origin))
+        d = _normalized(sub_rows(P, origin))
         o = np.broadcast_to(origin, (n, 3)).copy()
-        _trace_batches(records, o, d, np.ones(n), pix, acc, max_bounces)
+        _trace_batches(surfaces, o, d, np.ones(n), pix, acc, max_bounces)
     return acc / len(offsets)
 
 
@@ -399,11 +255,10 @@ def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
     if max_bounces < 1:
         raise ValueError("max_bounces must be >= 1")
     camera = camera or scene.eye
-    records = [_Record(el) for el in scene.surfaces]
     w_px, h_px, _ = camera.sensor
     offsets = _aperture_points(camera, rays_per_pixel, seed)
     blocks = [slice(r, min(r + ROW_BLOCK, h_px)) for r in range(0, h_px, ROW_BLOCK)]
-    run = partial(_render_rows, records, camera, offsets=offsets,
+    run = partial(_render_rows, scene.surfaces, camera, offsets=offsets,
                   max_bounces=max_bounces)
 
     acc = np.zeros((h_px, w_px))

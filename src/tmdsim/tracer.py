@@ -38,9 +38,9 @@ from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
                        half_mirror_interact, thin_lens_transform, tmd_transform)
 from .errors import EmptySpot, InvalidGeometry, UsageError
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
-                       WEIGHT_CUTOFF, Pose, Ray, advanced_rows, normalize_rows,
-                       orthonormal_frame, plane_crossings, plane_hits,
-                       sequential_sum)
+                       WEIGHT_CUTOFF, Pose, Ray, advanced_rows, mark_misses,
+                       normalize_rows, orthonormal_frame, plane_crossings,
+                       plane_hits, sequential_sum)
 from .geometry import advanced, intersect_plane  # noqa: F401
 from .scene import Scene
 
@@ -262,8 +262,8 @@ def _hit_distances(surface, origins, directions):
 
 
 def _eye_distances(eye, origins, directions):
-    t, _, u, v = plane_crossings(origins, directions, eye.pose)
-    t[u * u + v * v > (0.5 * eye.aperture_diameter) ** 2] = np.inf
+    t, rows, u, v = plane_crossings(origins, directions, eye.pose)
+    mark_misses(t, rows, u * u + v * v > (0.5 * eye.aperture_diameter) ** 2)
     return t
 
 
@@ -324,10 +324,14 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                 elif isinstance(surface, Absorber):
                     label[rows] = _ABSORBED
                 elif isinstance(surface, ThinLens):
-                    clear, out = refract_thin_lens(surface, p, d)
-                    label[rows] = np.where(clear, _LENS, _ABSORBED)
-                    cont[rows[clear]] = True
-                    out_dir[rows] = out
+                    u, v = surface.pose.uv_of(p)
+                    passing, out = refract_thin_lens(surface, u, v, d)
+                    label[rows] = _ABSORBED
+                    if passing is not None:
+                        rows = rows[passing]
+                    label[rows] = _LENS
+                    cont[rows] = True
+                    out_dir[rows] = surface.pose.to_world_dirs(normalize_rows(out))
                 elif isinstance(surface, HalfMirror):
                     reflected, w_r, w_t = split_half_mirror(surface, d, W[rows])
                     keep = (w_r >= w_t)[:, None]
@@ -349,9 +353,10 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                         surface, local, uniform_draws(seed, rid[rows], step))
                     kept = codes != _PLATE_ABSORB
                     label[rows[~kept]] = _ABSORBED
-                    rows, codes = rows[kept], codes[kept]
+                    rows, codes, p = rows[kept], codes[kept], p[kept]
+                    u, v = surface.pose.uv_of(p)
                     point[rows], out_dir[rows] = plate_exit(
-                        surface, p[kept], local[kept], codes)
+                        surface, p, u, v, local[kept], codes)
                     label[rows] = _PLATE + codes
                     out_m[rows] = _PLATE_MODE[codes]
                     cont[rows] = True
@@ -482,10 +487,9 @@ def spot_diagram(bundle: BundleResult, plane: Pose,
     terminal ray crosses the plane going forward.
     """
     rows = bundle.propagating(mode)
-    t, _, u, v = plane_crossings(bundle.origin[rows], bundle.direction[rows], plane)
-    crossing = np.isfinite(t)
-    if not crossing.any():
+    _, _, u, v = plane_crossings(bundle.origin[rows], bundle.direction[rows], plane)
+    if len(u) == 0:
         raise EmptySpot("no terminal ray crosses the spot plane")
-    pts = np.stack([u[crossing], v[crossing]], axis=1)
+    pts = np.stack([u, v], axis=1)
     centred = pts - pts.mean(axis=0)
     return SpotDiagram(pts, float(np.sqrt((centred ** 2).sum(axis=1).mean())))

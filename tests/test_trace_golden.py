@@ -4,12 +4,18 @@ Each digest covers a bundle's statistics, its terminal rays and its full
 path trees (interaction labels, element names, leg start points, in-flight
 rays, terminals and branching).  The values were recorded with the per-ray
 scalar tracer that the batched kernel replaced, so any change to the
-arithmetic of the forward trace, however small, fails here.
+arithmetic of the forward trace, however small, fails here.  The turned
+cases, a scene moved by a rigid motion with no axis-aligned part, were
+recorded once both tracers shared geometry.py's row forms (gemv dots in
+place of np.vecdot): their labels, weights and statistics are those of
+the earlier tracer, and each coordinate is within 3.2e-13 relative of
+its value there.
 """
 import hashlib
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +24,7 @@ from hypothesis import strategies as st
 
 from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
                              ThinLens, TmdPlate)
-from tmdsim.geometry import Pose, Ray, normalize, vec3
+from tmdsim.geometry import Pose, Ray, normalize, orthonormal_frame, vec3
 from tmdsim.presets import build_preset
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
 from tmdsim.tracer import (Cone, RngStream, cone_directions, terminal_rays,
@@ -74,6 +80,35 @@ def _eye(scene):
     return scene.eye.pose.position
 
 
+# A rigid motion with no axis-aligned part: every normal and up hint it
+# carries has three nonzero components, so each dot and rotation of the
+# tracer sums three nonzero products.
+TURN = orthonormal_frame(vec3(0.3, -0.5, 0.8), (0.6, 0.7, 0.2))
+SHIFT = vec3(7.0, -4.0, 3.0)
+
+
+def _turned_pose(pose):
+    return Pose.facing(TURN @ pose.position + SHIFT, TURN @ pose.normal,
+                       TURN @ pose.v_axis)
+
+
+def _turned(scene):
+    moved = [replace(el, pose=_turned_pose(el.pose)) for el in scene.surfaces]
+    background = moved.pop() if scene.background is not None else None
+    eye = replace(scene.eye, pose=_turned_pose(scene.eye.pose))
+    return Scene(tuple(moved), eye, background, scene.name)
+
+
+def _turned_case(name):
+    build, source_of, aim_of, half_angle = CASES[name]
+
+    def turned(point_of):
+        return lambda scene: TURN @ point_of(build()) + SHIFT
+
+    return (lambda: _turned(build()), turned(source_of), turned(aim_of),
+            half_angle)
+
+
 # name -> (scene builder, source(scene), aim(scene), cone half angle, deg)
 CASES = {
     "half_mirror": (lambda: build_preset("half_mirror"),
@@ -103,12 +138,16 @@ CASES = {
     "mixed": (_mixed_scene, lambda scene: vec3(1.0, -2.0, -60.0),
               lambda scene: vec3(0.0, 0.0, 0.0), 25.0),
 }
+CASES.update({f"{name}_turned": _turned_case(name)
+              for name in ("ame_dk2", "mixed", "ping_pong_leak")})
 
 GOLDEN = {
     "ame_cardboard":
         "c089d208348851cf75ee3424ec4ad02d2030f627845a39fb0f654febdd8dd5cc",
     "ame_dk2":
         "8c343624c2afb1405c6a614633f4d05488527ee8c8e6bf68367a06d1dec4e1cb",
+    "ame_dk2_turned":
+        "73beed4a11571a3ac479795ae6bbdc6cf9a3cb6893841846cc5cfb4c3373c04e",
     "convex_mirror":
         "727df59c73f908bdb70da82606602ccc7af3dd58fdba7de059036d2ede01b737",
     "defocus_eyepiece":
@@ -119,12 +158,16 @@ GOLDEN = {
         "220ca0c9f125d0b6ce54c8ff684904e36ec10f42ddefde63ec5fedb1ac83114e",
     "mixed":
         "69fe6b8a8b3a2886815a3d6e3882662f3bbf9cb474e5a7b5cfaa0c0e9be1fa24",
+    "mixed_turned":
+        "2dc351f53d36cff6ed5096c2f50a0ddcb2d7becbe63df720959eef4f5431b9bf",
     "ping_pong_budget":
         "a37d23afb250c6881c15c3e718f99d1d59882311a109525b0b3645352442bd79",
     "ping_pong_fade":
         "6059c139fdbd88508c98ea7cef7f8c736506719c9d7b84001869dce4045e9437",
     "ping_pong_leak":
         "f567e4bdf282a3576a1edfda7aae861697642e7a37a22b6fdbe17aa1f5ec0298",
+    "ping_pong_leak_turned":
+        "016b75bbf64d172d5b67606d82a7fbf2d7b42293b218027aca65a21f7b61a6d8",
     "tmd_see_through":
         "8936f126a1c8d6fd495826679033469f56b1c8ee215205151d426298870d2b3c",
 }
