@@ -49,11 +49,28 @@ def _parse_triplet(text: str) -> np.ndarray:
     return v
 
 
-def _parse_half_angle(text: str) -> float:
+def _parse_number(text: str) -> float:
     try:
-        deg = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _parse_finite(text: str) -> float:
+    x = _parse_number(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _parse_aperture(text: str) -> float:
+    """A finite number, or inf for an unbounded aperture."""
+    x = _parse_number(text)
+    return x if x == math.inf else _parse_finite(text)
+
+
+def _parse_half_angle(text: str) -> float:
+    deg = _parse_number(text)
     if not 0.0 < math.radians(deg) <= math.pi:  # as cone_directions checks
         raise argparse.ArgumentTypeError(f"half angle must lie in (0, 180] "
                                          f"degrees, got {text!r}")
@@ -62,9 +79,12 @@ def _parse_half_angle(text: str) -> float:
 
 def _parse_offsets(text: str) -> tuple:
     try:
-        return tuple(float(p) for p in text.split(","))
+        offsets = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad offset list {text!r}") from None
+    if not all(math.isfinite(x) for x in offsets):
+        raise argparse.ArgumentTypeError(f"expected finite offsets in {text!r}")
+    return offsets
 
 
 def _add_scene_args(sub: argparse.ArgumentParser) -> None:
@@ -95,17 +115,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("design", help="closed-form design figures")
     p.add_argument("--hmd", choices=sorted(HMD_PRESETS), default="dk2")
-    p.add_argument("--l1", type=float, default=60.0, help="flat panel width, mm")
-    p.add_argument("--l2", type=float, default=math.inf,
-                   help="eyepiece aperture, mm (default: unbounded)")
-    p.add_argument("--l3", type=float, default=120.0, help="plate window, mm")
-    p.add_argument("--a", type=float, default=30.0, help="eye to combiner, mm")
-    p.add_argument("--d", type=float, default=30.0, help="combiner to panel, mm")
-    p.add_argument("--d2", type=float, default=40.0, help="plate to eyepiece, mm")
-    p.add_argument("--d4", type=float, default=40.0, help="eye to plate, mm")
-    p.add_argument("--a-mag", type=float, default=1.5,
+    p.add_argument("--l1", type=_parse_finite, default=60.0,
+                   help="flat panel width, mm")
+    p.add_argument("--l2", type=_parse_aperture, default=math.inf,
+                   help="eyepiece aperture, mm (default: inf, unbounded)")
+    p.add_argument("--l3", type=_parse_finite, default=120.0, help="plate window, mm")
+    p.add_argument("--a", type=_parse_finite, default=30.0, help="eye to combiner, mm")
+    p.add_argument("--d", type=_parse_finite, default=30.0,
+                   help="combiner to panel, mm")
+    p.add_argument("--d2", type=_parse_finite, default=40.0,
+                   help="plate to eyepiece, mm")
+    p.add_argument("--d4", type=_parse_finite, default=40.0, help="eye to plate, mm")
+    p.add_argument("--a-mag", type=_parse_finite, default=1.5,
                    help="convex combiner angular magnification")
-    p.add_argument("--pitch", type=float, default=0.0, help="plate pitch, mm")
+    p.add_argument("--pitch", type=_parse_finite, default=0.0, help="plate pitch, mm")
     p.add_argument("--csv", help="also write the report as CSV")
 
     p = subs.add_parser("trace", help="forward bundle and spot statistics")
@@ -120,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--max-bounces", type=int, default=16)
     p.add_argument("--workers", type=int)
-    p.add_argument("--spot-plane", type=float, metavar="Z",
+    p.add_argument("--spot-plane", type=_parse_finite, metavar="Z",
                    help="z of the spot plane (default: through the focus)")
     p.add_argument("--mode", default="any",
                    choices=["any", "primary", "double_reflect",

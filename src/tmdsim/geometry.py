@@ -233,7 +233,8 @@ class Pose:
             raise InvalidGeometry("pose rotation is not orthonormal")
         object.__setattr__(self, "rotation", _frozen(R))
         # R.T held C-contiguous for `to_world_dirs` (see the row forms).
-        object.__setattr__(self, "_rotation_t", _frozen(R.T))
+        object.__setattr__(self, "_rotation_t",
+                           _frozen(np.ascontiguousarray(R.T)))
 
     @classmethod
     def identity(cls, position=(0.0, 0.0, 0.0)) -> "Pose":

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .elements import (DEFAULT_MODE_WEIGHTS, HalfMirror, ConvexMirror, Screen,
                        ThinLens, TmdPlate)
 from .errors import InvalidGeometry

@@ -38,8 +38,8 @@ from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
                        sample_screen, split_half_mirror)
 from .errors import IoError
 from .geometry import (PLANE_EPS, RAY_ADVANCE, WEIGHT_CUTOFF, Pose, along_rows,
-                       dot_rows, plane_hits, reflect_rows, sub_rows, subset,
-                       take_rows)
+                       dot_rows, plane_hits, reflect_rows, require_finite,
+                       sub_rows, subset, take_rows)
 from .scene import EyeCamera, Scene
 from .tracer import r2_sequence, resolve_workers, uniform_draw
 
@@ -72,6 +72,8 @@ def _normalized(v: np.ndarray) -> np.ndarray:
 
 
 def _cap_ts(el: ConvexMirror, o: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """elements.sphere_cap_hits with einsum for its per-row dots (a pinned
+    twin, see geometry.py)."""
     R = el.curvature_radius
     pose = el.pose
     oc = sub_rows(o, el.centre)
@@ -125,8 +127,8 @@ def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
             if len(rows) == 0 or isinstance(surfaces[k], Absorber):
                 continue
             rows = None if len(rows) == len(o) else rows
-            _interact(surfaces[k], *(take_rows(a, rows) for a in (tmin, o, d, w, pix)),
-                      acc, queue, bounce + 1)
+            batch = (take_rows(a, rows) for a in (tmin, o, d, w, pix))
+            _interact(surfaces[k], *batch, acc, queue, bounce + 1)
 
 
 def _push(queue, points, nd, nw, bp, bounce, keep=None):
@@ -162,8 +164,8 @@ def _interact(el, t, bo, bd, bw, bp, acc, queue, bounce):
         acc[bp] += bw * sample_screen(el, u, v)
     elif isinstance(el, ThinLens):
         rows, out = refract_thin_lens(el, u, v, bd)
-        _push(queue, take_rows(point, rows), el.pose.to_world_dirs(_normalized(out)),
-              bw, bp, bounce, rows)
+        nd = el.pose.to_world_dirs(_normalized(out))
+        _push(queue, take_rows(point, rows), nd, bw, bp, bounce, rows)
     elif isinstance(el, TmdPlate):
         _plate(el, point, u, v, bd, bw, bp, queue, bounce)
     else:  # pragma: no cover
@@ -182,8 +184,8 @@ def _plate(plate, point, u, v, bd, bw, bp, queue, bounce):
         if not keep.any():
             continue
         keep = subset(keep)
-        exits, nd = plate_exit(plate, *(take_rows(a, keep) for a in (point, u, v, local)),
-                               code)
+        rows = (take_rows(a, keep) for a in (point, u, v, local))
+        exits, nd = plate_exit(plate, *rows, code)
         _push(queue, exits, nd, nw, bp, bounce, keep)
 
 
@@ -306,8 +308,10 @@ def defocus_sweep(scene: Scene, camera: Optional[EyeCamera] = None,
 
     Positive offsets move the camera backwards along its own axis (away
     from the scene), so the camera-to-target distance becomes the base
-    distance plus the offset.
+    distance plus the offset.  Raises InvalidGeometry for a non-finite
+    offset.
     """
+    require_finite("sweep offsets", offsets)
     camera = camera or scene.eye
     sharp = []
     images = [] if keep_images else None

@@ -31,7 +31,7 @@ parse(serialize(scene)) reproduces every numeric field to 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -10,8 +10,8 @@ from tmdsim.elements import (ConvexMirror, HalfMirror, INTERACT_ABSORB,
                              INTERACT_SINGLE_U, INTERACT_SINGLE_V, Screen,
                              ThinLens, TmdPlate, classify_tmd_mode,
                              convex_mirror_transform, half_mirror_interact,
-                             quantize_uv, sample_screen, screen_emit,
-                             split_weight,
+                             quantize_uv, refract_thin_lens, sample_screen,
+                             screen_emit, split_weight,
                              thin_lens_transform, tmd_transform)
 from tmdsim.errors import InvalidGeometry, NoIntersection, OutOfBounds
 from tmdsim.geometry import Pose, Ray, closest_point_to_rays, normalize, vec3
@@ -110,6 +110,21 @@ class TestThinLens:
     def test_housing_validation(self):
         with pytest.raises(InvalidGeometry):
             ThinLens("L", facing_z(), 50.0, 40.0, housing_extent=(30.0, 60.0))
+
+    def test_mount_takes_grazing_and_outside_rows(self):
+        # Row 1 lies in the lens plane, row 2 crosses it at |w| = 1e-12 and
+        # row 3 outside the clear aperture: none of them passes, and the
+        # rows that do keep their own exit directions.
+        lens = self.lens(aperture=10.0)
+        u = np.array([1.0, 2.0, 0.0, 6.0, -3.0])
+        v = np.array([0.0, 1.0, 1.0, 0.0, 2.0])
+        d = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1e-12],
+                      [0.0, 0.0, -1.0], [0.1, 0.0, -1.0]])
+        rows, out = refract_thin_lens(lens, u, v, d)
+        assert rows.tolist() == [0, 4]
+        alone = [refract_thin_lens(lens, u[[i]], v[[i]], d[[i]])[1] for i in (0, 4)]
+        assert out.tobytes() == np.concatenate(alone).tobytes()
+        assert refract_thin_lens(lens, u[:1], v[:1], d[:1])[0] is None
 
 
 class TestHalfMirror:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from tmdsim.errors import DegenerateBundle, InvalidGeometry
 from tmdsim.geometry import (PLANE_EPS, RAY_ADVANCE, Pose, Ray, advanced,
-                             closest_point_to_rays, intersect_plane,
+                             closest_point_to_rays, dot_rows, intersect_plane,
                              normalize, normalize_rows, orthonormal_frame,
-                             reflect, vec3)
+                             plane_crossings, plane_hits, reflect,
+                             reflect_rows, vec3)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 unit_ish = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
@@ -177,6 +178,54 @@ class TestPlaneIntersection:
                               plane, (4.0, 4.0))
         assert hit is not None
         assert np.allclose(hit.point, [0, 0, 0], atol=1e-12)
+
+
+def _crossings(o, d, pose):
+    # plane_crossings with u and v spread over every row (nan off the plane).
+    t, rows, u, v = plane_crossings(o, d, pose)
+    uv = np.full((len(t), 2), np.nan)
+    uv[slice(None) if rows is None else rows] = np.stack([u, v], axis=1)
+    return np.column_stack([t, uv])
+
+
+def _hits(o, d, pose):
+    t = plane_hits(o, d, pose, (120.0, 80.0))
+    return np.full(len(o), np.inf) if t is None else t
+
+
+# Each shared row form as a function of (origins, directions, pose), giving
+# one result row per ray.
+ROW_FORMS = {
+    "dot_rows": lambda o, d, pose: dot_rows(d, pose.normal),
+    "uv_of": lambda o, d, pose: np.stack(pose.uv_of(o), axis=1),
+    "to_local_dirs": lambda o, d, pose: pose.to_local_dirs(d),
+    "to_world_dirs": lambda o, d, pose: pose.to_world_dirs(d),
+    "plane_crossings": _crossings,
+    "plane_hits": _hits,
+    "reflect_rows": lambda o, d, pose: reflect_rows(d, pose.normal),
+}
+
+
+class TestBatchInvariance:
+    @given(st.sampled_from(sorted(ROW_FORMS)), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_bits_ignore_the_batch(self, form, seed, n, data):
+        # On a general rotation every dot sums three nonzero products, so a
+        # form laid out differently for some batch sizes would round row i
+        # differently alone, in a pair or in the full batch.
+        rng = np.random.default_rng(seed)
+        pose = Pose.facing(rng.uniform(-50.0, 50.0, 3), rng.standard_normal(3),
+                           rng.standard_normal(3))
+        o = rng.uniform(-100.0, 100.0, (n, 3))
+        d = normalize_rows(rng.standard_normal((n, 3)))
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        f = ROW_FORMS[form]
+        full = f(o, d, pose)[i]
+        alone = f(o[i:i + 1], d[i:i + 1], pose)[0]
+        pair = f(o[[j, i]], d[[j, i]], pose)[1]
+        assert full.tobytes() == alone.tobytes() == pair.tobytes()
 
 
 class TestClosestPoint:

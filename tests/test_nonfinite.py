@@ -3,7 +3,9 @@
 A nan or inf in any number of a pose, an element or the eye raises
 InvalidGeometry from the constructor, and a scene file carrying one makes
 the CLI exit with code 3 before anything is traced or rendered.  A
-non-finite `trace --source` or `--axis` is a usage error (code 2).
+non-finite number on the command line (`trace --source`, `--axis` or
+`--spot-plane`, a `design` length, a `sweep` offset) is a usage error
+(code 2); only `design --l2 inf`, the unbounded eyepiece, is accepted.
 """
 import math
 
@@ -198,3 +200,31 @@ def test_cli_rejects_a_non_finite_trace_vector(flag, value, capsys):
         main(argv)
     assert err.value.code == 2
     assert "finite" in capsys.readouterr().err
+
+
+DESIGN_FLAGS = ["--l1", "--l2", "--l3", "--a", "--d", "--d2", "--d4", "--a-mag",
+                "--pitch"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["design", f"{flag}={bad}"] for flag in DESIGN_FLAGS
+      for bad in ("nan", "inf", "-inf") if (flag, bad) != ("--l2", "inf")),
+    ["sweep", "--preset", "defocus_flat", "--rpp", "1", "--offsets", "0,nan"],
+    ["sweep", "--preset", "defocus_flat", "--rpp", "1", "--offsets", "inf,0"],
+    ["trace", "--preset", "half_mirror", "--source", "0,0,5", "--rays", "8",
+     "--spot-plane", "nan"],
+])
+def test_cli_rejects_a_non_finite_number(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert "finite" in out.err
+    assert out.out == ""
+
+
+def test_design_takes_an_unbounded_eyepiece(capsys):
+    assert main(["design", "--l2", "inf"]) == 0
+    explicit = capsys.readouterr().out
+    assert main(["design"]) == 0
+    assert explicit == capsys.readouterr().out != ""

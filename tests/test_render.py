@@ -2,13 +2,14 @@ import itertools
 import math
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
 from tmdsim import render
 from tmdsim.elements import Screen, TmdPlate
-from tmdsim.errors import IoError
+from tmdsim.errors import InvalidGeometry, IoError
 from tmdsim.geometry import Pose, normalize, vec3
 from tmdsim.presets import build_preset, defocus_scene, tmd_see_through_preset
 from tmdsim.render import (ROW_BLOCK, Image, SweepResult, _pool_size,
@@ -303,3 +304,12 @@ class TestSweep:
                               rays_per_pixel=1, keep_images=True)
         assert len(sweep.images) == 1
         assert sweep.images[0].width == 256
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_is_rejected(self, bad):
+        # Before any render, and without a numpy warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGeometry, match="sweep offsets"):
+                defocus_sweep(build_preset("defocus_flat"), offsets=(0.0, bad),
+                              rays_per_pixel=1)

@@ -135,6 +135,18 @@ class TestTraceRay:
         assert path.terminal == "escaped"
         assert path.segments[0].interaction == "lens"
 
+    def test_grazing_ray_is_absorbed_at_the_lens(self):
+        # |d.n| is exactly 1e-12: not parallel to the plane (below 1e-12),
+        # so the ray hits the clear aperture 100 mm on, but not clear of
+        # grazing (above 1e-12) either.  Both tracers send it to the mount.
+        lens = ThinLens("L", facing_z((0, 0, 0)), 50.0, 20.0)
+        scene = Scene((lens,), simple_eye())
+        path = trace_ray(scene, Ray(vec3(-100.0, 0.0, -1e-10),
+                                    vec3(1.0, 0.0, 1e-12)))
+        assert [(seg.element, seg.interaction) for seg in path.segments] == [
+            ("L", "absorbed")]
+        assert path.terminal == "absorbed"
+
     def test_half_mirror_branches_and_weights(self):
         mirror = HalfMirror("hm", facing_z((0, 0, 0)), (50.0, 50.0),
                             reflectance=0.7)
