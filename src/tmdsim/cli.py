@@ -36,19 +36,6 @@ EXIT_EMPTY = 4
 EXIT_IO = 5
 
 
-def _parse_triplet(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z, got {text!r}")
-    try:
-        v = vec3(*(float(p) for p in parts))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers in {text!r}") from None
-    if not np.isfinite(v).all():
-        raise argparse.ArgumentTypeError(f"expected finite numbers in {text!r}")
-    return v
-
-
 def _parse_number(text: str) -> float:
     try:
         return float(text)
@@ -69,6 +56,13 @@ def _parse_aperture(text: str) -> float:
     return x if x == math.inf else _parse_finite(text)
 
 
+def _parse_triplet(text: str) -> np.ndarray:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected x,y,z, got {text!r}")
+    return vec3(*(_parse_finite(p) for p in parts))
+
+
 def _parse_half_angle(text: str) -> float:
     deg = _parse_number(text)
     if not 0.0 < math.radians(deg) <= math.pi:  # as cone_directions checks
@@ -78,13 +72,7 @@ def _parse_half_angle(text: str) -> float:
 
 
 def _parse_offsets(text: str) -> tuple:
-    try:
-        offsets = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad offset list {text!r}") from None
-    if not all(math.isfinite(x) for x in offsets):
-        raise argparse.ArgumentTypeError(f"expected finite offsets in {text!r}")
-    return offsets
+    return tuple(_parse_finite(p) for p in text.split(","))
 
 
 def _add_scene_args(sub: argparse.ArgumentParser) -> None:
@@ -257,8 +245,6 @@ def _cmd_sweep(args, parser) -> int:
     scene = _load_scene(args, parser)
     if args.rpp <= 0:
         parser.error("--rpp must be positive")
-    if not args.offsets:
-        parser.error("--offsets must not be empty")
     keep = args.out_dir is not None
     sweep = defocus_sweep(scene, offsets=args.offsets, rays_per_pixel=args.rpp,
                           seed=args.seed, keep_images=keep, workers=args.workers)

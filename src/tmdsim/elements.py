@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import InvalidGeometry, NoIntersection, OutOfBounds
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS, Pose,
-                       Ray, dot_rows, intersect_plane, normalize_rows,
-                       reflect_rows, require_finite, subset, sub_rows,
-                       take_rows)
+                       Ray, along_rows, dot_rows, intersect_plane,
+                       normalize_rows, reflect_rows, require_finite, subset,
+                       sub_rows, take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -379,12 +379,12 @@ def plate_exit(plate: TmdPlate, points: np.ndarray, u: np.ndarray,
     """
     pose = plate.pose
     out = pose.to_world_dirs(local_dirs * _PLATE_FLIPS[codes])
-    if plate.pitch == 0:
+    snap = np.asarray(codes) != _PASS
+    if plate.pitch == 0 or not snap.any():
         return points, out
     qu, qv = quantize_uv(u, v, plate.pitch)
-    cells = pose.position + qu[:, None] * pose.u_axis + qv[:, None] * pose.v_axis
-    snap = np.asarray(codes) != _PASS
-    return np.where(snap[..., None], cells, points), out
+    cells = along_rows(along_rows(pose.position, qu, pose.u_axis), qv, pose.v_axis)
+    return (cells if snap.all() else np.where(snap[:, None], cells, points)), out
 
 
 def _hit(ray: Ray, pose: Pose, extent, what: str):
@@ -398,7 +398,7 @@ def thin_lens_transform(ray: Ray, lens: ThinLens) -> Ray:
     """Refract a ray through an ideal thin lens (see refract_thin_lens)."""
     d = lens.aperture_diameter
     hit = _hit(ray, lens.pose, (d, d), f"lens {lens.ident!r}")
-    _, out = refract_thin_lens(lens, np.array(hit.uv[:1]), np.array(hit.uv[1:]),
+    _, out = refract_thin_lens(lens, *lens.pose.uv_of(hit.point[None]),
                                ray.direction[None])
     if len(out) == 0:
         raise NoIntersection(f"ray misses the clear aperture of lens {lens.ident!r}")
@@ -440,9 +440,9 @@ def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
     if mode not in _MODE_TAG:
         raise ValueError(f"unknown plate mode {mode!r}")
     hit = _hit(ray, plate.pose, plate.extent, f"plate {plate.ident!r}")
+    point = hit.point[None]
     local = plate.pose.to_local_dirs(ray.direction[None])
-    exits, out = plate_exit(plate, hit.point[None], np.array(hit.uv[:1]),
-                            np.array(hit.uv[1:]), local,
+    exits, out = plate_exit(plate, point, *plate.pose.uv_of(point), local,
                             PLATE_INTERACTIONS.index(mode))
     return replace(ray, origin=exits[0], direction=out[0], mode=_MODE_TAG[mode])
 

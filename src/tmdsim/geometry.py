@@ -64,11 +64,11 @@ def normalize(v) -> np.ndarray:
 # Pinned twins.  Two pieces of row maths keep one form per tracer, because
 # each tracer's golden digests pin its own rounding of them:
 # - row normalization: `normalize_rows` (the square root of np.vecdot)
-#   here, np.linalg.norm in the renderer; either swap moves 11 trace or 6
-#   render digests;
+#   here, np.linalg.norm in the renderer; either swap moves golden digests
+#   (all 14 trace digests, or 10 of the 34 render ones);
 # - the per-row dots of the sphere-cap test and of the curved-mirror
 #   reflection: np.vecdot in elements.py, einsum in the renderer; either
-#   swap moves the convex_mirror and mixed digests.
+#   swap moves the digests of the convex_mirror and mixed scenes.
 
 
 def dot_rows(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -85,12 +85,13 @@ def _col(a: np.ndarray, j: int):
 
 def along_rows(o: np.ndarray, t: np.ndarray, d: np.ndarray,
                minus=None) -> np.ndarray:
-    """o + t[:, None] * d, then `- minus` (a fixed 3-vector) if given."""
-    out = np.empty_like(d)
+    """o + t[:, None] * d, either of o and d a fixed 3-vector, then `- minus`
+    (a fixed 3-vector) if given."""
+    out = np.empty((len(t), 3))
     for j in range(3):
         col = out[:, j]
-        np.multiply(t, d[:, j], out=col)
-        col += o[:, j]
+        np.multiply(t, _col(d, j), out=col)
+        col += _col(o, j)
         if minus is not None:
             col -= minus[j]
     return out
@@ -309,6 +310,8 @@ def plane_crossings(origins: np.ndarray, directions: np.ndarray, pose: Pose):
     rows = subset(ahead)
     if rows is not None:
         t[~ahead] = np.inf
+        if len(rows) == 0:
+            return t, rows, t[rows], t[rows]
     rel = along_rows(take_rows(origins, rows), take_rows(t, rows),
                      take_rows(directions, rows), pose.position)
     return t, rows, dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
