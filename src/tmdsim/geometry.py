@@ -200,10 +200,15 @@ def advanced(ray: Ray) -> Ray:
     return replace(ray, origin=ray.origin + RAY_ADVANCE * ray.direction)
 
 
+def nudged_rows(origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Origins moved RAY_ADVANCE along their unit directions (rows)."""
+    return origins + RAY_ADVANCE * directions
+
+
 def advanced_rows(origins: np.ndarray, directions: np.ndarray):
     """`advanced` for rays given as rows with unit directions: the nudged
     origins and the directions re-normalized as `Ray` does on construction."""
-    return origins + RAY_ADVANCE * directions, normalize_rows(directions)
+    return nudged_rows(origins, directions), normalize_rows(directions)
 
 
 def orthonormal_frame(w, up=(0.0, 1.0, 0.0)) -> np.ndarray:

@@ -37,8 +37,8 @@ from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
                        TmdPlate, double_band, plate_exit, refract_thin_lens,
                        sample_screen, split_half_mirror)
 from .errors import IoError
-from .geometry import (PLANE_EPS, RAY_ADVANCE, WEIGHT_CUTOFF, Pose, along_rows,
-                       dot_rows, plane_hits, reflect_rows, require_finite,
+from .geometry import (PLANE_EPS, WEIGHT_CUTOFF, Pose, along_rows, dot_rows,
+                       nudged_rows, plane_hits, reflect_rows, require_finite,
                        sub_rows, subset, take_rows)
 from .scene import EyeCamera, Scene
 from .tracer import r2_sequence, resolve_workers, uniform_draw
@@ -135,7 +135,7 @@ def _push(queue, points, nd, nw, bp, bounce, keep=None):
     """Queue rays leaving `points` along `nd`, with the weights and pixels
     of the rows in `keep` of `nw` and `bp` (all rows when None)."""
     nw, bp = take_rows(nw, keep), take_rows(bp, keep)
-    queue.append((points + RAY_ADVANCE * nd, nd, nw, bp, bounce))
+    queue.append((nudged_rows(points, nd), nd, nw, bp, bounce))
 
 
 def _interact(el, t, bo, bd, bw, bp, acc, queue, bounce):
