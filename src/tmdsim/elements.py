@@ -264,9 +264,11 @@ def refract_thin_lens(lens: ThinLens, u: np.ndarray, v: np.ndarray,
         local, aw = local[fine], aw[fine]
         rows = fine if rows is None else rows[fine]
     f = lens.focal_length
-    return rows, np.stack([local[:, 0] / aw - take_rows(u, rows) / f,
-                           local[:, 1] / aw - take_rows(v, rows) / f,
-                           np.sign(local[:, 2])], axis=1)
+    out = np.empty_like(local)
+    np.subtract(local[:, 0] / aw, take_rows(u, rows) / f, out=out[:, 0])
+    np.subtract(local[:, 1] / aw, take_rows(v, rows) / f, out=out[:, 1])
+    np.sign(local[:, 2], out=out[:, 2])
+    return rows, out
 
 
 def split_half_mirror(mirror: HalfMirror, directions: np.ndarray,
@@ -288,14 +290,14 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
     """
     R = mirror.curvature_radius
     pose = mirror.pose
-    oc = origins - mirror.centre
+    oc = sub_rows(origins, mirror.centre)
     b = np.vecdot(directions, oc)
     disc = b * b - (np.vecdot(oc, oc) - R * R)
     sq = np.sqrt(np.where(disc < 0, 0.0, disc))
     best = np.full(len(origins), np.inf)
     best_wl = np.full(len(origins), np.inf)
     for t in (-b - sq, -b + sq):
-        points = origins + t[:, None] * directions
+        points = along_rows(origins, t, directions)
         u, v = pose.uv_of(points)
         wl = np.abs(dot_rows(sub_rows(points, pose.position), pose.normal))
         ok = ((disc >= 0) & (t > PLANE_EPS) & (np.abs(u) <= 0.5 * mirror.extent[0])
@@ -378,7 +380,11 @@ def plate_exit(plate: TmdPlate, points: np.ndarray, u: np.ndarray,
     containing cell.
     """
     pose = plate.pose
-    out = pose.to_world_dirs(local_dirs * _PLATE_FLIPS[codes])
+    flips = _PLATE_FLIPS[codes]
+    flipped = np.empty_like(local_dirs)
+    for j in range(3):
+        np.multiply(local_dirs[:, j], flips[..., j], out=flipped[:, j])
+    out = pose.to_world_dirs(flipped)
     snap = np.asarray(codes) != _PASS
     if plate.pitch == 0 or not snap.any():
         return points, out

@@ -38,9 +38,9 @@ from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
                        half_mirror_interact, thin_lens_transform, tmd_transform)
 from .errors import EmptySpot, InvalidGeometry, UsageError
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
-                       WEIGHT_CUTOFF, Pose, Ray, advanced_rows, mark_misses,
-                       normalize_rows, orthonormal_frame, plane_crossings,
-                       plane_hits, sequential_sum)
+                       WEIGHT_CUTOFF, Pose, Ray, advanced_rows, along_rows,
+                       mark_misses, normalize_rows, orthonormal_frame,
+                       plane_crossings, plane_hits, sequential_sum)
 from .geometry import advanced, intersect_plane  # noqa: F401
 from .scene import Scene
 
@@ -311,7 +311,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
             label[live[~hit]] = _ESCAPED
             live, near, t = live[hit], near[hit], t[hit]
             elem[live] = near
-            point[live] = O[live] + t[:, None] * D[live]
+            point[live] = along_rows(O[live], t, D[live])
             for k in np.unique(near).tolist():
                 rows = live[near == k]
                 if k == eye_k:
