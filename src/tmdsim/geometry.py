@@ -7,8 +7,10 @@ normal of whatever is attached to it.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,9 +59,9 @@ def normalize(v) -> np.ndarray:
 #   R.T held C-contiguous: a one-row product on the transposed view rounds
 #   differently from its batch.
 # - A per-row scalar or a fixed 3-vector broadcast over rows is computed one
-#   column at a time (`along_rows`, `sub_rows`, `reflect_rows`): the same
-#   IEEE operation on every element, with long inner loops instead of
-#   3-long ones.
+#   column at a time (`along_rows`, `sub_rows`, `normalize_rows`,
+#   `reflect_rows`, `pick_rows`): the same IEEE operation on every element,
+#   with long inner loops instead of 3-long ones.
 #
 # Pinned twins.  Two pieces of row maths keep one form per tracer, because
 # each tracer's golden digests pin its own rounding of them:
@@ -121,7 +123,18 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     n = np.sqrt(np.vecdot(v, v))
     if not ((n >= 1e-300) & (n < math.inf)).all():
         raise ValueError("cannot normalize a zero or non-finite vector")
-    return v / n[:, None]
+    out = np.empty_like(v)
+    for j in range(3):
+        np.divide(v[:, j], n, out=out[:, j])
+    return out
+
+
+def pick_rows(keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i of `a` where keep[i], else row i of `b`."""
+    out = np.empty_like(a)
+    for j in range(3):
+        out[:, j] = np.where(keep, a[:, j], b[:, j])
+    return out
 
 
 def reflect_rows(directions: np.ndarray, normals: np.ndarray,
@@ -193,6 +206,45 @@ class Ray:
 
     def at(self, t: float) -> np.ndarray:
         return self.origin + t * self.direction
+
+
+class RayRows(Sequence):
+    """Read-only sequence of `Ray`s held as rows: (n, 3) origins, (n, 3)
+    unit directions, n weights and n mode names.
+
+    Indexing and iteration give `Ray.from_unit` objects over row views,
+    bit for bit the rows given; a slice gives another RayRows.  The
+    `origins` and `directions` arrays are read-only copies, which batch
+    maths (`closest_point_to_rays`) uses without building a `Ray`.
+    """
+
+    def __init__(self, origins, directions, weights, modes):
+        self.origins = _frozen(origins)
+        self.directions = _frozen(directions)
+        self.weights = _frozen(weights)
+        self.modes = np.array(modes, dtype=object)
+        self.modes.flags.writeable = False
+        n = len(self.weights)
+        if not (self.origins.shape == self.directions.shape == (n, 3)
+                and self.modes.shape == (n,)):
+            raise ValueError("ray rows need (n, 3) origins and directions "
+                             "and n weights and modes")
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RayRows(self.origins[i], self.directions[i],
+                           self.weights[i], self.modes[i])
+        i = operator.index(i)
+        return Ray.from_unit(self.origins[i], self.directions[i],
+                             float(self.weights[i]), self.modes[i])
+
+    def __iter__(self):
+        for o, d, w, m in zip(self.origins, self.directions,
+                              self.weights.tolist(), self.modes.tolist()):
+            yield Ray.from_unit(o, d, w, m)
 
 
 def advanced(ray: Ray) -> Ray:
@@ -360,14 +412,19 @@ def intersect_plane(ray: Ray, pose: Pose, extent) -> Optional[PlaneHit]:
 def closest_point_to_rays(rays: Sequence[Ray]):
     """Least-squares point minimising distance to all ray lines.
 
+    `rays` is any sequence of `Ray`; a `RayRows` hands over its origin and
+    direction arrays as they are, any other sequence is packed into rows.
     Returns (point, rms_residual).  Raises DegenerateBundle when the normal
     equations are ill-conditioned (fewer than two rays, or a near-parallel
     bundle).
     """
     if len(rays) < 2:
         raise DegenerateBundle("need at least two rays")
-    d = np.array([r.direction for r in rays])
-    o = np.array([r.origin for r in rays])
+    if isinstance(rays, RayRows):
+        d, o = rays.directions, rays.origins
+    else:
+        d = np.array([r.direction for r in rays])
+        o = np.array([r.origin for r in rays])
     P = np.eye(3) - d[:, :, None] * d[:, None, :]
     A = sequential_sum(P)
     b = sequential_sum(np.matmul(P, o[:, :, None])[:, :, 0])

@@ -38,9 +38,10 @@ from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
                        half_mirror_interact, thin_lens_transform, tmd_transform)
 from .errors import EmptySpot, InvalidGeometry, UsageError
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
-                       WEIGHT_CUTOFF, Pose, Ray, advanced_rows, along_rows,
-                       mark_misses, normalize_rows, orthonormal_frame,
-                       plane_crossings, plane_hits, sequential_sum)
+                       WEIGHT_CUTOFF, Pose, Ray, RayRows, advanced_rows,
+                       along_rows, mark_misses, normalize_rows,
+                       orthonormal_frame, pick_rows, plane_crossings,
+                       plane_hits, sequential_sum)
 from .geometry import advanced, intersect_plane  # noqa: F401
 from .scene import Scene
 
@@ -166,9 +167,24 @@ _MODES = (MODE_PRIMARY, MODE_DOUBLE, MODE_SINGLE, MODE_PASS)
 _PLATE_MODE = np.array([1, 2, 2, 3])  # mode index per non-absorbed plate code
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def dfs_order(parents: np.ndarray, n_roots: int) -> np.ndarray:
+    """Path ids in depth-first order: a path, then its children in spawn
+    order, each followed by its own subtree.
+
+    `parents` holds each path's parent id, -1 for the `n_roots` roots that
+    come first; a child's id is above its parent's, and siblings' ids rise
+    in spawn order.  Each path's key is its ancestor chain read from the
+    root, padded with -1, so a lexsort puts a parent before its children.
+    """
+    chain = [np.arange(len(parents))]
+    while (chain[-1] >= 0).any():
+        up = chain[-1]
+        chain.append(np.where(up >= 0, parents[up], -1))
+    chain = np.array(chain[:-1])  # row k: each path's k-th ancestor, or -1
+    depth = np.count_nonzero(chain >= 0, axis=0) - 1
+    k = depth - np.arange(len(chain))[:, None]  # chain row of root level j
+    keys = np.where(k >= 0, np.take_along_axis(chain, np.maximum(k, 0), 0), -1)
+    return np.lexsort(keys[::-1])
 
 
 class BundleResult:
@@ -194,39 +210,24 @@ class BundleResult:
         ends = np.flatnonzero(_TERMINAL_OF[self.label] >= 0)
         self.path_end = np.empty(len(self.parents), dtype=np.int64)
         self.path_end[self.pid[ends]] = ends
-        self.dfs = self._dfs_order()
+        self.dfs = dfs_order(self.parents, self.n_roots)
         self.ends = self.path_end[self.dfs]
         self.stats = _bundle_stats(self)
         self._paths = None
 
-    def _dfs_order(self) -> np.ndarray:
-        if len(self.parents) == self.n_roots:
-            return np.arange(self.n_roots)
-        children = [[] for _ in self.parents]
-        for child, parent in enumerate(self.parents.tolist()):
-            if parent >= 0:
-                children[parent].append(child)
-        order = []
-        stack = list(range(self.n_roots - 1, -1, -1))
-        while stack:
-            path = stack.pop()
-            order.append(path)
-            stack.extend(reversed(children[path]))
-        return np.array(order)
-
-    def rays(self, rows: np.ndarray) -> list:
-        """Ray objects of the logged in-flight rays at `rows`, bit for bit."""
-        names = self.modes
-        return [Ray.from_unit(o, d, w, names[m]) for o, d, w, m in zip(
-            _read_only(self.origin[rows]), _read_only(self.direction[rows]),
-            self.weight[rows].tolist(), self.mode[rows].tolist())]
+    def rays(self, rows: np.ndarray) -> RayRows:
+        """The logged in-flight rays at `rows`, bit for bit."""
+        names = np.array(self.modes, dtype=object)
+        return RayRows(self.origin[rows], self.direction[rows],
+                       self.weight[rows], names[self.mode[rows]])
 
     @property
     def paths(self) -> list:
         if self._paths is None:
             segments = [[] for _ in self.parents]
             order = np.lexsort((self.step, self.pid))
-            points = _read_only(self.point[order])
+            points = self.point[order]
+            points.flags.writeable = False
             idents = self.idents + [None]
             for pid, ray, elem, label, point, missing in zip(
                     self.pid[order].tolist(), self.rays(order),
@@ -334,14 +335,14 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                     out_dir[rows] = surface.pose.to_world_dirs(normalize_rows(out))
                 elif isinstance(surface, HalfMirror):
                     reflected, w_r, w_t = split_half_mirror(surface, d, W[rows])
-                    keep = (w_r >= w_t)[:, None]
-                    label[rows] = np.where(keep[:, 0], _REFLECT, _TRANSMIT)
+                    keep = w_r >= w_t
+                    label[rows] = np.where(keep, _REFLECT, _TRANSMIT)
                     cont[rows] = True
-                    out_dir[rows] = np.where(keep, reflected, d)
-                    out_w[rows] = np.where(keep[:, 0], w_r, w_t)
-                    child_w = np.where(keep[:, 0], w_t, w_r)
+                    out_dir[rows] = pick_rows(keep, reflected, d)
+                    out_w[rows] = np.where(keep, w_r, w_t)
+                    child_w = np.where(keep, w_t, w_r)
                     spawn = child_w >= WEIGHT_CUTOFF
-                    spawned.append((rows[spawn], np.where(keep, d, reflected)[spawn],
+                    spawned.append((rows[spawn], pick_rows(keep, d, reflected)[spawn],
                                     child_w[spawn]))
                 elif isinstance(surface, ConvexMirror):
                     label[rows] = _MIRROR
@@ -471,9 +472,11 @@ class SpotDiagram:
 
 
 def terminal_rays(bundle: BundleResult, mode: Optional[str] = None):
-    """Final in-flight rays of every path still propagating at its end.
+    """Final in-flight rays of every path still propagating at its end, in
+    depth-first path order, as a read-only sequence of `Ray` (a `RayRows`
+    over the bundle's log rows).
 
-    `mode` restricts the list to rays carrying that interaction history tag
+    `mode` keeps only rays carrying that interaction history tag
     (e.g. "double_reflect"); None keeps everything.
     """
     return bundle.rays(bundle.propagating(mode))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -213,6 +214,51 @@ class TestTrace:
                            "--source", "0,0,5", "--rays", "32")
         assert code == 0
         assert "emitted_weight,32" in out
+
+
+# The stdout `key,value` lines of `tmdsim trace` and its --csv spot file,
+# byte for byte: sha256 of stdout, of the CSV file (None when none is
+# written) and the exit code.  half_mirror's cone is aimed at the combiner,
+# so its bundle branches and the depth-first path order shapes the output.
+TRACE_RUNS = {
+    "ame_dk2": ["--source", "2,-1.5,-60.5"],
+    "half_mirror": ["--source", "1,19,21", "--axis=-1,-19,-1"],
+    "tmd_see_through": ["--source", "5,-3,-59.5"],
+}
+TRACE_GOLDEN = {
+    ("ame_dk2", "any"): (
+        "7a18d340625dba514e914a0eca7328deee5070ed23137ad6d92014de83b7c4ba",
+        "efe21f78c2f7f0d1e14c2e3403ed1d514a14c63d50d381100cf020956c69db1b", 0),
+    ("ame_dk2", "double_reflect"): (
+        "7cede849694657703b9f6ae1f252b9ca49159e3cbeaafe712567332a0027b47c",
+        "fdc25857446fc0dc5966bcc4ac155d84743502c13395d0ee4e20b65c471f64ea", 0),
+    ("half_mirror", "any"): (
+        "12916d694f286014ab244cf488ee16bec98a6195ea83fb3587a0cc2e1005997d",
+        "d1d58d4ee751be56d07cb6826bba5a236720e844e022f83c7937394f301e5bc3", 0),
+    # No ray of an unplated scene is double_reflect: the focus fails (exit 4).
+    ("half_mirror", "double_reflect"): (
+        "74541ae3d89ea676163ec3ab8e445c428d2fc77446e0ba1f497ba30b235dc3e5",
+        None, 4),
+    ("tmd_see_through", "any"): (
+        "a0116a99b57ac0aca7bfbe6d40dd03a136b54bff834eb492be2f866ea76489e9",
+        "618e774707d223e0e284aaeb02bc49f73b4ad16bc7f84ea20d9b6106fb0f8ba7", 0),
+    ("tmd_see_through", "double_reflect"): (
+        "4bef3233cc885bba83068cf5ca95405d960e9a405726443e8b254df80719b0f4",
+        "e953749793c50a490d6bf06785ec162ec09e4425da6a2dc0ebec1c7a6c687f21", 0),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("preset,mode", sorted(TRACE_GOLDEN))
+def test_trace_stdout_and_csv_match_golden(preset, mode, tmp_path, capsys):
+    csv = tmp_path / "spot.csv"
+    code, out, _ = run(capsys, "trace", "--preset", preset, *TRACE_RUNS[preset],
+                       "--rays", "256", "--mode", mode, "--csv", str(csv))
+    csv_digest = _sha256(csv.read_bytes()) if csv.exists() else None
+    assert (_sha256(out.encode()), csv_digest, code) == TRACE_GOLDEN[preset, mode]
 
 
 class TestRender:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmdsim.errors import DegenerateBundle, InvalidGeometry
-from tmdsim.geometry import (PLANE_EPS, RAY_ADVANCE, Pose, Ray, advanced,
-                             closest_point_to_rays, dot_rows, intersect_plane,
+from tmdsim.geometry import (PLANE_EPS, RAY_ADVANCE, Pose, Ray, RayRows,
+                             advanced, closest_point_to_rays, dot_rows,
+                             intersect_plane,
                              normalize, normalize_rows, orthonormal_frame,
                              plane_crossings, plane_hits, reflect,
                              reflect_rows, vec3)
@@ -268,3 +269,20 @@ class TestClosestPoint:
         p1, _ = closest_point_to_rays(near)
         p2, _ = closest_point_to_rays(far)
         assert np.allclose(p1, p2, atol=1e-8)
+
+    def test_ray_rows_give_the_list_bits(self):
+        rng = np.random.default_rng(3)
+        rays = RayRows(rng.standard_normal((7, 3)),
+                       normalize_rows(rng.standard_normal((7, 3))),
+                       np.full(7, 0.5), ["primary"] * 7)
+        p1, rms1 = closest_point_to_rays(rays)
+        p2, rms2 = closest_point_to_rays(list(rays))
+        assert p1.tobytes() == p2.tobytes() and rms1 == rms2
+        with pytest.raises(DegenerateBundle):
+            closest_point_to_rays(rays[:1])
+
+    def test_ray_rows_reject_mismatched_rows(self):
+        with pytest.raises(ValueError):
+            RayRows(np.zeros((2, 3)), np.zeros((3, 3)), np.ones(2), ["a"] * 2)
+        with pytest.raises(ValueError):
+            RayRows(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2), ["a"] * 3)

@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 
 from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
                              ThinLens, TmdPlate)
-from tmdsim.geometry import Pose, Ray, normalize, orthonormal_frame, vec3
+from tmdsim.errors import DegenerateBundle
+from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
+                             orthonormal_frame, vec3)
 from tmdsim.presets import build_preset
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
 from tmdsim.tracer import (Cone, RngStream, cone_directions, terminal_rays,
@@ -230,6 +232,18 @@ def _path_digest(path):
     return h.hexdigest()
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_ray_matches_the_first_bundle_paths(name):
+    # Every case, turned ones included, traces its first 16 rays one row at
+    # a time: a layout that rounds a lone row differently shows here.
+    scene, source, cone = case_inputs(name)
+    bundle = trace_bundle(scene, source, N_RAYS, cone, seed=SEED)
+    dirs = cone_directions(cone, N_RAYS)
+    for i in range(16):
+        path = trace_ray(scene, Ray(source, dirs[i]), rng=RngStream(SEED, i))
+        assert _path_digest(path) == _path_digest(bundle.paths[i]), i
+
+
 @given(st.sampled_from(sorted(CASES)), st.integers(0, 2 ** 32),
        st.integers(1, 24), st.data())
 @settings(max_examples=40, deadline=None)
@@ -268,3 +282,49 @@ def test_stats_keys_in_depth_first_order(name):
     assert list(bundle.stats["interactions"]) == list(interactions)
     assert list(bundle.stats["terminals"]) == list(terminals)
     assert list(bundle.stats["mode_weight"]) == list(modes)
+
+
+def _assert_same_ray(ray, want):
+    assert np.array_equal(ray.origin, want.origin)
+    assert np.array_equal(ray.direction, want.direction)
+    assert ray.weight == want.weight and type(ray.weight) is float
+    assert ray.mode == want.mode
+
+
+def _focus_or_error(rays):
+    try:
+        point, rms = closest_point_to_rays(rays)
+    except DegenerateBundle as exc:
+        return str(exc)
+    return point.tobytes(), rms
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_terminal_rays_sequence_matches_the_log_rows(name):
+    scene, source, cone = case_inputs(name)
+    bundle = trace_bundle(scene, source, N_RAYS, cone, seed=SEED)
+    rows = bundle.propagating(None)
+    want = [Ray.from_unit(bundle.origin[r], bundle.direction[r],
+                          float(bundle.weight[r]), bundle.modes[bundle.mode[r]])
+            for r in rows]
+    seq = terminal_rays(bundle)
+    n = len(seq)
+    assert n == len(want) > 0
+    for got, ray in zip(seq, want):
+        _assert_same_ray(got, ray)
+    for i in range(-n, n):
+        _assert_same_ray(seq[i], want[i])
+    a, b = n // 3, n - n // 4
+    part = seq[a:b]
+    assert len(part) == b - a
+    for got, ray in zip(part, want[a:b]):
+        _assert_same_ray(got, ray)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            seq[i]
+    assert not seq.origins.flags.writeable
+    assert not seq.directions.flags.writeable
+    assert not seq[0].origin.flags.writeable
+    with pytest.raises(ValueError):
+        seq.origins[0, 0] = 1.0
+    assert _focus_or_error(seq) == _focus_or_error(list(seq))

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmdsim.elements import Absorber, HalfMirror, Screen, ThinLens, TmdPlate
 from tmdsim.errors import EmptySpot, UsageError
 from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
                              vec3)
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
-from tmdsim.tracer import (Cone, RngStream, cone_directions, r2_sequence,
-                           resolve_workers, spot_diagram, terminal_rays,
-                           trace_bundle, trace_ray, uniform_draw)
+from tmdsim.tracer import (Cone, RngStream, cone_directions, dfs_order,
+                           r2_sequence, resolve_workers, spot_diagram,
+                           terminal_rays, trace_bundle, trace_ray,
+                           uniform_draw)
 
 Z_PLUS = vec3(0.0, 0.0, 1.0)
 
@@ -50,6 +53,46 @@ class TestUniformDraw:
     def test_stream_wrapper(self):
         s = RngStream(42, 5)
         assert s.draw(2) == uniform_draw(42, 5, 2)
+
+
+def _stack_walk(parents, n_roots):
+    """Depth-first path order by an explicit stack: the reference for
+    dfs_order."""
+    children = [[] for _ in parents]
+    for child, parent in enumerate(parents):
+        if parent >= 0:
+            children[parent].append(child)
+    order = []
+    stack = list(range(n_roots - 1, -1, -1))
+    while stack:
+        path = stack.pop()
+        order.append(path)
+        stack.extend(reversed(children[path]))
+    return order
+
+
+@st.composite
+def forests(draw):
+    """Parent ids of a path forest: the roots first, then children whose
+    parent id is below their own (often the path just before, for depth)."""
+    n_roots = draw(st.integers(1, 6))
+    parents = [-1] * n_roots
+    for child in range(n_roots, n_roots + draw(st.integers(0, 60))):
+        parents.append(draw(st.one_of(st.just(child - 1),
+                                      st.integers(0, child - 1))))
+    return parents, n_roots
+
+
+@given(forests())
+@example(([-1], 1))
+@example(([-1] * 5, 5))
+@example(([-1] + list(range(16)), 1))
+@example(([-1, -1] + list(range(1, 17)) + [0, 0], 2))
+@settings(max_examples=200, deadline=None)
+def test_dfs_order_matches_a_stack_walk(forest):
+    parents, n_roots = forest
+    got = dfs_order(np.array(parents), n_roots)
+    assert got.tolist() == _stack_walk(parents, n_roots)
 
 
 class TestSequences:
