@@ -470,13 +470,17 @@ def sample_screen(screen: Screen, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     y0 = np.floor(y)
     fx = x - x0
     fy = y - y0
-    xa = np.clip(x0.astype(np.int64), 0, cols - 1)
-    xb = np.clip(x0.astype(np.int64) + 1, 0, cols - 1)
-    ya = np.clip(y0.astype(np.int64), 0, rows - 1)
-    yb = np.clip(y0.astype(np.int64) + 1, 0, rows - 1)
-    img = screen.image
-    top = img[ya, xa] * (1.0 - fx) + img[ya, xb] * fx
-    bot = img[yb, xa] * (1.0 - fx) + img[yb, xb] * fx
+    xa = x0.astype(np.int64)
+    ya = y0.astype(np.int64)
+    xb = xa + 1
+    yb = ya + 1
+    for i, last in ((xa, cols - 1), (xb, cols - 1), (ya, rows - 1), (yb, rows - 1)):
+        np.clip(i, 0, last, out=i)
+    ya *= cols  # texel (y, x) is flat index y * cols + x
+    yb *= cols
+    img = screen.image.ravel()
+    top = img.take(ya + xa) * (1.0 - fx) + img.take(ya + xb) * fx
+    bot = img.take(yb + xa) * (1.0 - fx) + img.take(yb + xb) * fx
     return top * (1.0 - fy) + bot * fy
 
 

@@ -66,8 +66,10 @@ def normalize(v) -> np.ndarray:
 # Pinned twins.  Two pieces of row maths keep one form per tracer, because
 # each tracer's golden digests pin its own rounding of them:
 # - row normalization: `normalize_rows` (the square root of np.vecdot)
-#   here, np.linalg.norm in the renderer; either swap moves golden digests
-#   (all 14 trace digests, or 10 of the 34 render ones);
+#   here, np.linalg.norm's rounding in the renderer (whose `_normalized`
+#   sums (x*x + y*y) + z*z a column at a time, as np.linalg.norm does);
+#   either swap moves golden digests (all 14 trace digests, or 10 of the
+#   34 render ones);
 # - the per-row dots of the sphere-cap test and of the curved-mirror
 #   reflection: np.vecdot in elements.py, einsum in the renderer; either
 #   swap moves the digests of the convex_mirror and mixed scenes.
@@ -348,15 +350,36 @@ class PlaneHit(NamedTuple):
     uv: tuple
 
 
-def plane_crossings(origins: np.ndarray, directions: np.ndarray, pose: Pose):
-    """Where each ray meets the unbounded plane of `pose`.
+class Crossings(NamedTuple):
+    """Where rays meet the unbounded plane of a pose (see plane_crossings).
 
-    Returns (t, rows, u, v).  t is each ray's hit distance, inf for a ray
-    parallel to the plane or crossing it no farther than PLANE_EPS ahead.
-    `rows` indexes the other rays, the ones ahead of the plane (None when
-    that is every ray), and u, v are the local coordinates of their
-    crossings, in the order of `rows`.
+    t is each ray's hit distance, inf for a ray parallel to the plane or
+    crossing it no farther than PLANE_EPS ahead (and, from plane_hits, for
+    a ray that misses the rectangle).  `rows` indexes the other rays, the
+    ones ahead of the plane (None when that is every ray); `points` are
+    their crossings and u, v their local coordinates, in the order of
+    `rows`.
     """
+    t: np.ndarray
+    rows: Optional[np.ndarray]
+    points: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    def at(self, rays: Optional[np.ndarray]):
+        """(points, u, v) of the rays at the sorted indices `rays` (every
+        ray when None), all of them ahead of the plane."""
+        if self.rows is not None and rays is not None:
+            if len(rays) == len(self.rows):
+                rays = None  # every ray ahead of the plane
+            else:
+                rays = np.searchsorted(self.rows, rays)
+        return tuple(take_rows(a, rays) for a in (self.points, self.u, self.v))
+
+
+def plane_crossings(origins: np.ndarray, directions: np.ndarray,
+                    pose: Pose) -> Crossings:
+    """Where each ray meets the unbounded plane of `pose`, as a Crossings."""
     n = pose.normal
     denom = dot_rows(directions, n)
     parallel = np.abs(denom) < PARALLEL_EPS
@@ -367,11 +390,11 @@ def plane_crossings(origins: np.ndarray, directions: np.ndarray, pose: Pose):
     rows = subset(ahead)
     if rows is not None:
         t[~ahead] = np.inf
-        if len(rows) == 0:
-            return t, rows, t[rows], t[rows]
-    rel = along_rows(take_rows(origins, rows), take_rows(t, rows),
-                     take_rows(directions, rows), pose.position)
-    return t, rows, dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
+    points = along_rows(take_rows(origins, rows), take_rows(t, rows),
+                        take_rows(directions, rows))
+    rel = sub_rows(points, pose.position)
+    return Crossings(t, rows, points, dot_rows(rel, pose.u_axis),
+                     dot_rows(rel, pose.v_axis))
 
 
 def _inside(u, v, extent):
@@ -385,28 +408,29 @@ def mark_misses(t: np.ndarray, rows: Optional[np.ndarray], out: np.ndarray) -> N
 
 
 def plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
-               extent) -> Optional[np.ndarray]:
-    """Hit distance of each ray on a bounded rectangle (inf where a ray
-    misses), or None when every ray misses.
+               extent) -> Optional[Crossings]:
+    """The rays' Crossings with a bounded rectangle, t inf where a ray
+    misses it, or None when every ray misses.
 
     `extent` is the full (width, height) of the rectangle centred on the
     pose; hits farther than PLANE_EPS along the ray are accepted.  The
     bounds are tested only on the rays ahead of the plane.
     """
-    t, rows, u, v = plane_crossings(origins, directions, pose)
-    inside = _inside(u, v, extent)
+    hits = plane_crossings(origins, directions, pose)
+    inside = _inside(hits.u, hits.v, extent)
     if not inside.any():
         return None
-    mark_misses(t, rows, ~inside)
-    return t
+    mark_misses(hits.t, hits.rows, ~inside)
+    return hits
 
 
 def intersect_plane(ray: Ray, pose: Pose, extent) -> Optional[PlaneHit]:
     """First hit of a ray on a bounded rectangle, or None (see plane_hits)."""
-    t, _, u, v = plane_crossings(ray.origin[None], ray.direction[None], pose)
-    if t[0] == np.inf or not _inside(u, v, extent)[0]:
+    hit = plane_crossings(ray.origin[None], ray.direction[None], pose)
+    if hit.t[0] == np.inf or not _inside(hit.u, hit.v, extent)[0]:
         return None
-    return PlaneHit(float(t[0]), ray.at(t[0]), (float(u[0]), float(v[0])))
+    return PlaneHit(float(hit.t[0]), hit.points[0],
+                    (float(hit.u[0]), float(hit.v[0])))
 
 
 def closest_point_to_rays(rays: Sequence[Ray]):

@@ -64,8 +64,14 @@ class SweepResult:
 
 
 def _normalized(v: np.ndarray) -> np.ndarray:
-    """v / np.linalg.norm(v, axis=1, keepdims=True), in place."""
-    n = np.linalg.norm(v, axis=1)
+    """v / np.linalg.norm(v, axis=1, keepdims=True), in place: the norm is
+    sqrt((x*x + y*y) + z*z) a column at a time, np.linalg.norm's sum."""
+    n = v[:, 0] * v[:, 0]
+    sq = np.empty_like(n)
+    for j in (1, 2):
+        np.multiply(v[:, j], v[:, j], out=sq)
+        n += sq
+    np.sqrt(n, out=n)
     for j in range(3):
         v[:, j] /= n
     return v
@@ -102,53 +108,65 @@ def _cap_ts(el: ConvexMirror, o: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
     if not surfaces:
         return
-    queue = deque([(o, d, w, pix, 0)])
+    # Each batch carries the index of the flat element its rays just left
+    # (-1 for camera rays and curved caps): a ray never hits it again.
+    queue = deque([(o, d, w, pix, -1, 0)])
     while queue:
-        o, d, w, pix, bounce = queue.popleft()
+        o, d, w, pix, left, bounce = queue.popleft()
         if len(o) == 0 or bounce >= max_bounces:
             continue
         # Nearest hit: the first element wins a tie, as np.argmin would.
         tmin = np.full(len(o), np.inf)
         el_idx = np.full(len(o), -1)
-        hit = []
+        hit = []  # (k, the plane's Crossings or None for a curved cap)
         for k, el in enumerate(surfaces):
-            if isinstance(el, ConvexMirror) and not el.flat:
-                ts = _cap_ts(el, o, d)
-            else:
-                ts = plane_hits(o, d, el.pose, el.extent)
-            if ts is None:
+            if k == left:
                 continue
+            if isinstance(el, ConvexMirror) and not el.flat:
+                hits, ts = None, _cap_ts(el, o, d)
+            else:
+                hits = plane_hits(o, d, el.pose, el.extent)
+                if hits is None:
+                    continue
+                ts = hits.t
             closer = ts < tmin
             np.copyto(el_idx, k, where=closer)
             np.copyto(tmin, ts, where=closer)
-            hit.append(k)
-        for k in hit:
+            hit.append((k, hits))
+        for k, hits in hit:
             rows = np.flatnonzero(el_idx == k)
             if len(rows) == 0 or isinstance(surfaces[k], Absorber):
                 continue
             rows = None if len(rows) == len(o) else rows
-            batch = (take_rows(a, rows) for a in (tmin, o, d, w, pix))
-            _interact(surfaces[k], *batch, acc, queue, bounce + 1)
+            bd, bw, bp = (take_rows(a, rows) for a in (d, w, pix))
+            if hits is None:
+                point = along_rows(take_rows(o, rows), take_rows(tmin, rows), bd)
+                _interact(surfaces[k], -1, point, None, None, bd, bw, bp, acc,
+                          queue, bounce + 1)
+            else:
+                _interact(surfaces[k], k, *hits.at(rows), bd, bw, bp, acc,
+                          queue, bounce + 1)
 
 
-def _push(queue, points, nd, nw, bp, bounce, keep=None):
-    """Queue rays leaving `points` along `nd`, with the weights and pixels
-    of the rows in `keep` of `nw` and `bp` (all rows when None)."""
+def _push(queue, points, nd, nw, bp, left, bounce, keep=None):
+    """Queue rays leaving `points` on element `left` along `nd`, with the
+    weights and pixels of the rows in `keep` of `nw` and `bp` (all rows
+    when None)."""
     nw, bp = take_rows(nw, keep), take_rows(bp, keep)
-    queue.append((nudged_rows(points, nd), nd, nw, bp, bounce))
+    queue.append((nudged_rows(points, nd), nd, nw, bp, left, bounce))
 
 
-def _interact(el, t, bo, bd, bw, bp, acc, queue, bounce):
-    """Apply element `el` to the rays that hit it at distances `t`:
-    accumulate screen radiance into `acc`, queue the outgoing rays."""
-    point = along_rows(bo, t, bd)
+def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
+    """Apply element `el` (index k, or -1 for a curved cap) to the rays that
+    hit it at `point`, local (u, v) on a flat element: accumulate screen
+    radiance into `acc`, queue the outgoing rays."""
     if isinstance(el, ConvexMirror):
         if el.flat:
             nd = reflect_rows(bd, el.pose.normal)
         else:
             n = _normalized(sub_rows(el.centre, point))
             nd = reflect_rows(bd, n, np.einsum("ij,ij->i", bd, n))
-        _push(queue, point, nd, bw, bp, bounce)
+        _push(queue, point, nd, bw, bp, k, bounce)
         return
     if isinstance(el, HalfMirror):
         reflected, wr, wt = split_half_mirror(el, bd, bw)
@@ -157,22 +175,21 @@ def _interact(el, t, bo, bd, bw, bp, acc, queue, bounce):
             if keep.any():
                 keep = subset(keep)
                 _push(queue, take_rows(point, keep), take_rows(nd, keep), nw, bp,
-                      bounce, keep)
+                      k, bounce, keep)
         return
-    u, v = el.pose.uv_of(point)
     if isinstance(el, Screen):
         acc[bp] += bw * sample_screen(el, u, v)
     elif isinstance(el, ThinLens):
         rows, out = refract_thin_lens(el, u, v, bd)
         nd = el.pose.to_world_dirs(_normalized(out))
-        _push(queue, take_rows(point, rows), nd, bw, bp, bounce, rows)
+        _push(queue, take_rows(point, rows), nd, bw, bp, k, bounce, rows)
     elif isinstance(el, TmdPlate):
-        _plate(el, point, u, v, bd, bw, bp, queue, bounce)
+        _plate(el, k, point, u, v, bd, bw, bp, queue, bounce)
     else:  # pragma: no cover
         raise TypeError(f"unrenderable element {type(el).__name__}")
 
 
-def _plate(plate, point, u, v, bd, bw, bp, queue, bounce):
+def _plate(plate, k, point, u, v, bd, bw, bp, queue, bounce):
     _, p_s, p_p = plate.mode_weights
     local = plate.pose.to_local_dirs(bd)
     single = 0.5 * (0.0 if plate.polarizer else p_s)
@@ -186,7 +203,7 @@ def _plate(plate, point, u, v, bd, bw, bp, queue, bounce):
         keep = subset(keep)
         rows = (take_rows(a, keep) for a in (point, u, v, local))
         exits, nd = plate_exit(plate, *rows, code)
-        _push(queue, exits, nd, nw, bp, bounce, keep)
+        _push(queue, exits, nd, nw, bp, k, bounce, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Rays walk the scene by nearest intersection.  The kernel holds every live
 ray of a bundle as rows of arrays (origin, direction, weight, mode, ray id,
 path id) and advances all of them one bounce per pass: one (K, N) matrix of
 hit distances over the K surfaces and the eye, an argmin for the nearest,
-then one batch interaction per element.  Each row goes through the same
+then one batch interaction per element, which reads the hit points and
+(u, v) of its plane's hit record.  A ray is never tested against the flat
+element it just left (see README).  Each row goes through the same
 floating-point operations as a ray traced on its own, so a bundle is bit
 for bit independent of how its rays are batched.
 
@@ -256,16 +258,11 @@ class BundleResult:
         return ends[keep]
 
 
-def _hit_distances(surface, origins, directions):
-    if isinstance(surface, ConvexMirror) and not surface.flat:
-        return sphere_cap_hits(surface, origins, directions)
-    return plane_hits(origins, directions, surface.pose, surface.extent)
-
-
-def _eye_distances(eye, origins, directions):
-    t, rows, u, v = plane_crossings(origins, directions, eye.pose)
-    mark_misses(t, rows, u * u + v * v > (0.5 * eye.aperture_diameter) ** 2)
-    return t
+def _eye_crossings(eye, origins, directions):
+    hits = plane_crossings(origins, directions, eye.pose)
+    u, v = hits.u, hits.v
+    mark_misses(hits.t, hits.rows, u * u + v * v > (0.5 * eye.aperture_diameter) ** 2)
+    return hits
 
 
 def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
@@ -274,6 +271,8 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     pass.  Every ray alive at pass k has made k interactions."""
     surfaces = scene.surfaces
     eye_k = len(surfaces)
+    flat = np.array([not isinstance(s, ConvexMirror) or s.flat for s in surfaces],
+                    dtype=bool)
     modes = list(_MODES) if mode in _MODES else list(_MODES) + [mode]
     n = len(origins)
     O, D, W = origins, directions, weights
@@ -283,6 +282,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     parents = [np.full(n, -1)]
     log = []
     step = 0
+    left = np.full(n, -1)  # the flat element each ray just left, or -1
     while len(pid):
         n = len(pid)
         label = np.full(n, _FADED)
@@ -299,33 +299,48 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         elif len(live):
             o, d = O[live], D[live]
             T = np.full((eye_k + 1, len(live)), np.inf)
+            # Each plane's Crossings; None for a curved cap or a plane no
+            # ray hits.
+            hits = [None] * (eye_k + 1)
             for k, surface in enumerate(surfaces):
-                t = _hit_distances(surface, o, d)
-                if t is not None:
-                    T[k] = t
-            T[eye_k] = _eye_distances(scene.eye, o, d)
+                if isinstance(surface, ConvexMirror) and not surface.flat:
+                    T[k] = sphere_cap_hits(surface, o, d)
+                else:
+                    hits[k] = plane_hits(o, d, surface.pose, surface.extent)
+                    if hits[k] is not None:
+                        T[k] = hits[k].t
+            hits[eye_k] = _eye_crossings(scene.eye, o, d)
+            T[eye_k] = hits[eye_k].t
+            # A ray never hits the flat element it just left.
+            came = np.flatnonzero(left[live] >= 0)
+            T[left[live[came]], came] = np.inf
             # argmin keeps the first of equal distances, so an earlier
             # surface wins a tie and the eye (last row) must be nearer.
             near = np.argmin(T, axis=0)
             t = T[near, np.arange(len(live))]
             hit = np.isfinite(t)
             label[live[~hit]] = _ESCAPED
+            cols = np.flatnonzero(hit)  # the hit rays' columns of T
             live, near, t = live[hit], near[hit], t[hit]
             elem[live] = near
-            point[live] = along_rows(O[live], t, D[live])
             for k in np.unique(near).tolist():
-                rows = live[near == k]
+                at = near == k
+                rows = live[at]
+                if hits[k] is None:
+                    p, u, v = along_rows(O[rows], t[at], D[rows]), None, None
+                else:
+                    p, u, v = hits[k].at(cols[at])
+                point[rows] = p
                 if k == eye_k:
                     label[rows] = _REACHED_EYE
                     continue
                 surface = surfaces[k]
-                p, d = point[rows], D[rows]
+                d = D[rows]
                 if isinstance(surface, Screen):
                     label[rows] = _SCREEN
                 elif isinstance(surface, Absorber):
                     label[rows] = _ABSORBED
                 elif isinstance(surface, ThinLens):
-                    u, v = surface.pose.uv_of(p)
                     passing, out = refract_thin_lens(surface, u, v, d)
                     label[rows] = _ABSORBED
                     if passing is not None:
@@ -354,10 +369,9 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                         surface, local, uniform_draws(seed, rid[rows], step))
                     kept = codes != _PLATE_ABSORB
                     label[rows[~kept]] = _ABSORBED
-                    rows, codes, p = rows[kept], codes[kept], p[kept]
-                    u, v = surface.pose.uv_of(p)
+                    rows, codes = rows[kept], codes[kept]
                     point[rows], out_dir[rows] = plate_exit(
-                        surface, p, u, v, local[kept], codes)
+                        surface, p[kept], u[kept], v[kept], local[kept], codes)
                     label[rows] = _PLATE + codes
                     out_m[rows] = _PLATE_MODE[codes]
                     cont[rows] = True
@@ -373,6 +387,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         parents.append(pid[src[len(go):]])
         exit_dir = np.concatenate([out_dir[go]] + [dirs for _, dirs, _ in spawned])
         O, D = advanced_rows(point[src], normalize_rows(exit_dir))
+        left = np.where(flat[elem[src]], elem[src], -1)
         W = np.concatenate([out_w[go]] + [w for _, _, w in spawned])
         M = out_m[src]
         rid = rid[src]
@@ -490,9 +505,9 @@ def spot_diagram(bundle: BundleResult, plane: Pose,
     terminal ray crosses the plane going forward.
     """
     rows = bundle.propagating(mode)
-    _, _, u, v = plane_crossings(bundle.origin[rows], bundle.direction[rows], plane)
-    if len(u) == 0:
+    hits = plane_crossings(bundle.origin[rows], bundle.direction[rows], plane)
+    if len(hits.u) == 0:
         raise EmptySpot("no terminal ray crosses the spot plane")
-    pts = np.stack([u, v], axis=1)
+    pts = np.stack([hits.u, hits.v], axis=1)
     centred = pts - pts.mean(axis=0)
     return SpotDiagram(pts, float(np.sqrt((centred ** 2).sum(axis=1).mean())))

@@ -419,6 +419,50 @@ def test_screen_emit_is_sample_screen_row_bit_for_bit(seed, n, flip):
         assert one == batch[i] == _bilinear_reference(s, float(u[i]), float(v[i]))
 
 
+
+def _indexed_sample_screen(screen, u, v):
+    # sample_screen as it was before its four flat gathers: clipped integer
+    # indices into the 2-D image.
+    w, h = screen.extent
+    su = (u + 0.5 * w) / w
+    sv = (v + 0.5 * h) / h
+    if screen.flip_uv[0]:
+        su = 1.0 - su
+    if screen.flip_uv[1]:
+        sv = 1.0 - sv
+    rows, cols = screen.image.shape
+    x = su * cols - 0.5
+    y = (1.0 - sv) * rows - 0.5
+    x0 = np.floor(x)
+    y0 = np.floor(y)
+    fx = x - x0
+    fy = y - y0
+    xa = np.clip(x0.astype(np.int64), 0, cols - 1)
+    xb = np.clip(x0.astype(np.int64) + 1, 0, cols - 1)
+    ya = np.clip(y0.astype(np.int64), 0, rows - 1)
+    yb = np.clip(y0.astype(np.int64) + 1, 0, rows - 1)
+    img = screen.image
+    top = img[ya, xa] * (1.0 - fx) + img[ya, xb] * fx
+    bot = img[yb, xa] * (1.0 - fx) + img[yb, xb] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.tuples(st.booleans(), st.booleans()),
+       st.sampled_from(("any", "1x1", "1xn", "nx1")))
+@settings(max_examples=100, deadline=None)
+def test_sample_screen_keeps_the_indexed_bits(seed, n, flip, shape):
+    rng = np.random.default_rng(seed)
+    side = int(rng.integers(2, 9))
+    size = {"any": tuple(rng.integers(1, 9, 2)), "1x1": (1, 1),
+            "1xn": (1, side), "nx1": (side, 1)}[shape]
+    extent = tuple(rng.uniform(0.5, 300.0, 2))
+    s = Screen("S", facing_z(), extent, rng.uniform(0.0, 2.0, size), flip)
+    # Up to one and a half widths off centre: border texels clamp.
+    u = rng.uniform(-1.5, 1.5, n) * extent[0]
+    v = rng.uniform(-1.5, 1.5, n) * extent[1]
+    assert sample_screen(s, u, v).tobytes() == _indexed_sample_screen(s, u, v).tobytes()
+
 class TestValidationMisc:
     def test_extent_positive(self):
         with pytest.raises(InvalidGeometry):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from tmdsim.errors import DegenerateBundle, InvalidGeometry
 from tmdsim.geometry import (PLANE_EPS, RAY_ADVANCE, Pose, Ray, RayRows,
-                             advanced, closest_point_to_rays, dot_rows,
-                             intersect_plane,
+                             advanced, along_rows, closest_point_to_rays,
+                             dot_rows, intersect_plane,
                              normalize, normalize_rows, orthonormal_frame,
                              plane_crossings, plane_hits, reflect,
                              reflect_rows, vec3)
@@ -182,16 +182,18 @@ class TestPlaneIntersection:
 
 
 def _crossings(o, d, pose):
-    # plane_crossings with u and v spread over every row (nan off the plane).
-    t, rows, u, v = plane_crossings(o, d, pose)
-    uv = np.full((len(t), 2), np.nan)
-    uv[slice(None) if rows is None else rows] = np.stack([u, v], axis=1)
-    return np.column_stack([t, uv])
+    # plane_crossings with points, u and v spread over every row (nan off
+    # the plane).
+    hits = plane_crossings(o, d, pose)
+    spread = np.full((len(hits.t), 5), np.nan)
+    spread[slice(None) if hits.rows is None else hits.rows] = np.column_stack(
+        [hits.points, hits.u, hits.v])
+    return np.column_stack([hits.t, spread])
 
 
 def _hits(o, d, pose):
-    t = plane_hits(o, d, pose, (120.0, 80.0))
-    return np.full(len(o), np.inf) if t is None else t
+    hits = plane_hits(o, d, pose, (120.0, 80.0))
+    return np.full(len(o), np.inf) if hits is None else hits.t
 
 
 # Each shared row form as a function of (origins, directions, pose), giving
@@ -228,6 +230,32 @@ class TestBatchInvariance:
         pair = f(o[[j, i]], d[[j, i]], pose)[1]
         assert full.tobytes() == alone.tobytes() == pair.tobytes()
 
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_record_gives_the_recomputed_hit_bits(self, seed, n, data):
+        # What Crossings.at hands to an interaction is what the interaction
+        # would compute from the winners' t: o + t d, then uv_of.
+        rng = np.random.default_rng(seed)
+        pose = Pose.facing(rng.uniform(-50.0, 50.0, 3), rng.standard_normal(3),
+                           rng.standard_normal(3))
+        o = rng.uniform(-100.0, 100.0, (n, 3))
+        d = normalize_rows(rng.standard_normal((n, 3)))
+        hits = plane_hits(o, d, pose, (120.0, 80.0))
+        if hits is None:
+            return
+        inside = np.flatnonzero(np.isfinite(hits.t))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(inside),
+                                  max_size=len(inside)))
+        winners = inside[np.array(keep, dtype=bool)]
+        if data.draw(st.booleans()) and len(inside) == n:
+            winners = None  # every ray wins, as the renderer passes it
+        rows = np.arange(n) if winners is None else winners
+        point = along_rows(o[rows], hits.t[rows], d[rows])
+        u, v = pose.uv_of(point)
+        got = hits.at(winners)
+        for a, b in zip(got, (point, u, v)):
+            assert a.tobytes() == b.tobytes()
 
 class TestClosestPoint:
     def test_recovers_common_point(self):

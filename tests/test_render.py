@@ -6,15 +6,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmdsim import render
 from tmdsim.elements import Screen, TmdPlate
 from tmdsim.errors import InvalidGeometry, IoError
 from tmdsim.geometry import Pose, normalize, vec3
 from tmdsim.presets import build_preset, defocus_scene, tmd_see_through_preset
-from tmdsim.render import (ROW_BLOCK, Image, SweepResult, _pool_size,
-                           best_offset, defocus_sweep, read_ppm, render_view,
-                           sharpness_metric, tone_map, write_csv, write_ppm)
+from tmdsim.render import (ROW_BLOCK, Image, SweepResult, _normalized,
+                           _pool_size, best_offset, defocus_sweep, read_ppm,
+                           render_view, sharpness_metric, tone_map, write_csv,
+                           write_ppm)
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
 from tmdsim.tracer import Cone, trace_bundle
 
@@ -34,6 +37,29 @@ def flat_mirror_scene(pattern, sensor=(128, 128, 0.4)):
                     focal_length=100.0, aperture_diameter=8.0, sensor=sensor)
     return Scene((plate, screen), eye)
 
+
+
+def _linalg_normalized(v):
+    # The renderer's row normalization before it went a column at a time.
+    n = np.linalg.norm(v, axis=1)
+    for j in range(3):
+        v[:, j] /= n
+    return v
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.data())
+@settings(max_examples=100, deadline=None)
+def test_normalized_keeps_the_linalg_norm_bits(seed, n, data):
+    # Rows of magnitude 1e-150 to 1e150, some with zero components, in a
+    # batch and alone.
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-150, 150, (n, 1))
+    v[rng.random((n, 3)) < 0.2] = 0.0
+    v[:, 2] = np.where((v == 0.0).all(axis=1), 1.0, v[:, 2])
+    i = data.draw(st.integers(0, n - 1))
+    assert _normalized(v.copy()).tobytes() == _linalg_normalized(v.copy()).tobytes()
+    assert (_normalized(v[i:i + 1].copy()).tobytes()
+            == _linalg_normalized(v[i:i + 1].copy()).tobytes())
 
 class TestToneMap:
     def test_black_stays_black(self):

@@ -21,6 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
                              ThinLens, TmdPlate)
@@ -333,3 +335,18 @@ def test_plate_rows_below_the_cutoff_are_dropped_alone():
     assert lum[10, 12] > 0.5
     assert np.array_equal(render_view(scene, rays_per_pixel=4, workers=3).pixels,
                           render_view(scene, rays_per_pixel=4, workers=1).pixels)
+
+
+@given(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0),
+                 st.floats(-60.0, 100.0)),
+       st.sampled_from((3, 7, 33)), st.sampled_from(RPP))
+@settings(max_examples=60, deadline=None)
+def test_centre_pixel_ignores_the_view_size(target, n, rpp):
+    # The centre pixel of an odd n x n view sits at xs = ys = 0, so its rays
+    # are bit for bit those of the 1 x 1 view aimed the same way; only the
+    # rows that share their batches differ (one row alone in the 1 x 1).
+    scene, one = _turned_view(*_one_pixel_mixed(target))
+    pixels = [render_view(scene, camera, rays_per_pixel=rpp, seed=SEED,
+                          workers=1).pixels
+              for camera in (one, _with_sensor(one, n, n))]
+    assert pixels[1][n // 2, n // 2].tobytes() == pixels[0][0, 0].tobytes()
