@@ -230,7 +230,6 @@ class TestBatchInvariance:
         pair = f(o[[j, i]], d[[j, i]], pose)[1]
         assert full.tobytes() == alone.tobytes() == pair.tobytes()
 
-
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.data())
     @settings(max_examples=100, deadline=None)
     def test_record_gives_the_recomputed_hit_bits(self, seed, n, data):
@@ -256,6 +255,7 @@ class TestBatchInvariance:
         got = hits.at(winners)
         for a, b in zip(got, (point, u, v)):
             assert a.tobytes() == b.tobytes()
+
 
 class TestClosestPoint:
     def test_recovers_common_point(self):
