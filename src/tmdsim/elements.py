@@ -264,7 +264,7 @@ def refract_thin_lens(lens: ThinLens, u: np.ndarray, v: np.ndarray,
         local, aw = local[fine], aw[fine]
         rows = fine if rows is None else rows[fine]
     f = lens.focal_length
-    out = np.empty_like(local)
+    out = np.empty((len(local), 3))
     np.subtract(local[:, 0] / aw, take_rows(u, rows) / f, out=out[:, 0])
     np.subtract(local[:, 1] / aw, take_rows(v, rows) / f, out=out[:, 1])
     np.sign(local[:, 2], out=out[:, 2])
@@ -381,7 +381,7 @@ def plate_exit(plate: TmdPlate, points: np.ndarray, u: np.ndarray,
     """
     pose = plate.pose
     flips = _PLATE_FLIPS[codes]
-    flipped = np.empty_like(local_dirs)
+    flipped = np.empty((len(local_dirs), 3))
     for j in range(3):
         np.multiply(local_dirs[:, j], flips[..., j], out=flipped[:, j])
     out = pose.to_world_dirs(flipped)
@@ -400,12 +400,16 @@ def _hit(ray: Ray, pose: Pose, extent, what: str):
     return hit
 
 
+def _uv_rows(hit):
+    """A PlaneHit's local u and v as the one-row arrays of the batch forms."""
+    return np.array(hit.uv)[:, None]
+
+
 def thin_lens_transform(ray: Ray, lens: ThinLens) -> Ray:
     """Refract a ray through an ideal thin lens (see refract_thin_lens)."""
     d = lens.aperture_diameter
     hit = _hit(ray, lens.pose, (d, d), f"lens {lens.ident!r}")
-    _, out = refract_thin_lens(lens, *lens.pose.uv_of(hit.point[None]),
-                               ray.direction[None])
+    _, out = refract_thin_lens(lens, *_uv_rows(hit), ray.direction[None])
     if len(out) == 0:
         raise NoIntersection(f"ray misses the clear aperture of lens {lens.ident!r}")
     return replace(ray, origin=hit.point,
@@ -446,9 +450,8 @@ def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
     if mode not in _MODE_TAG:
         raise ValueError(f"unknown plate mode {mode!r}")
     hit = _hit(ray, plate.pose, plate.extent, f"plate {plate.ident!r}")
-    point = hit.point[None]
     local = plate.pose.to_local_dirs(ray.direction[None])
-    exits, out = plate_exit(plate, point, *plate.pose.uv_of(point), local,
+    exits, out = plate_exit(plate, hit.point[None], *_uv_rows(hit), local,
                             PLATE_INTERACTIONS.index(mode))
     return replace(ray, origin=exits[0], direction=out[0], mode=_MODE_TAG[mode])
 

@@ -62,6 +62,15 @@ def normalize(v) -> np.ndarray:
 #   column at a time (`along_rows`, `sub_rows`, `normalize_rows`,
 #   `reflect_rows`, `pick_rows`): the same IEEE operation on every element,
 #   with long inner loops instead of 3-long ones.
+# - Every form writes its rows into a fresh C-ordered (n, 3) array, never
+#   one laid out like its input: np.empty_like of a Fortran-ordered array
+#   or a stride-0 broadcast gives Fortran order, on which the next gemv
+#   rounds differently.  `dot_rows` makes its rows C-contiguous itself.
+# - Rays that share their origin (a camera's rays for one aperture sample)
+#   may hand it over as one 3-vector: `plane_crossings` computes
+#   (position - origin).n once, as a one-row `dot_rows`, and `along_rows`
+#   broadcasts the origin.  Each ray gets the bits of its origin copied to
+#   every row.
 #
 # Pinned twins.  Two pieces of row maths keep one form per tracer, because
 # each tracer's golden digests pin its own rounding of them:
@@ -76,7 +85,8 @@ def normalize(v) -> np.ndarray:
 
 
 def dot_rows(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Dot of each row with a fixed 3-vector, as one gemv."""
+    """Dot of each row with a fixed 3-vector, as one gemv on C rows."""
+    rows = np.ascontiguousarray(rows)
     if len(rows) == 1:
         return (np.concatenate((rows, rows)) @ vec)[:1]
     return rows @ vec
@@ -103,7 +113,7 @@ def along_rows(o: np.ndarray, t: np.ndarray, d: np.ndarray,
 
 def sub_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a - b over rows, either of them a fixed 3-vector."""
-    out = np.empty_like(a if a.ndim == 2 else b)
+    out = np.empty((len(a if a.ndim == 2 else b), 3))
     for j in range(3):
         np.subtract(_col(a, j), _col(b, j), out=out[:, j])
     return out
@@ -125,7 +135,7 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     n = np.sqrt(np.vecdot(v, v))
     if not ((n >= 1e-300) & (n < math.inf)).all():
         raise ValueError("cannot normalize a zero or non-finite vector")
-    out = np.empty_like(v)
+    out = np.empty((len(v), 3))
     for j in range(3):
         np.divide(v[:, j], n, out=out[:, j])
     return out
@@ -133,7 +143,7 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
 
 def pick_rows(keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i of `a` where keep[i], else row i of `b`."""
-    out = np.empty_like(a)
+    out = np.empty((len(a), 3))
     for j in range(3):
         out[:, j] = np.where(keep, a[:, j], b[:, j])
     return out
@@ -149,7 +159,7 @@ def reflect_rows(directions: np.ndarray, normals: np.ndarray,
         dots = (dot_rows(directions, normals) if normals.ndim == 1
                 else np.vecdot(directions, normals))
     s = 2.0 * dots
-    out = np.empty_like(directions)
+    out = np.empty((len(directions), 3))
     for j in range(3):
         col = out[:, j]
         np.multiply(s, _col(normals, j), out=col)
@@ -353,12 +363,12 @@ class PlaneHit(NamedTuple):
 class Crossings(NamedTuple):
     """Where rays meet the unbounded plane of a pose (see plane_crossings).
 
-    t is each ray's hit distance, inf for a ray parallel to the plane or
-    crossing it no farther than PLANE_EPS ahead (and, from plane_hits, for
-    a ray that misses the rectangle).  `rows` indexes the other rays, the
-    ones ahead of the plane (None when that is every ray); `points` are
-    their crossings and u, v their local coordinates, in the order of
-    `rows`.
+    t is each ray's hit distance, inf for a ray parallel to the plane,
+    crossing it no farther than PLANE_EPS ahead or no nearer than its bound
+    (and, from plane_hits, for a ray that misses the rectangle).  `rows`
+    indexes the other rays, the ones ahead of the plane (None when that is
+    every ray); `points` are their crossings and u, v their local
+    coordinates, in the order of `rows`.
     """
     t: np.ndarray
     rows: Optional[np.ndarray]
@@ -378,19 +388,30 @@ class Crossings(NamedTuple):
 
 
 def plane_crossings(origins: np.ndarray, directions: np.ndarray,
-                    pose: Pose) -> Crossings:
-    """Where each ray meets the unbounded plane of `pose`, as a Crossings."""
+                    pose: Pose, bound=None) -> Crossings:
+    """Where each ray meets the unbounded plane of `pose`, as a Crossings.
+
+    `origins` are rows, or one 3-vector that every ray starts from.  With a
+    `bound` (one distance per ray), a ray counts as ahead of the plane only
+    if it crosses it nearer than its bound: the others get t = inf and no
+    crossing point.  A bound of -inf rules a ray out.
+    """
     n = pose.normal
     denom = dot_rows(directions, n)
     parallel = np.abs(denom) < PARALLEL_EPS
     if parallel.any():
         denom = np.where(parallel, 1.0, denom)
-    t = dot_rows(sub_rows(pose.position, origins), n) / denom
+    # One row, (position - origin).n, when the rays share their origin.
+    t = dot_rows(sub_rows(pose.position, np.atleast_2d(origins)), n) / denom
     ahead = ~parallel & (t > PLANE_EPS)
+    if bound is not None:
+        ahead &= t < bound
     rows = subset(ahead)
     if rows is not None:
         t[~ahead] = np.inf
-    points = along_rows(take_rows(origins, rows), take_rows(t, rows),
+    if origins.ndim == 2:
+        origins = take_rows(origins, rows)
+    points = along_rows(origins, take_rows(t, rows),
                         take_rows(directions, rows))
     rel = sub_rows(points, pose.position)
     return Crossings(t, rows, points, dot_rows(rel, pose.u_axis),
@@ -408,15 +429,16 @@ def mark_misses(t: np.ndarray, rows: Optional[np.ndarray], out: np.ndarray) -> N
 
 
 def plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
-               extent) -> Optional[Crossings]:
+               extent, bound=None) -> Optional[Crossings]:
     """The rays' Crossings with a bounded rectangle, t inf where a ray
     misses it, or None when every ray misses.
 
     `extent` is the full (width, height) of the rectangle centred on the
-    pose; hits farther than PLANE_EPS along the ray are accepted.  The
-    bounds are tested only on the rays ahead of the plane.
+    pose; hits farther than PLANE_EPS along the ray, and nearer than its
+    `bound` if one is given (see plane_crossings), are accepted.  The
+    rectangle's edges are tested only on the rays ahead of the plane.
     """
-    hits = plane_crossings(origins, directions, pose)
+    hits = plane_crossings(origins, directions, pose, bound)
     inside = _inside(hits.u, hits.v, extent)
     if not inside.any():
         return None

@@ -17,7 +17,10 @@ a surface.
 
 The row arithmetic is geometry.py's and elements.py's, under the layout
 rules stated once in geometry.py, so no rework of the batch loop can move
-a pixel.  The renderer keeps only its pinned twins named there: its row
+a pixel.  Each batch's nearest-hit search tests a plane only for the rays
+that would cross it nearer than their best hit so far, and the camera
+rays of one aperture sample hand their shared origin over as one
+3-vector.  The renderer keeps only its pinned twins named there: its row
 normalization and the per-row dots of the sphere cap and of the curved
 mirror.  ROW_BLOCK and the one batch per aperture sample fix which batches
 exist and the order in which samples add into each pixel.
@@ -105,42 +108,56 @@ def _cap_ts(el: ConvexMirror, o: np.ndarray, d: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Batch tracing
 
+def _nearest(surfaces, o, d, left: int):
+    """Nearest hit of each ray: (element index or -1, distance or inf, and
+    the tested elements as (k, the plane's Crossings or None for a curved
+    cap)).
+
+    Each plane is tested only for the rays it could still win, those whose
+    crossing lies nearer than their best hit so far, so an earlier element
+    wins a tie.  The flat element `left` (-1 for none) is not tested.
+    """
+    tmin = np.full(len(d), np.inf)
+    el_idx = np.full(len(d), -1)
+    hit = []
+    for k, el in enumerate(surfaces):
+        if k == left:
+            continue
+        if isinstance(el, ConvexMirror) and not el.flat:
+            hits, ts = None, _cap_ts(el, np.broadcast_to(o, d.shape), d)
+        else:
+            hits = plane_hits(o, d, el.pose, el.extent, tmin)
+            if hits is None:
+                continue
+            ts = hits.t
+        closer = ts < tmin
+        np.copyto(el_idx, k, where=closer)
+        np.copyto(tmin, ts, where=closer)
+        hit.append((k, hits))
+    return el_idx, tmin, hit
+
+
 def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
     if not surfaces:
         return
     # Each batch carries the index of the flat element its rays just left
     # (-1 for camera rays and curved caps): a ray never hits it again.
+    # Camera rays share one origin, a 3-vector; every other batch has rows.
     queue = deque([(o, d, w, pix, -1, 0)])
     while queue:
         o, d, w, pix, left, bounce = queue.popleft()
-        if len(o) == 0 or bounce >= max_bounces:
+        if len(d) == 0 or bounce >= max_bounces:
             continue
-        # Nearest hit: the first element wins a tie, as np.argmin would.
-        tmin = np.full(len(o), np.inf)
-        el_idx = np.full(len(o), -1)
-        hit = []  # (k, the plane's Crossings or None for a curved cap)
-        for k, el in enumerate(surfaces):
-            if k == left:
-                continue
-            if isinstance(el, ConvexMirror) and not el.flat:
-                hits, ts = None, _cap_ts(el, o, d)
-            else:
-                hits = plane_hits(o, d, el.pose, el.extent)
-                if hits is None:
-                    continue
-                ts = hits.t
-            closer = ts < tmin
-            np.copyto(el_idx, k, where=closer)
-            np.copyto(tmin, ts, where=closer)
-            hit.append((k, hits))
+        el_idx, tmin, hit = _nearest(surfaces, o, d, left)
         for k, hits in hit:
             rows = np.flatnonzero(el_idx == k)
             if len(rows) == 0 or isinstance(surfaces[k], Absorber):
                 continue
-            rows = None if len(rows) == len(o) else rows
+            rows = None if len(rows) == len(d) else rows
             bd, bw, bp = (take_rows(a, rows) for a in (d, w, pix))
             if hits is None:
-                point = along_rows(take_rows(o, rows), take_rows(tmin, rows), bd)
+                bo = o if o.ndim == 1 else take_rows(o, rows)
+                point = along_rows(bo, take_rows(tmin, rows), bd)
                 _interact(surfaces[k], -1, point, None, None, bd, bw, bp, acc,
                           queue, bounce + 1)
             else:
@@ -243,8 +260,7 @@ def _render_rows(surfaces, camera: EyeCamera, rows: slice, offsets: np.ndarray,
     for ax, ay in offsets:
         origin = E + ax * U + ay * V
         d = _normalized(sub_rows(P, origin))
-        o = np.broadcast_to(origin, (n, 3)).copy()
-        _trace_batches(surfaces, o, d, np.ones(n), pix, acc, max_bounces)
+        _trace_batches(surfaces, origin, d, np.ones(n), pix, acc, max_bounces)
     return acc / len(offsets)
 
 

@@ -2,11 +2,13 @@
 
 Rays walk the scene by nearest intersection.  The kernel holds every live
 ray of a bundle as rows of arrays (origin, direction, weight, mode, ray id,
-path id) and advances all of them one bounce per pass: one (K, N) matrix of
-hit distances over the K surfaces and the eye, an argmin for the nearest,
-then one batch interaction per element, which reads the hit points and
-(u, v) of its plane's hit record.  A ray is never tested against the flat
-element it just left (see README).  Each row goes through the same
+path id) and advances all of them one bounce per pass: a nearest-hit
+search over the surfaces, then the eye, in which each plane is tested only
+for the rays that would cross it nearer than their best hit so far (so an
+earlier surface wins a tie and the eye must be strictly nearer), then one
+batch interaction per element, which reads the hit points and (u, v) of
+its plane's hit record.  A ray is never tested against the flat element
+it just left (see README).  Each row goes through the same
 floating-point operations as a ray traced on its own, so a bundle is bit
 for bit independent of how its rays are batched.
 
@@ -258,11 +260,44 @@ class BundleResult:
         return ends[keep]
 
 
-def _eye_crossings(eye, origins, directions):
-    hits = plane_crossings(origins, directions, eye.pose)
+def _eye_crossings(eye, origins, directions, bound):
+    hits = plane_crossings(origins, directions, eye.pose, bound)
     u, v = hits.u, hits.v
     mark_misses(hits.t, hits.rows, u * u + v * v > (0.5 * eye.aperture_diameter) ** 2)
     return hits
+
+
+def _nearest(scene: Scene, o, d, left):
+    """Nearest hit of each ray (rows): (element index, eye = len(surfaces),
+    or -1; distance or inf; each plane's Crossings, None for a curved cap
+    or a plane no ray hits).
+
+    Each plane is tested only for the rays it could still win, those whose
+    crossing lies nearer than their best hit so far, so an earlier surface
+    wins a tie and the eye, tested last, must be strictly nearer.  A ray is
+    not tested against the flat element `left[i]` it just left (-1 for
+    none).
+    """
+    surfaces = scene.surfaces
+    tmin = np.full(len(d), np.inf)
+    near = np.full(len(d), -1)
+    hits = [None] * (len(surfaces) + 1)
+    for k, surface in enumerate(surfaces + (scene.eye,)):
+        if k == len(surfaces):
+            hits[k] = _eye_crossings(surface, o, d, tmin)
+            ts = hits[k].t
+        elif isinstance(surface, ConvexMirror) and not surface.flat:
+            ts = sphere_cap_hits(surface, o, d)
+        else:
+            bound = np.where(left == k, -np.inf, tmin)
+            hits[k] = plane_hits(o, d, surface.pose, surface.extent, bound)
+            if hits[k] is None:
+                continue
+            ts = hits[k].t
+        closer = ts < tmin
+        np.copyto(near, k, where=closer)
+        np.copyto(tmin, ts, where=closer)
+    return near, tmin, hits
 
 
 def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
@@ -297,30 +332,10 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         if step >= max_bounces:
             label[live] = _MAX_BOUNCES
         elif len(live):
-            o, d = O[live], D[live]
-            T = np.full((eye_k + 1, len(live)), np.inf)
-            # Each plane's Crossings; None for a curved cap or a plane no
-            # ray hits.
-            hits = [None] * (eye_k + 1)
-            for k, surface in enumerate(surfaces):
-                if isinstance(surface, ConvexMirror) and not surface.flat:
-                    T[k] = sphere_cap_hits(surface, o, d)
-                else:
-                    hits[k] = plane_hits(o, d, surface.pose, surface.extent)
-                    if hits[k] is not None:
-                        T[k] = hits[k].t
-            hits[eye_k] = _eye_crossings(scene.eye, o, d)
-            T[eye_k] = hits[eye_k].t
-            # A ray never hits the flat element it just left.
-            came = np.flatnonzero(left[live] >= 0)
-            T[left[live[came]], came] = np.inf
-            # argmin keeps the first of equal distances, so an earlier
-            # surface wins a tie and the eye (last row) must be nearer.
-            near = np.argmin(T, axis=0)
-            t = T[near, np.arange(len(live))]
+            near, t, hits = _nearest(scene, O[live], D[live], left[live])
             hit = np.isfinite(t)
             label[live[~hit]] = _ESCAPED
-            cols = np.flatnonzero(hit)  # the hit rays' columns of T
+            cols = np.flatnonzero(hit)  # the hit rays' places among the live
             live, near, t = live[hit], near[hit], t[hit]
             elem[live] = near
             for k in np.unique(near).tolist():

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from tmdsim.elements import (ConvexMirror, HalfMirror, INTERACT_ABSORB,
                              INTERACT_DOUBLE, INTERACT_PASS,
-                             INTERACT_SINGLE_U, INTERACT_SINGLE_V, Screen,
-                             ThinLens, TmdPlate, classify_tmd_mode,
-                             convex_mirror_transform, half_mirror_interact,
-                             quantize_uv, refract_thin_lens, sample_screen,
-                             screen_emit, split_weight,
-                             thin_lens_transform, tmd_transform)
+                             INTERACT_SINGLE_U, INTERACT_SINGLE_V,
+                             PLATE_INTERACTIONS, Screen, ThinLens, TmdPlate,
+                             classify_tmd_mode, convex_mirror_transform,
+                             half_mirror_interact, plate_exit, quantize_uv,
+                             refract_thin_lens, sample_screen, screen_emit,
+                             split_weight, thin_lens_transform, tmd_transform)
 from tmdsim.errors import InvalidGeometry, NoIntersection, OutOfBounds
-from tmdsim.geometry import Pose, Ray, closest_point_to_rays, normalize, vec3
+from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
+                             normalize_rows, orthonormal_frame, plane_hits,
+                             vec3)
 
 
 def facing_z(position=(0.0, 0.0, 0.0)):
@@ -340,6 +342,43 @@ class TestTmdTransform:
         with pytest.raises(ValueError):
             tmd_transform(Ray(vec3(0, 0, 5.0), vec3(0, 0, -1.0)),
                           self.plate(), "warp")
+
+
+# The golden scenes' general rigid motion (tests/test_*_golden.py).
+TURN = orthonormal_frame(vec3(0.3, -0.5, 0.8), (0.6, 0.7, 0.2))
+SHIFT = vec3(7.0, -4.0, 3.0)
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((INTERACT_DOUBLE, INTERACT_SINGLE_U, INTERACT_SINGLE_V,
+                        INTERACT_PASS)))
+@settings(max_examples=60, deadline=None)
+def test_per_ray_forms_give_the_batch_bits(seed, mode):
+    # thin_lens_transform and tmd_transform read (u, v) from the hit record:
+    # a ray gets the bits of the batch forms fed the plane_hits record.
+    rng = np.random.default_rng(seed)
+    pose = Pose.facing(SHIFT, TURN @ vec3(0.0, 0.0, 1.0), TURN @ vec3(0.0, 1.0, 0.0))
+    target = pose.position + TURN @ vec3(*rng.uniform(-7.0, 7.0, 2), 0.0)
+    origin = pose.position + TURN @ (rng.uniform(-20.0, 20.0, 3) + vec3(0, 0, 60))
+    ray = Ray(origin, target - origin)
+    o, d = ray.origin[None], ray.direction[None]
+
+    lens = ThinLens("lens", pose, 35.0, 20.0)
+    point, u, v = plane_hits(o, d, pose, (20.0, 20.0)).at(None)
+    _, out = refract_thin_lens(lens, u, v, d)
+    want = Ray(point[0], pose.to_world_dirs(normalize_rows(out))[0])
+    got = thin_lens_transform(ray, lens)
+    assert got.origin.tobytes() == want.origin.tobytes()
+    assert got.direction.tobytes() == want.direction.tobytes()
+
+    plate = TmdPlate("plate", pose, (30.0, 30.0), pitch=0.3)
+    point, u, v = plane_hits(o, d, pose, plate.extent).at(None)
+    exits, out = plate_exit(plate, point, u, v, pose.to_local_dirs(d),
+                            PLATE_INTERACTIONS.index(mode))
+    want = Ray(exits[0], out[0])
+    got = tmd_transform(ray, plate, mode)
+    assert got.origin.tobytes() == want.origin.tobytes()
+    assert got.direction.tobytes() == want.direction.tobytes()
 
 
 class TestScreenEmit:

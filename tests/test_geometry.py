@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmdsim.elements import ThinLens, TmdPlate, plate_exit, refract_thin_lens
 from tmdsim.errors import DegenerateBundle, InvalidGeometry
 from tmdsim.geometry import (PLANE_EPS, RAY_ADVANCE, Pose, Ray, RayRows,
                              advanced, along_rows, closest_point_to_rays,
                              dot_rows, intersect_plane,
                              normalize, normalize_rows, orthonormal_frame,
-                             plane_crossings, plane_hits, reflect,
-                             reflect_rows, vec3)
+                             pick_rows, plane_crossings, plane_hits, reflect,
+                             reflect_rows, sub_rows, vec3)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 unit_ish = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
@@ -209,6 +210,40 @@ ROW_FORMS = {
 }
 
 
+def _refracted(o, d, pose):
+    # Every row passes: the clear aperture is far wider than the rows' spread.
+    _, out = refract_thin_lens(ThinLens("lens", pose, 50.0, 1e6),
+                               *pose.uv_of(o), d)
+    return out
+
+
+def _plate_exit(o, d, pose):
+    plate = TmdPlate("plate", pose, (1e6, 1e6), pitch=0.7)
+    exits, out = plate_exit(plate, o, *pose.uv_of(o), pose.to_local_dirs(d),
+                            np.arange(len(o)) % 4)
+    return np.column_stack([exits, out])
+
+
+# ROW_FORMS and the other forms that allocate their own output rows.
+LAYOUT_FORMS = dict(ROW_FORMS, **{
+    "sub_rows": lambda o, d, pose: sub_rows(pose.position, o),
+    "along_rows": lambda o, d, pose: along_rows(o, dot_rows(d, pose.normal), d),
+    "normalize_rows": lambda o, d, pose: normalize_rows(o),
+    "pick_rows": lambda o, d, pose: pick_rows(o[:, 0] > 0.0, o, d),
+    "refract_thin_lens": _refracted,
+    "plate_exit": _plate_exit,
+})
+
+
+def _random_rows(seed, n):
+    rng = np.random.default_rng(seed)
+    pose = Pose.facing(rng.uniform(-50.0, 50.0, 3), rng.standard_normal(3),
+                       rng.standard_normal(3))
+    o = rng.uniform(-100.0, 100.0, (n, 3))
+    d = normalize_rows(rng.standard_normal((n, 3)))
+    return pose, o, d
+
+
 class TestBatchInvariance:
     @given(st.sampled_from(sorted(ROW_FORMS)), st.integers(0, 2 ** 32 - 1),
            st.integers(1, 40), st.data())
@@ -229,6 +264,51 @@ class TestBatchInvariance:
         alone = f(o[i:i + 1], d[i:i + 1], pose)[0]
         pair = f(o[[j, i]], d[[j, i]], pose)[1]
         assert full.tobytes() == alone.tobytes() == pair.tobytes()
+
+    @given(st.sampled_from(sorted(LAYOUT_FORMS)), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_bits_ignore_the_memory_layout(self, form, seed, n, data):
+        # Outputs are C-ordered rows whatever the inputs' layout, so the
+        # gemv that follows rounds a row the same on C rows, on a Fortran
+        # copy and on a stride-0 broadcast of one row (how rays that share
+        # an origin reach the curved cap).
+        pose, o, d = _random_rows(seed, n)
+        i = data.draw(st.integers(0, n - 1))
+        f = LAYOUT_FORMS[form]
+        assert (f(o, d, pose).tobytes()
+                == f(np.asfortranarray(o), np.asfortranarray(d), pose).tobytes())
+        copied = np.repeat(o[i:i + 1], n, axis=0)
+        shared = np.broadcast_to(o[i], (n, 3))
+        assert f(copied, d, pose).tobytes() == f(shared, d, pose).tobytes()
+        assert (f(copied, np.repeat(d[i:i + 1], n, axis=0), pose).tobytes()
+                == f(shared, np.broadcast_to(d[i], (n, 3)), pose).tobytes())
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_origin_and_bound_keep_the_bits(self, seed, n):
+        # One 3-vector origin gives the bits of that origin copied to every
+        # row.  A bound keeps exactly the rays crossing nearer than it, with
+        # the unbounded record's bits; the others read inf.
+        pose, o, d = _random_rows(seed, n)
+        o = np.repeat(o[:1], n, axis=0)
+        full = plane_crossings(o, d, pose)
+        rng = np.random.default_rng(seed)
+        bound = rng.uniform(-50.0, 300.0, n)
+        for value in (np.inf, -np.inf, full.t):  # full.t: a tie is not nearer
+            pick = rng.random(n) < 0.2
+            bound[pick] = np.broadcast_to(value, n)[pick]
+        keep = full.t < bound
+        rows = np.flatnonzero(keep)
+        for origins in (o, o[0]):
+            assert (_crossings(origins, d, pose).tobytes()
+                    == _crossings(o, d, pose).tobytes())
+            got = plane_crossings(origins, d, pose, bound)
+            assert got.t.tobytes() == np.where(keep, full.t, np.inf).tobytes()
+            assert np.array_equal(np.arange(n) if got.rows is None else got.rows,
+                                  rows)
+            for a, b in zip(got.at(rows), full.at(rows)):
+                assert a.tobytes() == b.tobytes()
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.data())
     @settings(max_examples=100, deadline=None)

@@ -1,0 +1,178 @@
+"""Both tracers' nearest-hit search against a plain scan.
+
+Each tracer tests a plane only for the rays it could still win: those
+crossing it nearer than their best hit so far.  Wrapped around every
+search of a real trace or render of the golden scenes, and of a scene
+whose planes coincide so that rays tie exactly, the search must give the
+element, the distance bits and the hit-record bits of a scan that tests
+every element for every ray, rules out the flat element a ray just left
+and keeps the first of equal distances, so that an earlier element wins a
+tie and the forward tracer's eye, tested last, must be strictly nearer.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import test_left_element
+import test_render_golden as render_golden
+import test_trace_golden as trace_golden
+from tmdsim import render, tracer
+from tmdsim.elements import Absorber, ConvexMirror, Screen, sphere_cap_hits
+from tmdsim.geometry import Pose, normalize, plane_hits, vec3
+from tmdsim.render import render_view
+from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
+from tmdsim.tracer import Cone, trace_bundle
+
+TURN, SHIFT = trace_golden.TURN, trace_golden.SHIFT
+
+
+def _scan(surfaces, o, d, left, cap_ts, eye=None):
+    """(element or -1, distance or inf, records by element, exact ties) of
+    every element tested for every ray, then the eye if given."""
+    o = np.broadcast_to(o, d.shape).copy()
+    ts, records = [], {}
+    for k, el in enumerate(surfaces):
+        if isinstance(el, ConvexMirror) and not el.flat:
+            ts.append(cap_ts(el, o, d))
+            continue
+        records[k] = plane_hits(o, d, el.pose, el.extent)
+        ts.append(np.full(len(d), np.inf) if records[k] is None
+                  else records[k].t)
+    if eye is not None:
+        records[len(surfaces)] = tracer._eye_crossings(eye, o, d, None)
+        ts.append(records[len(surfaces)].t)
+    T = np.array(ts)
+    rays = np.flatnonzero(left >= 0)
+    T[left[rays], rays] = np.inf
+    near = np.argmin(T, axis=0)  # the first of equal distances
+    t = T[near, np.arange(len(d))]
+    near[t == np.inf] = -1
+    ties = int(np.count_nonzero(((T == t).sum(axis=0) > 1) & (t < np.inf)))
+    return near, t, records, ties
+
+
+def _assert_same(near, t, records, want):
+    want_near, want_t, want_records, _ = want
+    assert np.array_equal(near, want_near)
+    assert t.tobytes() == want_t.tobytes()
+    for k in np.unique(near[near >= 0]).tolist():
+        if k in want_records:
+            rays = np.flatnonzero(near == k)
+            for a, b in zip(records[k].at(rays), want_records[k].at(rays)):
+                assert a.tobytes() == b.tobytes()
+
+
+class Checked:
+    """The tracers' searches wrapped with the scan; counts calls and ties."""
+
+    def __init__(self, mp):
+        self.calls = self.ties = 0
+        forward, backward = tracer._nearest, render._nearest
+
+        def checked_forward(scene, o, d, left):
+            near, t, hits = forward(scene, o, d, left)
+            self._check(near, t, dict(enumerate(hits)),
+                        _scan(scene.surfaces, o, d, left, sphere_cap_hits,
+                              scene.eye))
+            return near, t, hits
+
+        def checked_backward(surfaces, o, d, left):
+            near, t, hits = backward(surfaces, o, d, left)
+            self._check(near, t, dict(hits),
+                        _scan(surfaces, o, d, np.full(len(d), left),
+                              render._cap_ts))
+            return near, t, hits
+
+        mp.setattr(tracer, "_nearest", checked_forward)
+        mp.setattr(render, "_nearest", checked_backward)
+
+    def _check(self, near, t, records, want):
+        _assert_same(near, t, records, want)
+        self.calls += 1
+        self.ties += want[3]
+
+
+_SCENES: dict = {}
+
+
+@given(st.sampled_from(sorted(trace_golden.CASES)), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 24))
+@settings(max_examples=40, deadline=None)
+def test_forward_search_matches_the_scan(name, seed, n):
+    scene, source, cone = trace_golden.case_inputs(name)
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        trace_bundle(scene, source, n, cone, seed=seed)
+    assert checked.calls > 0
+
+
+@given(st.sampled_from(sorted(render_golden.CASES)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((1, 4)))
+@settings(max_examples=30, deadline=None)
+def test_backward_search_matches_the_scan(name, seed, rpp):
+    if name not in _SCENES:
+        _SCENES[name] = render_golden.CASES[name]()
+    scene, camera = _SCENES[name]
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        render_view(scene, camera, rays_per_pixel=rpp, seed=seed,
+                    max_bounces=render_golden.MAX_BOUNCES.get(name, 12),
+                    workers=1)
+    assert checked.calls > 0
+
+
+def _turned(position, normal=(0.0, 0.0, 1.0)):
+    return Pose.facing(TURN @ vec3(*position) + SHIFT, TURN @ vec3(*normal),
+                       TURN @ vec3(0.0, 1.0, 0.0))
+
+
+def _coincident(stop_first):
+    """A stop and a panel on one plane, and a rim on the eye's plane: a ray
+    that meets two of them meets both at the same distance, bit for bit."""
+    plane = _turned((0.0, 0.0, 0.0))
+    stop = Absorber("stop", plane, (20.0, 20.0))
+    panel = Screen("panel", plane, (60.0, 60.0), make_pattern("uniform 1.0", 4))
+    eye = EyeCamera("eye", camera_pose(TURN @ vec3(0.0, 0.0, 100.0) + SHIFT,
+                                       TURN @ vec3(0.0, 0.0, -1.0)),
+                    sensor=(16, 16, 2.0))
+    rim = Absorber("rim", eye.pose, (10.0, 10.0))
+    return Scene((stop, panel, rim) if stop_first else (panel, stop, rim), eye)
+
+
+@pytest.mark.parametrize("stop_first", [True, False])
+def test_coincident_planes_tie_to_the_first(stop_first):
+    scene = _coincident(stop_first)
+    source = TURN @ vec3(1.0, -2.0, 50.0) + SHIFT
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        for aim in ((0.0, 0.0, 100.0), (0.0, 0.0, 0.0)):
+            axis = normalize(TURN @ vec3(*aim) + SHIFT - source)
+            bundle = trace_bundle(scene, source, 64, Cone(axis, math.radians(4.0)))
+            # The rim covers the eye's aperture and comes first, so no ray
+            # reaches the eye; the stop's plane is the panel's.
+            assert "reached_eye" not in bundle.stats["terminals"]
+            want_screen = aim[2] == 0.0 and not stop_first
+            assert ("screen" in bundle.stats["interactions"]) == want_screen
+        image = render_view(scene, rays_per_pixel=4, seed=3, workers=1)
+    assert checked.ties > 0
+    # The centre pixels look at the stop, which hides the panel only when
+    # it comes first.
+    centre = image.luminance()[6:10, 6:10]
+    assert (centre == 0.0).all() if stop_first else (centre > 0.0).all()
+
+
+def test_grazing_rays_skip_the_element_they_left():
+    # Without the left-element rule, some of these rays would meet the
+    # plate again right after leaving it (see test_left_element).
+    scene, origins, directions = test_left_element._grazing()
+    n = len(origins)
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        tracer._trace(scene, origins, directions, np.ones(n), "primary",
+                      np.arange(n, dtype=np.uint64), 1, 16)
+        render._trace_batches(scene.surfaces, origins, directions, np.ones(n),
+                              np.arange(n), np.zeros(n), max_bounces=12)
+    assert checked.calls > 0
