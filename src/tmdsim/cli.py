@@ -246,6 +246,10 @@ def _cmd_sweep(args, parser) -> int:
     if args.rpp <= 0:
         parser.error("--rpp must be positive")
     keep = args.out_dir is not None
+    names = [f"offset_{off:+g}mm.ppm" for off in args.offsets]
+    if keep and len(set(names)) < len(names):
+        raise UsageError("--out-dir would write two offsets to one image "
+                         "name (the names keep 6 significant digits)")
     sweep = defocus_sweep(scene, offsets=args.offsets, rays_per_pixel=args.rpp,
                           seed=args.seed, keep_images=keep, workers=args.workers)
     for off, s in zip(sweep.offsets, sweep.sharpness):
@@ -253,8 +257,8 @@ def _cmd_sweep(args, parser) -> int:
     print(f"best_offset_mm,{best_offset(sweep):.9g}")
     if keep:
         os.makedirs(args.out_dir, exist_ok=True)
-        for off, img in zip(sweep.offsets, sweep.images):
-            write_ppm(img, os.path.join(args.out_dir, f"offset_{off:+g}mm.ppm"))
+        for name, img in zip(names, sweep.images):
+            write_ppm(img, os.path.join(args.out_dir, name))
         write_csv(sweep, os.path.join(args.out_dir, "sweep.csv"))
     return 0
 

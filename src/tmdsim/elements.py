@@ -16,9 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidGeometry, NoIntersection, OutOfBounds
-from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS, Pose,
-                       Ray, along_rows, dot_rows, intersect_plane,
-                       normalize_rows, reflect_rows, require_finite, subset,
+from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS,
+                       TRACE_ROUNDING, Crossings, Pose, Ray, Rounding,
+                       along_rows, dot_rows, intersect_plane, normalize_rows,
+                       plane_hits, reflect_rows, require_finite, subset,
                        sub_rows, take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
@@ -281,39 +282,87 @@ def split_half_mirror(mirror: HalfMirror, directions: np.ndarray,
 
 
 def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
-                    directions: np.ndarray) -> np.ndarray:
-    """Hit distance of each ray on a curved combiner's cap (inf on a miss).
+                    directions: np.ndarray,
+                    rounding: Rounding) -> Optional[Crossings]:
+    """The rays' Crossings with a curved combiner's cap, t inf where a ray
+    misses it, or None when every ray misses.
 
-    The curvature centre sits on the +w side of the vertex for a_mag > 1.
-    Of the two sphere crossings the one on the cap near the vertex wins;
-    the far hemisphere (sag beyond one radius) is not a cap.
+    `origins` are rows, or one 3-vector that every ray starts from.  The
+    per-row dots are the tracer's `rounding` (see geometry.py).  The
+    curvature centre sits on the +w side of the vertex for a_mag > 1.  Of
+    the two sphere crossings the one on the cap near the vertex wins; the
+    far hemisphere (sag beyond one radius) is not a cap.
     """
     R = mirror.curvature_radius
     pose = mirror.pose
+    origins = np.broadcast_to(origins, directions.shape)
     oc = sub_rows(origins, mirror.centre)
-    b = np.vecdot(directions, oc)
-    disc = b * b - (np.vecdot(oc, oc) - R * R)
+    b = rounding.dot(directions, oc)
+    disc = b * b - (rounding.dot(oc, oc) - R * R)
     sq = np.sqrt(np.where(disc < 0, 0.0, disc))
-    best = np.full(len(origins), np.inf)
-    best_wl = np.full(len(origins), np.inf)
+    n = len(directions)
+    best, best_wl = np.full(n, np.inf), np.full(n, np.inf)
+    points, u, v = np.empty((n, 3)), np.empty(n), np.empty(n)
     for t in (-b - sq, -b + sq):
-        points = along_rows(origins, t, directions)
-        u, v = pose.uv_of(points)
-        wl = np.abs(dot_rows(sub_rows(points, pose.position), pose.normal))
-        ok = ((disc >= 0) & (t > PLANE_EPS) & (np.abs(u) <= 0.5 * mirror.extent[0])
-              & (np.abs(v) <= 0.5 * mirror.extent[1]) & (wl <= abs(R))
+        p = along_rows(origins, t, directions)
+        rel = sub_rows(p, pose.position)
+        pu, pv = dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
+        wl = np.abs(dot_rows(rel, pose.normal))
+        ok = ((disc >= 0) & (t > PLANE_EPS) & (np.abs(pu) <= 0.5 * mirror.extent[0])
+              & (np.abs(pv) <= 0.5 * mirror.extent[1]) & (wl <= abs(R))
               & (wl < best_wl))
-        best = np.where(ok, t, best)
-        best_wl = np.where(ok, wl, best_wl)
-    return best
+        for out, new in ((best, t), (best_wl, wl), (u, pu), (v, pv)):
+            np.copyto(out, new, where=ok)
+        np.copyto(points, p, where=ok[:, None])
+    rows = subset(best < np.inf)
+    if rows is not None and len(rows) == 0:
+        return None
+    return Crossings(best, rows, *(take_rows(a, rows) for a in (points, u, v)))
 
 
 def reflect_convex_mirror(mirror: ConvexMirror, points: np.ndarray,
-                          directions: np.ndarray) -> np.ndarray:
-    """Specular reflection at `points` on the combiner (flat at a_mag = 1)."""
+                          directions: np.ndarray,
+                          rounding: Rounding) -> np.ndarray:
+    """Specular reflection at `points` on the combiner (flat at a_mag = 1).
+    On a cap, the normals and their dots with the directions take the
+    tracer's `rounding` (see geometry.py)."""
     if mirror.flat:
         return reflect_rows(directions, mirror.pose.normal)
-    return reflect_rows(directions, normalize_rows(mirror.centre - points))
+    normals = rounding.normalize(sub_rows(mirror.centre, points))
+    return reflect_rows(directions, normals, rounding.dot(directions, normals))
+
+
+def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray,
+                 left, rounding: Rounding):
+    """Nearest hit of each ray on `surfaces`: (element index or -1,
+    distance or inf, each element's Crossings, None for an element not
+    tested or hit by no ray).
+
+    `origins` are rows, or one 3-vector that every ray starts from; caps
+    take the tracer's `rounding`.  Each plane is tested only for the rays
+    it could still win, those whose crossing lies nearer than their best
+    hit so far, so an earlier element wins a tie.  A ray is not tested
+    against the flat element it just left: `left` is that element's index
+    (-1 for none), one for the whole batch, whose test is then skipped, or
+    one per ray, whose rows get a bound of -inf.
+    """
+    tmin = np.full(len(directions), np.inf)
+    near = np.full(len(directions), -1)
+    hits = [None] * len(surfaces)
+    per_ray = np.ndim(left) > 0
+    for k, el in enumerate(surfaces):
+        if isinstance(el, ConvexMirror) and not el.flat:
+            hits[k] = sphere_cap_hits(el, origins, directions, rounding)
+        elif per_ray:
+            bound = np.where(left == k, -np.inf, tmin)
+            hits[k] = plane_hits(origins, directions, el.pose, el.extent, bound)
+        elif k != left:
+            hits[k] = plane_hits(origins, directions, el.pose, el.extent, tmin)
+        if hits[k] is not None:
+            closer = hits[k].t < tmin
+            np.copyto(near, k, where=closer)
+            np.copyto(tmin, hits[k].t, where=closer)
+    return near, tmin, hits
 
 
 def double_band(plate: TmdPlate, incidence: np.ndarray):
@@ -436,11 +485,13 @@ def convex_mirror_transform(ray: Ray, mirror: ConvexMirror) -> Ray:
     if mirror.flat:
         point = _hit(ray, mirror.pose, mirror.extent, what).point
     else:
-        t = float(sphere_cap_hits(mirror, ray.origin[None], ray.direction[None])[0])
-        if t == math.inf:
+        hits = sphere_cap_hits(mirror, ray.origin[None], ray.direction[None],
+                               TRACE_ROUNDING)
+        if hits is None:
             raise NoIntersection(f"ray misses {what}")
-        point = ray.at(t)
-    out = reflect_convex_mirror(mirror, point[None], ray.direction[None])
+        point = hits.points[0]
+    out = reflect_convex_mirror(mirror, point[None], ray.direction[None],
+                                TRACE_ROUNDING)
     return replace(ray, origin=point, direction=out[0])
 
 

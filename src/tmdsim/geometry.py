@@ -10,7 +10,8 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -72,16 +73,18 @@ def normalize(v) -> np.ndarray:
 #   broadcasts the origin.  Each ray gets the bits of its origin copied to
 #   every row.
 #
-# Pinned twins.  Two pieces of row maths keep one form per tracer, because
-# each tracer's golden digests pin its own rounding of them:
-# - row normalization: `normalize_rows` (the square root of np.vecdot)
-#   here, np.linalg.norm's rounding in the renderer (whose `_normalized`
-#   sums (x*x + y*y) + z*z a column at a time, as np.linalg.norm does);
-#   either swap moves golden digests (all 14 trace digests, or 10 of the
-#   34 render ones);
-# - the per-row dots of the sphere-cap test and of the curved-mirror
-#   reflection: np.vecdot in elements.py, einsum in the renderer; either
-#   swap moves the digests of the convex_mirror and mixed scenes.
+# Pinned rounding.  Two pieces of row maths round differently in the two
+# tracers, and each tracer's golden digests pin its own rounding, so each
+# tracer hands the forms that use them its `Rounding` (TRACE_ROUNDING,
+# RENDER_ROUNDING below):
+# - row normalization: `normalize_rows` (the square root of np.vecdot) in
+#   the forward tracer, `linalg_normalize_rows` (np.linalg.norm's sum
+#   (x*x + y*y) + z*z) in the renderer; either swap moves golden digests
+#   (all 14 trace digests, or 10 of the 34 render ones);
+# - the per-row dot of two row arrays, in the sphere-cap test and the
+#   curved-mirror reflection: np.vecdot forward, einsum in the renderer;
+#   either swap moves the convex_mirror and mixed digests (3 trace or 6
+#   render), one render pixel by 1.43e-12 relative.
 
 
 def dot_rows(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -97,17 +100,13 @@ def _col(a: np.ndarray, j: int):
     return a[:, j] if a.ndim == 2 else a[j]
 
 
-def along_rows(o: np.ndarray, t: np.ndarray, d: np.ndarray,
-               minus=None) -> np.ndarray:
-    """o + t[:, None] * d, either of o and d a fixed 3-vector, then `- minus`
-    (a fixed 3-vector) if given."""
+def along_rows(o: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """o + t[:, None] * d, either of o and d a fixed 3-vector."""
     out = np.empty((len(t), 3))
     for j in range(3):
         col = out[:, j]
         np.multiply(t, _col(d, j), out=col)
         col += _col(o, j)
-        if minus is not None:
-            col -= minus[j]
     return out
 
 
@@ -141,6 +140,32 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def linalg_normalize_rows(v: np.ndarray) -> np.ndarray:
+    """v / np.linalg.norm(v, axis=1, keepdims=True), in place: the norm is
+    sqrt((x*x + y*y) + z*z) a column at a time, np.linalg.norm's sum."""
+    n = v[:, 0] * v[:, 0]
+    sq = np.empty_like(n)
+    for j in (1, 2):
+        np.multiply(v[:, j], v[:, j], out=sq)
+        n += sq
+    np.sqrt(n, out=n)
+    for j in range(3):
+        v[:, j] /= n
+    return v
+
+
+class Rounding(NamedTuple):
+    """One tracer's row normalization (which may work in place on the
+    fresh rows it is given) and per-row dot of two row arrays (see the
+    pinned rounding)."""
+    normalize: Callable[[np.ndarray], np.ndarray]
+    dot: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+TRACE_ROUNDING = Rounding(normalize_rows, np.vecdot)
+RENDER_ROUNDING = Rounding(linalg_normalize_rows, partial(np.einsum, "ij,ij->i"))
+
+
 def pick_rows(keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i of `a` where keep[i], else row i of `b`."""
     out = np.empty((len(a), 3))
@@ -152,12 +177,10 @@ def pick_rows(keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def reflect_rows(directions: np.ndarray, normals: np.ndarray,
                  dots: Optional[np.ndarray] = None) -> np.ndarray:
     """Mirror each row about a unit normal, d - 2(d.n)n, for one (3,) normal
-    or one per row.  `dots` are the rows' d.n where the caller computed them
-    (see the pinned twins); otherwise a gemv for one normal and np.vecdot
-    for one per row."""
+    or one per row.  With one normal per row the caller gives the rows' d.n
+    as `dots`, in its tracer's rounding; one normal takes a gemv."""
     if dots is None:
-        dots = (dot_rows(directions, normals) if normals.ndim == 1
-                else np.vecdot(directions, normals))
+        dots = dot_rows(directions, normals)
     s = 2.0 * dots
     out = np.empty((len(directions), 3))
     for j in range(3):
@@ -361,14 +384,16 @@ class PlaneHit(NamedTuple):
 
 
 class Crossings(NamedTuple):
-    """Where rays meet the unbounded plane of a pose (see plane_crossings).
+    """Where rays meet a surface: the unbounded plane of a pose (see
+    plane_crossings) or a curved cap (elements.sphere_cap_hits).
 
-    t is each ray's hit distance, inf for a ray parallel to the plane,
-    crossing it no farther than PLANE_EPS ahead or no nearer than its bound
-    (and, from plane_hits, for a ray that misses the rectangle).  `rows`
-    indexes the other rays, the ones ahead of the plane (None when that is
-    every ray); `points` are their crossings and u, v their local
-    coordinates, in the order of `rows`.
+    t is each ray's hit distance, inf for a ray that does not count: on a
+    plane, one parallel to it, crossing it no farther than PLANE_EPS ahead
+    or no nearer than its bound (and, from plane_hits, one that misses the
+    rectangle); on a cap, one that misses it.  `rows` indexes the rays that
+    have a crossing point (None when every ray has one): those ahead of a
+    plane, or those that hit a cap.  `points` are their crossings and u, v
+    their local coordinates, in the order of `rows`.
     """
     t: np.ndarray
     rows: Optional[np.ndarray]
@@ -378,10 +403,10 @@ class Crossings(NamedTuple):
 
     def at(self, rays: Optional[np.ndarray]):
         """(points, u, v) of the rays at the sorted indices `rays` (every
-        ray when None), all of them ahead of the plane."""
+        ray when None), all of them in `rows`."""
         if self.rows is not None and rays is not None:
             if len(rays) == len(self.rows):
-                rays = None  # every ray ahead of the plane
+                rays = None  # every ray in `rows`
             else:
                 rays = np.searchsorted(self.rows, rays)
         return tuple(take_rows(a, rays) for a in (self.points, self.u, self.v))

@@ -15,15 +15,17 @@ the same code, so they overlap where threads would queue on the GIL.
 The camera never occludes itself: the scene's eye is the ray source, not
 a surface.
 
-The row arithmetic is geometry.py's and elements.py's, under the layout
+The row arithmetic, the nearest-hit search (`elements.nearest_hits`) and
+every interaction are the ones the forward tracer calls, under the layout
 rules stated once in geometry.py, so no rework of the batch loop can move
-a pixel.  Each batch's nearest-hit search tests a plane only for the rays
-that would cross it nearer than their best hit so far, and the camera
-rays of one aperture sample hand their shared origin over as one
-3-vector.  The renderer keeps only its pinned twins named there: its row
-normalization and the per-row dots of the sphere cap and of the curved
-mirror.  ROW_BLOCK and the one batch per aperture sample fix which batches
-exist and the order in which samples add into each pixel.
+a pixel.  The search tests a plane only for the rays that would cross it
+nearer than their best hit so far, skips the flat element a batch just
+left, and takes the camera rays of one aperture sample with their shared
+origin as one 3-vector.  Where the goldens pin the renderer's own
+rounding (row normalization, and the per-row dots of the sphere cap and
+of the curved mirror), it hands those forms `geometry.RENDER_ROUNDING`.
+ROW_BLOCK and the one batch per aperture sample fix which batches exist
+and the order in which samples add into each pixel.
 """
 from __future__ import annotations
 
@@ -37,12 +39,12 @@ from typing import Optional
 import numpy as np
 
 from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
-                       TmdPlate, double_band, plate_exit, refract_thin_lens,
-                       sample_screen, split_half_mirror)
+                       TmdPlate, double_band, nearest_hits, plate_exit,
+                       reflect_convex_mirror, refract_thin_lens, sample_screen,
+                       split_half_mirror)
 from .errors import IoError
-from .geometry import (PLANE_EPS, WEIGHT_CUTOFF, Pose, along_rows, dot_rows,
-                       nudged_rows, plane_hits, reflect_rows, require_finite,
-                       sub_rows, subset, take_rows)
+from .geometry import (RENDER_ROUNDING, WEIGHT_CUTOFF, Pose, nudged_rows,
+                       require_finite, sub_rows, subset, take_rows)
 from .scene import EyeCamera, Scene
 from .tracer import r2_sequence, resolve_workers, uniform_draw
 
@@ -66,76 +68,12 @@ class SweepResult:
     images: Optional[list] = None
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
-    """v / np.linalg.norm(v, axis=1, keepdims=True), in place: the norm is
-    sqrt((x*x + y*y) + z*z) a column at a time, np.linalg.norm's sum."""
-    n = v[:, 0] * v[:, 0]
-    sq = np.empty_like(n)
-    for j in (1, 2):
-        np.multiply(v[:, j], v[:, j], out=sq)
-        n += sq
-    np.sqrt(n, out=n)
-    for j in range(3):
-        v[:, j] /= n
-    return v
-
-
-def _cap_ts(el: ConvexMirror, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """elements.sphere_cap_hits with einsum for its per-row dots (a pinned
-    twin, see geometry.py)."""
-    R = el.curvature_radius
-    pose = el.pose
-    oc = sub_rows(o, el.centre)
-    b = np.einsum("ij,ij->i", d, oc)
-    c = np.einsum("ij,ij->i", oc, oc) - R * R
-    disc = b * b - c
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    best = np.full(len(o), np.inf)
-    score = np.full(len(o), np.inf)
-    for root in (-b - sq, -b + sq):
-        rel = along_rows(o, root, d, pose.position)
-        u = dot_rows(rel, pose.u_axis)
-        v = dot_rows(rel, pose.v_axis)
-        wl = np.abs(dot_rows(rel, pose.normal))
-        ok = ((disc >= 0) & (root > PLANE_EPS) & (wl <= abs(R))
-              & (np.abs(u) <= 0.5 * el.extent[0]) & (np.abs(v) <= 0.5 * el.extent[1]))
-        better = ok & (wl < score)
-        best = np.where(better, root, best)
-        score = np.where(better, wl, score)
-    return best
+# The renderer's rounding of row normalization (see geometry.py).
+_normalized = RENDER_ROUNDING.normalize
 
 
 # ---------------------------------------------------------------------------
 # Batch tracing
-
-def _nearest(surfaces, o, d, left: int):
-    """Nearest hit of each ray: (element index or -1, distance or inf, and
-    the tested elements as (k, the plane's Crossings or None for a curved
-    cap)).
-
-    Each plane is tested only for the rays it could still win, those whose
-    crossing lies nearer than their best hit so far, so an earlier element
-    wins a tie.  The flat element `left` (-1 for none) is not tested.
-    """
-    tmin = np.full(len(d), np.inf)
-    el_idx = np.full(len(d), -1)
-    hit = []
-    for k, el in enumerate(surfaces):
-        if k == left:
-            continue
-        if isinstance(el, ConvexMirror) and not el.flat:
-            hits, ts = None, _cap_ts(el, np.broadcast_to(o, d.shape), d)
-        else:
-            hits = plane_hits(o, d, el.pose, el.extent, tmin)
-            if hits is None:
-                continue
-            ts = hits.t
-        closer = ts < tmin
-        np.copyto(el_idx, k, where=closer)
-        np.copyto(tmin, ts, where=closer)
-        hit.append((k, hits))
-    return el_idx, tmin, hit
-
 
 def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
     if not surfaces:
@@ -148,21 +86,17 @@ def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
         o, d, w, pix, left, bounce = queue.popleft()
         if len(d) == 0 or bounce >= max_bounces:
             continue
-        el_idx, tmin, hit = _nearest(surfaces, o, d, left)
-        for k, hits in hit:
-            rows = np.flatnonzero(el_idx == k)
-            if len(rows) == 0 or isinstance(surfaces[k], Absorber):
+        near, _, hits = nearest_hits(surfaces, o, d, left, RENDER_ROUNDING)
+        for k, record in enumerate(hits):
+            if record is None or isinstance(surfaces[k], Absorber):
+                continue
+            rows = np.flatnonzero(near == k)
+            if len(rows) == 0:
                 continue
             rows = None if len(rows) == len(d) else rows
             bd, bw, bp = (take_rows(a, rows) for a in (d, w, pix))
-            if hits is None:
-                bo = o if o.ndim == 1 else take_rows(o, rows)
-                point = along_rows(bo, take_rows(tmin, rows), bd)
-                _interact(surfaces[k], -1, point, None, None, bd, bw, bp, acc,
-                          queue, bounce + 1)
-            else:
-                _interact(surfaces[k], k, *hits.at(rows), bd, bw, bp, acc,
-                          queue, bounce + 1)
+            _interact(surfaces[k], k, *record.at(rows), bd, bw, bp, acc,
+                      queue, bounce + 1)
 
 
 def _push(queue, points, nd, nw, bp, left, bounce, keep=None):
@@ -174,16 +108,13 @@ def _push(queue, points, nd, nw, bp, left, bounce, keep=None):
 
 
 def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
-    """Apply element `el` (index k, or -1 for a curved cap) to the rays that
-    hit it at `point`, local (u, v) on a flat element: accumulate screen
-    radiance into `acc`, queue the outgoing rays."""
+    """Apply element `el` (index k) to the rays that hit it at `point`,
+    local (u, v): accumulate screen radiance into `acc`, queue the outgoing
+    rays."""
     if isinstance(el, ConvexMirror):
-        if el.flat:
-            nd = reflect_rows(bd, el.pose.normal)
-        else:
-            n = _normalized(sub_rows(el.centre, point))
-            nd = reflect_rows(bd, n, np.einsum("ij,ij->i", bd, n))
-        _push(queue, point, nd, bw, bp, k, bounce)
+        nd = reflect_convex_mirror(el, point, bd, RENDER_ROUNDING)
+        # A ray may meet a curved cap again: only a flat mirror is left.
+        _push(queue, point, nd, bw, bp, k if el.flat else -1, bounce)
         return
     if isinstance(el, HalfMirror):
         reflected, wr, wt = split_half_mirror(el, bd, bw)

@@ -2,15 +2,18 @@
 
 Rays walk the scene by nearest intersection.  The kernel holds every live
 ray of a bundle as rows of arrays (origin, direction, weight, mode, ray id,
-path id) and advances all of them one bounce per pass: a nearest-hit
-search over the surfaces, then the eye, in which each plane is tested only
-for the rays that would cross it nearer than their best hit so far (so an
-earlier surface wins a tie and the eye must be strictly nearer), then one
-batch interaction per element, which reads the hit points and (u, v) of
-its plane's hit record.  A ray is never tested against the flat element
-it just left (see README).  Each row goes through the same
-floating-point operations as a ray traced on its own, so a bundle is bit
-for bit independent of how its rays are batched.
+path id) and advances all of them one bounce per pass: the nearest-hit
+search the renderer shares (`elements.nearest_hits`) over the surfaces,
+then the eye, in which each plane is tested only for the rays that would
+cross it nearer than their best hit so far (so an earlier surface wins a
+tie and the eye must be strictly nearer), then one batch interaction per
+element, which reads the hit points and (u, v) of its hit record, a
+plane's or a curved cap's.  A ray is never tested against the flat
+element it just left (see README).  The cap test and the curved-mirror
+reflection take `geometry.TRACE_ROUNDING`, the forward tracer's pinned
+rounding.  Each row goes through the same floating-point operations as a
+ray traced on its own, so a bundle is bit for bit independent of how its
+rays are batched.
 
 Half mirrors branch into a path tree: the stronger branch continues the
 parent path, the weaker one becomes a child path.  Plate interactions are
@@ -34,18 +37,18 @@ import numpy as np
 
 from .elements import (Absorber, ConvexMirror, HalfMirror, PLATE_INTERACTIONS,
                        Screen, ThinLens, TmdPlate, classify_plate_modes,
-                       plate_exit, reflect_convex_mirror, refract_thin_lens,
-                       sphere_cap_hits, split_half_mirror)
+                       nearest_hits, plate_exit, reflect_convex_mirror,
+                       refract_thin_lens, split_half_mirror)
 # Re-exported per-ray forms: profilers that wrap names in this module
 # (perfbench/tracing.py) look them up here.  The kernel calls the batch forms.
 from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
                        half_mirror_interact, thin_lens_transform, tmd_transform)
 from .errors import EmptySpot, InvalidGeometry, UsageError
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
-                       WEIGHT_CUTOFF, Pose, Ray, RayRows, advanced_rows,
-                       along_rows, mark_misses, normalize_rows,
+                       TRACE_ROUNDING, WEIGHT_CUTOFF, Pose, Ray, RayRows,
+                       advanced_rows, mark_misses, normalize_rows,
                        orthonormal_frame, pick_rows, plane_crossings,
-                       plane_hits, sequential_sum)
+                       sequential_sum)
 from .geometry import advanced, intersect_plane  # noqa: F401
 from .scene import Scene
 
@@ -268,35 +271,15 @@ def _eye_crossings(eye, origins, directions, bound):
 
 
 def _nearest(scene: Scene, o, d, left):
-    """Nearest hit of each ray (rows): (element index, eye = len(surfaces),
-    or -1; distance or inf; each plane's Crossings, None for a curved cap
-    or a plane no ray hits).
-
-    Each plane is tested only for the rays it could still win, those whose
-    crossing lies nearer than their best hit so far, so an earlier surface
-    wins a tie and the eye, tested last, must be strictly nearer.  A ray is
-    not tested against the flat element `left[i]` it just left (-1 for
-    none).
-    """
-    surfaces = scene.surfaces
-    tmin = np.full(len(d), np.inf)
-    near = np.full(len(d), -1)
-    hits = [None] * (len(surfaces) + 1)
-    for k, surface in enumerate(surfaces + (scene.eye,)):
-        if k == len(surfaces):
-            hits[k] = _eye_crossings(surface, o, d, tmin)
-            ts = hits[k].t
-        elif isinstance(surface, ConvexMirror) and not surface.flat:
-            ts = sphere_cap_hits(surface, o, d)
-        else:
-            bound = np.where(left == k, -np.inf, tmin)
-            hits[k] = plane_hits(o, d, surface.pose, surface.extent, bound)
-            if hits[k] is None:
-                continue
-            ts = hits[k].t
-        closer = ts < tmin
-        np.copyto(near, k, where=closer)
-        np.copyto(tmin, ts, where=closer)
+    """`nearest_hits` of the rays (rows) on the surfaces, then the eye
+    (index len(surfaces)), tested last with the best distance so far as
+    its bound, so it must be strictly nearer; the eye's Crossings ends the
+    list of records."""
+    near, tmin, hits = nearest_hits(scene.surfaces, o, d, left, TRACE_ROUNDING)
+    hits.append(_eye_crossings(scene.eye, o, d, tmin))
+    closer = hits[-1].t < tmin
+    np.copyto(near, len(scene.surfaces), where=closer)
+    np.copyto(tmin, hits[-1].t, where=closer)
     return near, tmin, hits
 
 
@@ -341,10 +324,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
             for k in np.unique(near).tolist():
                 at = near == k
                 rows = live[at]
-                if hits[k] is None:
-                    p, u, v = along_rows(O[rows], t[at], D[rows]), None, None
-                else:
-                    p, u, v = hits[k].at(cols[at])
+                p, u, v = hits[k].at(cols[at])
                 point[rows] = p
                 if k == eye_k:
                     label[rows] = _REACHED_EYE
@@ -377,7 +357,8 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                 elif isinstance(surface, ConvexMirror):
                     label[rows] = _MIRROR
                     cont[rows] = True
-                    out_dir[rows] = reflect_convex_mirror(surface, p, d)
+                    out_dir[rows] = reflect_convex_mirror(surface, p, d,
+                                                          TRACE_ROUNDING)
                 elif isinstance(surface, TmdPlate):
                     local = surface.pose.to_local_dirs(d)
                     codes = classify_plate_modes(

@@ -300,6 +300,18 @@ class TestSweep:
         assert csv[0] == "offset_mm,sharpness"
         assert len(csv) == 3
 
+    def test_offsets_sharing_an_image_name_exit_2(self, tmp_path, capsys):
+        # Image names keep 6 significant digits: these two offsets would
+        # both write offset_+0.123456mm.ppm.
+        outdir = tmp_path / "series"
+        code, out, err = run(capsys, "sweep", "--preset", "defocus_flat",
+                             "--rpp", "1", "--offsets", "0.1234561,0.1234562",
+                             "--out-dir", str(outdir))
+        assert code == 2
+        assert "one image name" in err
+        assert out == ""
+        assert not outdir.exists()
+
     def test_empty_offsets(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--preset", "defocus_flat", "--offsets", ","])

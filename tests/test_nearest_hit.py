@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import test_left_element
 import test_render_golden as render_golden
 import test_trace_golden as trace_golden
-from tmdsim import render, tracer
+from tmdsim import elements, render, tracer
 from tmdsim.elements import Absorber, ConvexMirror, Screen, sphere_cap_hits
-from tmdsim.geometry import Pose, normalize, plane_hits, vec3
+from tmdsim.geometry import TRACE_ROUNDING, Pose, normalize, plane_hits, vec3
 from tmdsim.render import render_view
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
 from tmdsim.tracer import Cone, trace_bundle
@@ -29,16 +29,17 @@ from tmdsim.tracer import Cone, trace_bundle
 TURN, SHIFT = trace_golden.TURN, trace_golden.SHIFT
 
 
-def _scan(surfaces, o, d, left, cap_ts, eye=None):
+def _scan(surfaces, o, d, left, rounding, eye=None):
     """(element or -1, distance or inf, records by element, exact ties) of
     every element tested for every ray, then the eye if given."""
     o = np.broadcast_to(o, d.shape).copy()
+    left = np.broadcast_to(left, len(d))
     ts, records = [], {}
     for k, el in enumerate(surfaces):
         if isinstance(el, ConvexMirror) and not el.flat:
-            ts.append(cap_ts(el, o, d))
-            continue
-        records[k] = plane_hits(o, d, el.pose, el.extent)
+            records[k] = sphere_cap_hits(el, o, d, rounding)
+        else:
+            records[k] = plane_hits(o, d, el.pose, el.extent)
         ts.append(np.full(len(d), np.inf) if records[k] is None
                   else records[k].t)
     if eye is not None:
@@ -66,28 +67,29 @@ def _assert_same(near, t, records, want):
 
 
 class Checked:
-    """The tracers' searches wrapped with the scan; counts calls and ties."""
+    """The shared search, as both tracers call it, and the forward tracer's
+    search with its eye, wrapped with the scan; counts calls and ties."""
 
     def __init__(self, mp):
         self.calls = self.ties = 0
-        forward, backward = tracer._nearest, render._nearest
+        search, forward = elements.nearest_hits, tracer._nearest
+
+        def checked_search(surfaces, o, d, left, rounding):
+            near, t, hits = search(surfaces, o, d, left, rounding)
+            self._check(near, t, dict(enumerate(hits)),
+                        _scan(surfaces, o, d, left, rounding))
+            return near, t, hits
 
         def checked_forward(scene, o, d, left):
             near, t, hits = forward(scene, o, d, left)
             self._check(near, t, dict(enumerate(hits)),
-                        _scan(scene.surfaces, o, d, left, sphere_cap_hits,
+                        _scan(scene.surfaces, o, d, left, TRACE_ROUNDING,
                               scene.eye))
             return near, t, hits
 
-        def checked_backward(surfaces, o, d, left):
-            near, t, hits = backward(surfaces, o, d, left)
-            self._check(near, t, dict(hits),
-                        _scan(surfaces, o, d, np.full(len(d), left),
-                              render._cap_ts))
-            return near, t, hits
-
+        mp.setattr(tracer, "nearest_hits", checked_search)
+        mp.setattr(render, "nearest_hits", checked_search)
         mp.setattr(tracer, "_nearest", checked_forward)
-        mp.setattr(render, "_nearest", checked_backward)
 
     def _check(self, near, t, records, want):
         _assert_same(near, t, records, want)
