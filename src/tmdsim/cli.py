@@ -187,7 +187,13 @@ def _cmd_trace(args, parser) -> int:
     axis = args.axis
     if axis is None:
         axis = scene.eye.pose.position - args.source
-    axis = normalize(axis)
+    try:
+        axis = normalize(axis)
+    except ValueError:
+        if args.axis is not None:
+            raise UsageError("--axis must be a nonzero vector") from None
+        raise UsageError("--source sits on the eye, so the cone has no "
+                         "default axis; give --axis") from None
     cone = Cone(axis, math.radians(args.half_angle))
     bundle = trace_bundle(scene, args.source, args.rays, cone,
                           seed=args.seed, max_bounces=args.max_bounces,

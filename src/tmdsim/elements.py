@@ -299,7 +299,12 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
     oc = sub_rows(origins, mirror.centre)
     b = rounding.dot(directions, oc)
     disc = b * b - (rounding.dot(oc, oc) - R * R)
-    sq = np.sqrt(np.where(disc < 0, 0.0, disc))
+    # Only the rays that meet the sphere (meet: None for all) get roots.
+    meet = subset(disc >= 0)
+    if meet is not None and len(meet) == 0:
+        return None
+    origins, directions, b = (take_rows(a, meet) for a in (origins, directions, b))
+    sq = np.sqrt(take_rows(disc, meet))
     n = len(directions)
     best, best_wl = np.full(n, np.inf), np.full(n, np.inf)
     points, u, v = np.empty((n, 3)), np.empty(n), np.empty(n)
@@ -308,16 +313,21 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
         rel = sub_rows(p, pose.position)
         pu, pv = dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
         wl = np.abs(dot_rows(rel, pose.normal))
-        ok = ((disc >= 0) & (t > PLANE_EPS) & (np.abs(pu) <= 0.5 * mirror.extent[0])
+        ok = ((t > PLANE_EPS) & (np.abs(pu) <= 0.5 * mirror.extent[0])
               & (np.abs(pv) <= 0.5 * mirror.extent[1]) & (wl <= abs(R))
               & (wl < best_wl))
         for out, new in ((best, t), (best_wl, wl), (u, pu), (v, pv)):
             np.copyto(out, new, where=ok)
         np.copyto(points, p, where=ok[:, None])
-    rows = subset(best < np.inf)
-    if rows is not None and len(rows) == 0:
+    found = subset(best < np.inf)
+    if found is not None and len(found) == 0:
         return None
-    return Crossings(best, rows, *(take_rows(a, rows) for a in (points, u, v)))
+    points, u, v = (take_rows(a, found) for a in (points, u, v))
+    if meet is not None:  # back to one distance per ray given
+        t = np.full(len(disc), np.inf)
+        t[meet] = best
+        best, found = t, take_rows(meet, found)
+    return Crossings(best, found, points, u, v)
 
 
 def reflect_convex_mirror(mirror: ConvexMirror, points: np.ndarray,

@@ -298,16 +298,29 @@ def advanced_rows(origins: np.ndarray, directions: np.ndarray):
     return nudged_rows(origins, directions), normalize_rows(directions)
 
 
+def _cross(a, b) -> tuple:
+    """a x b on Python floats: np.cross's products and differences, so the
+    same bits, without its per-call array set-up."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def orthonormal_frame(w, up=(0.0, 1.0, 0.0)) -> np.ndarray:
     """3x3 rotation whose columns are (u, v, w) for a given w axis and up hint."""
-    w = normalize(w)
-    up = np.asarray(up, dtype=np.float64)
-    u = np.cross(up, w)
-    if np.linalg.norm(u) < 1e-9:
+    w = normalize(w).tolist()
+    u = np.array(_cross(np.asarray(up, dtype=np.float64).tolist(), w))
+    # np.linalg.norm(u) of a 3-vector is this same sqrt of u @ u.
+    if math.sqrt(float(u @ u)) < 1e-9:
         raise InvalidGeometry("up direction is parallel to the surface normal")
-    u = normalize(u)
-    v = np.cross(w, u)
-    return np.column_stack([u, v, w])
+    u = normalize(u).tolist()
+    v = _cross(w, u)
+    return np.array([[u[0], v[0], w[0]], [u[1], v[1], w[1]],
+                     [u[2], v[2], w[2]]])
+
+
+_EYE = _frozen(np.eye(3))
+_ORTHO_TOL = 1e-10 + 1e-5 * _EYE  # np.allclose's atol + rtol * |b|
 
 
 @dataclass(frozen=True)
@@ -322,7 +335,8 @@ class Pose:
         require_finite("pose rotation", self.rotation)
         object.__setattr__(self, "position", _frozen(self.position))
         R = np.array(self.rotation, dtype=np.float64)
-        if R.shape != (3, 3) or not np.allclose(R @ R.T, np.eye(3), atol=1e-10):
+        # np.allclose(R @ R.T, np.eye(3), atol=1e-10), written out.
+        if R.shape != (3, 3) or not (np.abs(R @ R.T - _EYE) <= _ORTHO_TOL).all():
             raise InvalidGeometry("pose rotation is not orthonormal")
         object.__setattr__(self, "rotation", _frozen(R))
         # R.T held C-contiguous for `to_world_dirs` (see the row forms).
@@ -496,7 +510,8 @@ def closest_point_to_rays(rays: Sequence[Ray]):
     else:
         d = np.array([r.direction for r in rays])
         o = np.array([r.origin for r in rays])
-    P = np.eye(3) - d[:, :, None] * d[:, None, :]
+    P = np.einsum("ni,nj->nij", d, d)  # each d_i * d_j, one product
+    np.subtract(_EYE, P, out=P)
     A = sequential_sum(P)
     b = sequential_sum(np.matmul(P, o[:, :, None])[:, :, 0])
     if np.linalg.cond(A) > 1e12:

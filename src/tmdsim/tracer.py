@@ -169,7 +169,9 @@ _TERMINALS = (TERMINAL_ABSORBED, TERMINAL_MAX_BOUNCES, TERMINAL_ESCAPED,
               TERMINAL_REACHED_EYE)
 # Terminal index of each label that ends a path, else -1.
 _TERMINAL_OF = np.array([0, 1, 2, 3, 0, 0] + [-1] * (len(_LABELS) - 6))
-_PROPAGATING = (1, 2, 3)  # terminals whose last ray is still in flight
+# Whether a path ending on each label ends with its last ray still in
+# flight: escaped, at the eye or at the bounce budget.
+_PROPAGATES = np.isin(_TERMINAL_OF, (1, 2, 3))
 _MODES = (MODE_PRIMARY, MODE_DOUBLE, MODE_SINGLE, MODE_PASS)
 _PLATE_MODE = np.array([1, 2, 2, 3])  # mode index per non-absorbed plate code
 
@@ -183,6 +185,8 @@ def dfs_order(parents: np.ndarray, n_roots: int) -> np.ndarray:
     in spawn order.  Each path's key is its ancestor chain read from the
     root, padded with -1, so a lexsort puts a parent before its children.
     """
+    if n_roots == len(parents):  # no children: creation order
+        return np.arange(n_roots)
     chain = [np.arange(len(parents))]
     while (chain[-1] >= 0).any():
         up = chain[-1]
@@ -221,12 +225,13 @@ class BundleResult:
         self.ends = self.path_end[self.dfs]
         self.stats = _bundle_stats(self)
         self._paths = None
+        self._names = np.array(modes, dtype=object)
 
     def rays(self, rows: np.ndarray) -> RayRows:
         """The logged in-flight rays at `rows`, bit for bit."""
-        names = np.array(self.modes, dtype=object)
-        return RayRows(self.origin[rows], self.direction[rows],
-                       self.weight[rows], names[self.mode[rows]])
+        return RayRows(self.origin.take(rows, axis=0),
+                       self.direction.take(rows, axis=0),
+                       self.weight[rows], self._names[self.mode[rows]])
 
     @property
     def paths(self) -> list:
@@ -256,7 +261,7 @@ class BundleResult:
         at the eye or at the bounce budget, in depth-first path order;
         `mode` keeps only rays carrying that history tag."""
         ends = self.ends
-        keep = np.isin(_TERMINAL_OF[self.label[ends]], _PROPAGATING)
+        keep = _PROPAGATES[self.label[ends]]
         if mode is not None:
             keep &= self.mode[ends] == (self.modes.index(mode)
                                          if mode in self.modes else -1)
@@ -281,6 +286,21 @@ def _nearest(scene: Scene, o, d, left):
     np.copyto(near, len(scene.surfaces), where=closer)
     np.copyto(tmin, hits[-1].t, where=closer)
     return near, tmin, hits
+
+
+def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows] for sorted distinct indices `rows`: `a` itself, uncopied,
+    when they are all of its rows."""
+    return a if len(rows) == len(a) else a.take(rows, axis=0)
+
+
+def _put(out: np.ndarray, rows: np.ndarray, values) -> None:
+    """out[rows] = values for sorted distinct indices `rows`, as one block
+    copy when they are all of its rows."""
+    if len(rows) == len(out):
+        out[...] = values
+    else:
+        out[rows] = values
 
 
 def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
@@ -315,22 +335,23 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         if step >= max_bounces:
             label[live] = _MAX_BOUNCES
         elif len(live):
-            near, t, hits = _nearest(scene, O[live], D[live], left[live])
+            near, t, hits = _nearest(scene, _rows(O, live), _rows(D, live),
+                                     _rows(left, live))
             hit = np.isfinite(t)
             label[live[~hit]] = _ESCAPED
             cols = np.flatnonzero(hit)  # the hit rays' places among the live
-            live, near, t = live[hit], near[hit], t[hit]
+            live, near = _rows(live, cols), _rows(near, cols)
             elem[live] = near
-            for k in np.unique(near).tolist():
-                at = near == k
-                rows = live[at]
-                p, u, v = hits[k].at(cols[at])
-                point[rows] = p
+            for k in np.flatnonzero(np.bincount(near)).tolist():
+                at = np.flatnonzero(near == k)
+                rows, at = _rows(live, at), _rows(cols, at)
+                p, u, v = hits[k].at(None if len(at) == len(t) else at)
+                _put(point, rows, p)
                 if k == eye_k:
                     label[rows] = _REACHED_EYE
                     continue
                 surface = surfaces[k]
-                d = D[rows]
+                d = _rows(D, rows)
                 if isinstance(surface, Screen):
                     label[rows] = _SCREEN
                 elif isinstance(surface, Absorber):
@@ -342,32 +363,38 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                         rows = rows[passing]
                     label[rows] = _LENS
                     cont[rows] = True
-                    out_dir[rows] = surface.pose.to_world_dirs(normalize_rows(out))
+                    _put(out_dir, rows,
+                         surface.pose.to_world_dirs(normalize_rows(out)))
                 elif isinstance(surface, HalfMirror):
-                    reflected, w_r, w_t = split_half_mirror(surface, d, W[rows])
+                    reflected, w_r, w_t = split_half_mirror(surface, d,
+                                                            _rows(W, rows))
                     keep = w_r >= w_t
                     label[rows] = np.where(keep, _REFLECT, _TRANSMIT)
                     cont[rows] = True
-                    out_dir[rows] = pick_rows(keep, reflected, d)
+                    _put(out_dir, rows, pick_rows(keep, reflected, d))
                     out_w[rows] = np.where(keep, w_r, w_t)
                     child_w = np.where(keep, w_t, w_r)
-                    spawn = child_w >= WEIGHT_CUTOFF
-                    spawned.append((rows[spawn], pick_rows(keep, d, reflected)[spawn],
+                    spawn = np.flatnonzero(child_w >= WEIGHT_CUTOFF)
+                    spawned.append((rows[spawn],
+                                    _rows(pick_rows(keep, d, reflected), spawn),
                                     child_w[spawn]))
                 elif isinstance(surface, ConvexMirror):
                     label[rows] = _MIRROR
                     cont[rows] = True
-                    out_dir[rows] = reflect_convex_mirror(surface, p, d,
-                                                          TRACE_ROUNDING)
+                    _put(out_dir, rows, reflect_convex_mirror(
+                        surface, p, d, TRACE_ROUNDING))
                 elif isinstance(surface, TmdPlate):
                     local = surface.pose.to_local_dirs(d)
                     codes = classify_plate_modes(
                         surface, local, uniform_draws(seed, rid[rows], step))
-                    kept = codes != _PLATE_ABSORB
-                    label[rows[~kept]] = _ABSORBED
+                    label[rows] = _ABSORBED
+                    kept = np.flatnonzero(codes != _PLATE_ABSORB)
                     rows, codes = rows[kept], codes[kept]
-                    point[rows], out_dir[rows] = plate_exit(
-                        surface, p[kept], u[kept], v[kept], local[kept], codes)
+                    exit_points, exit_dirs = plate_exit(
+                        surface, *(_rows(a, kept) for a in (p, u, v, local)),
+                        codes)
+                    _put(point, rows, exit_points)
+                    _put(out_dir, rows, exit_dirs)
                     label[rows] = _PLATE + codes
                     out_m[rows] = _PLATE_MODE[codes]
                     cont[rows] = True
@@ -381,8 +408,10 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         n_new = len(src) - len(go)
         first = sum(len(p) for p in parents)
         parents.append(pid[src[len(go):]])
-        exit_dir = np.concatenate([out_dir[go]] + [dirs for _, dirs, _ in spawned])
-        O, D = advanced_rows(point[src], normalize_rows(exit_dir))
+        exit_dir = np.concatenate([_rows(out_dir, go)]
+                                  + [dirs for _, dirs, _ in spawned])
+        start = point.take(src, axis=0) if spawned else _rows(point, go)
+        O, D = advanced_rows(start, normalize_rows(exit_dir))
         left = np.where(flat[elem[src]], elem[src], -1)
         W = np.concatenate([out_w[go]] + [w for _, _, w in spawned])
         M = out_m[src]
@@ -426,10 +455,19 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def _first_seen(codes: np.ndarray) -> list:
-    """Distinct values of `codes` in order of first appearance."""
-    _, first = np.unique(codes, return_index=True)
-    return codes[np.sort(first)].tolist()
+_NEVER = np.iinfo(np.int64).max
+
+
+def _first_seen(codes: np.ndarray, keys: Optional[np.ndarray] = None) -> list:
+    """Distinct values of the non-negative integer `codes` in order of first
+    appearance, or in order of their least `keys` (distinct int64 keys, one
+    per code) when given."""
+    if keys is None:
+        keys = np.arange(len(codes))
+    first = np.full(codes.max() + 1, _NEVER)
+    np.minimum.at(first, codes, keys)
+    seen = np.flatnonzero(first < _NEVER)
+    return seen[np.argsort(first[seen])].tolist()
 
 
 def _bundle_stats(bundle: BundleResult) -> dict:
@@ -438,9 +476,11 @@ def _bundle_stats(bundle: BundleResult) -> dict:
     # are summed sequentially in that order.
     rank = np.empty_like(bundle.dfs)
     rank[bundle.dfs] = np.arange(len(bundle.dfs))
-    labels = bundle.label[np.lexsort((bundle.step, rank[bundle.pid]))]
-    counts = np.bincount(labels, minlength=len(_LABELS))
-    interactions = {_LABELS[i]: int(counts[i]) for i in _first_seen(labels)}
+    # Each log row's place in that order: its path's rank, then its step.
+    order = rank[bundle.pid] * (bundle.step[-1] + 1) + bundle.step
+    counts = np.bincount(bundle.label, minlength=len(_LABELS))
+    interactions = {_LABELS[i]: int(counts[i])
+                    for i in _first_seen(bundle.label, order)}
     ends = bundle.ends
     terminal = _TERMINAL_OF[bundle.label[ends]]
     mode = bundle.mode[ends]
@@ -501,7 +541,8 @@ def spot_diagram(bundle: BundleResult, plane: Pose,
     terminal ray crosses the plane going forward.
     """
     rows = bundle.propagating(mode)
-    hits = plane_crossings(bundle.origin[rows], bundle.direction[rows], plane)
+    hits = plane_crossings(bundle.origin.take(rows, axis=0),
+                           bundle.direction.take(rows, axis=0), plane)
     if len(hits.u) == 0:
         raise EmptySpot("no terminal ray crosses the spot plane")
     pts = np.stack([hits.u, hits.v], axis=1)

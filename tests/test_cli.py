@@ -190,6 +190,17 @@ class TestTrace:
                            "--axis", "0,0,1")
         assert code == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "half_mirror", "--source", "0,0,5", "--axis", "0,0,0"],
+        # The default axis points from the source to the eye: zero here.
+        ["--preset", "tmd_see_through", "--source", "0,0,60"],
+    ])
+    def test_zero_cone_axis_exit_2(self, argv, capsys):
+        code, out, err = run(capsys, "trace", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_cone_axis_along_y(self, capsys):
         code, out, _ = run(capsys, "trace", "--preset", "half_mirror",
                            "--source", "1,20,21", "--axis", "0,-1,0")

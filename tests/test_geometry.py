@@ -140,6 +140,107 @@ class TestFrameAndPose:
         assert np.allclose(pose.to_world_dir(local), d, atol=1e-12)
 
 
+def _np_cross_frame(w, up=(0.0, 1.0, 0.0)):
+    """orthonormal_frame through np.cross, np.linalg.norm and
+    np.column_stack: the reference for its bits and its rejections."""
+    w = normalize(w)
+    up = np.asarray(up, dtype=np.float64)
+    u = np.cross(up, w)
+    if np.linalg.norm(u) < 1e-9:
+        raise InvalidGeometry("up direction is parallel to the surface normal")
+    u = normalize(u)
+    v = np.cross(w, u)
+    return np.column_stack([u, v, w])
+
+
+def _outcome(build, *args):
+    """The bytes `build` returns, or the exception type it raises."""
+    try:
+        return build(*args).tobytes()
+    except (InvalidGeometry, ValueError) as exc:
+        return type(exc)
+
+
+def _pose_accepts(R) -> bool:
+    try:
+        Pose(vec3(0.0, 0.0, 0.0), R)
+    except InvalidGeometry:
+        return False
+    return True
+
+
+def _allclose_accepts(R) -> bool:
+    return bool(np.allclose(R @ R.T, np.eye(3), atol=1e-10))
+
+
+vector = st.tuples(*[st.floats(-10.0, 10.0)] * 3)
+
+
+class TestFrameBits:
+    @given(vector, vector)
+    @settings(max_examples=300, deadline=None)
+    def test_frame_matches_np_cross(self, w, up):
+        assert (_outcome(orthonormal_frame, w, up)
+                == _outcome(_np_cross_frame, w, up))
+
+    @given(vector, st.floats(-9.0, -8.0), st.sampled_from((-1.0, 1.0)),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_near_parallel_up_rejected_alike(self, w, log_tilt, sign, seed):
+        """Up hints tilted about 1e-9 off the axis straddle the rejection."""
+        if math.hypot(*w) < 1e-6:
+            w = (0.0, 0.0, 1.0)
+        up = sign * normalize(w) + 10.0 ** log_tilt * rand_dir(
+            np.random.default_rng(seed))
+        assert (_outcome(orthonormal_frame, w, up)
+                == _outcome(_np_cross_frame, w, up))
+
+    def test_both_sides_of_the_parallel_bound(self):
+        w = normalize(vec3(0.3, -0.5, 0.8))
+        perp = normalize(np.cross(w, vec3(1.0, 0.0, 0.0)))
+        seen = set()
+        for tilt in np.geomspace(5e-10, 2e-9, 41):
+            got = _outcome(orthonormal_frame, w, w + tilt * perp)
+            assert got == _outcome(_np_cross_frame, w, w + tilt * perp)
+            seen.add(got is InvalidGeometry)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("diagonal", [0, 1, 2])
+    def test_pose_diagonal_band_edge(self, side, diagonal):
+        """R R^T's diagonal entry steps across 1 +- (1e-10 + 1e-5) one ulp
+        of R at a time: the pose accepts exactly what np.allclose does."""
+        edge = math.sqrt(1.0 + side * (1e-10 + 1e-5))
+        seen = set()
+        for k in range(-60, 61):
+            R = np.eye(3)
+            R[diagonal, diagonal] = edge + k * math.ulp(edge)
+            assert _pose_accepts(R) == _allclose_accepts(R)
+            seen.add(_pose_accepts(R))
+        assert seen == {True, False}
+
+    def test_pose_off_diagonal_band_edge(self):
+        seen = set()
+        for skew in np.linspace(0.9e-10, 1.1e-10, 81):
+            R = np.eye(3)
+            R[0, 1] = skew
+            assert _pose_accepts(R) == _allclose_accepts(R)
+            seen.add(_pose_accepts(R))
+        assert seen == {True, False}
+
+    @given(vector, vector, st.tuples(*[st.floats(-2e-5, 2e-5)] * 3),
+           st.floats(-3e-10, 3e-10), st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_pose_accepts_what_allclose_accepts(self, w, up, stretch, skew, at):
+        try:
+            R = orthonormal_frame(w, up)
+        except (InvalidGeometry, ValueError):
+            R = np.eye(3)
+        R = R * (1.0 + np.array(stretch))  # column j scaled by 1 + stretch[j]
+        R[at, (at + 1) % 3] += skew
+        assert _pose_accepts(R) == _allclose_accepts(R)
+
+
 class TestPlaneIntersection:
     def setup_method(self):
         self.plane = Pose.facing(vec3(0, 0, 0), vec3(0.0, 0.0, 1.0))
