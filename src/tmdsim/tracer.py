@@ -48,7 +48,7 @@ from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
                        TRACE_ROUNDING, WEIGHT_CUTOFF, Pose, Ray, RayRows,
                        advanced_rows, mark_misses, normalize_rows,
                        orthonormal_frame, pick_rows, plane_crossings,
-                       sequential_sum)
+                       sequential_sum, take_rows)
 from .geometry import advanced, intersect_plane  # noqa: F401
 from .scene import Scene
 
@@ -229,8 +229,8 @@ class BundleResult:
 
     def rays(self, rows: np.ndarray) -> RayRows:
         """The logged in-flight rays at `rows`, bit for bit."""
-        return RayRows(self.origin.take(rows, axis=0),
-                       self.direction.take(rows, axis=0),
+        return RayRows(take_rows(self.origin, rows),
+                       take_rows(self.direction, rows),
                        self.weight[rows], self._names[self.mode[rows]])
 
     @property
@@ -291,7 +291,7 @@ def _nearest(scene: Scene, o, d, left):
 def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """a[rows] for sorted distinct indices `rows`: `a` itself, uncopied,
     when they are all of its rows."""
-    return a if len(rows) == len(a) else a.take(rows, axis=0)
+    return take_rows(a, None if len(rows) == len(a) else rows)
 
 
 def _put(out: np.ndarray, rows: np.ndarray, values) -> None:
@@ -410,7 +410,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         parents.append(pid[src[len(go):]])
         exit_dir = np.concatenate([_rows(out_dir, go)]
                                   + [dirs for _, dirs, _ in spawned])
-        start = point.take(src, axis=0) if spawned else _rows(point, go)
+        start = take_rows(point, src) if spawned else _rows(point, go)
         O, D = advanced_rows(start, normalize_rows(exit_dir))
         left = np.where(flat[elem[src]], elem[src], -1)
         W = np.concatenate([out_w[go]] + [w for _, _, w in spawned])
@@ -541,8 +541,8 @@ def spot_diagram(bundle: BundleResult, plane: Pose,
     terminal ray crosses the plane going forward.
     """
     rows = bundle.propagating(mode)
-    hits = plane_crossings(bundle.origin.take(rows, axis=0),
-                           bundle.direction.take(rows, axis=0), plane)
+    hits = plane_crossings(take_rows(bundle.origin, rows),
+                           take_rows(bundle.direction, rows), plane)
     if len(hits.u) == 0:
         raise EmptySpot("no terminal ray crosses the spot plane")
     pts = np.stack([hits.u, hits.v], axis=1)
