@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import InvalidGeometry, NoIntersection, OutOfBounds
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS,
-                       TRACE_ROUNDING, Crossings, Pose, Ray, Rounding,
-                       along_rows, dot_rows, intersect_plane, normalize_rows,
-                       plane_hits, reflect_rows, require_finite, subset,
-                       sub_rows, take_rows)
+                       Crossings, Pose, Ray, along_rows, dot_rows,
+                       intersect_plane, normalize_rows, plane_hits,
+                       reflect_rows, require_finite, subset, sub_rows,
+                       take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -282,13 +282,11 @@ def split_half_mirror(mirror: HalfMirror, directions: np.ndarray,
 
 
 def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
-                    directions: np.ndarray,
-                    rounding: Rounding) -> Optional[Crossings]:
+                    directions: np.ndarray) -> Optional[Crossings]:
     """The rays' Crossings with a curved combiner's cap, t inf where a ray
     misses it, or None when every ray misses.
 
     `origins` are rows, or one 3-vector that every ray starts from.  The
-    per-row dots are the tracer's `rounding` (see geometry.py).  The
     curvature centre sits on the +w side of the vertex for a_mag > 1.  Of
     the two sphere crossings the one on the cap near the vertex wins; the
     far hemisphere (sag beyond one radius) is not a cap.
@@ -297,8 +295,8 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
     pose = mirror.pose
     origins = np.broadcast_to(origins, directions.shape)
     oc = sub_rows(origins, mirror.centre)
-    b = rounding.dot(directions, oc)
-    disc = b * b - (rounding.dot(oc, oc) - R * R)
+    b = np.vecdot(directions, oc)
+    disc = b * b - (np.vecdot(oc, oc) - R * R)
     # Only the rays that meet the sphere (meet: None for all) get roots.
     meet = subset(disc >= 0)
     if meet is not None and len(meet) == 0:
@@ -331,30 +329,26 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
 
 
 def reflect_convex_mirror(mirror: ConvexMirror, points: np.ndarray,
-                          directions: np.ndarray,
-                          rounding: Rounding) -> np.ndarray:
-    """Specular reflection at `points` on the combiner (flat at a_mag = 1).
-    On a cap, the normals and their dots with the directions take the
-    tracer's `rounding` (see geometry.py)."""
+                          directions: np.ndarray) -> np.ndarray:
+    """Specular reflection at `points` on the combiner (flat at a_mag = 1)."""
     if mirror.flat:
         return reflect_rows(directions, mirror.pose.normal)
-    normals = rounding.normalize(sub_rows(mirror.centre, points))
-    return reflect_rows(directions, normals, rounding.dot(directions, normals))
+    normals = normalize_rows(sub_rows(mirror.centre, points))
+    return reflect_rows(directions, normals, np.vecdot(directions, normals))
 
 
-def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray,
-                 left, rounding: Rounding):
+def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
     """Nearest hit of each ray on `surfaces`: (element index or -1,
     distance or inf, each element's Crossings, None for an element not
     tested or hit by no ray).
 
-    `origins` are rows, or one 3-vector that every ray starts from; caps
-    take the tracer's `rounding`.  Each plane is tested only for the rays
-    it could still win, those whose crossing lies nearer than their best
-    hit so far, so an earlier element wins a tie.  A ray is not tested
-    against the flat element it just left: `left` is that element's index
-    (-1 for none), one for the whole batch, whose test is then skipped, or
-    one per ray, whose rows get a bound of -inf.
+    `origins` are rows, or one 3-vector that every ray starts from.  Each
+    plane is tested only for the rays it could still win, those whose
+    crossing lies nearer than their best hit so far, so an earlier element
+    wins a tie.  A ray is not tested against the flat element it just
+    left: `left` is that element's index (-1 for none), one for the whole
+    batch, whose test is then skipped, or one per ray, whose rows get a
+    bound of -inf.
     """
     tmin = np.full(len(directions), np.inf)
     near = np.full(len(directions), -1)
@@ -362,7 +356,7 @@ def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray,
     per_ray = np.ndim(left) > 0
     for k, el in enumerate(surfaces):
         if isinstance(el, ConvexMirror) and not el.flat:
-            hits[k] = sphere_cap_hits(el, origins, directions, rounding)
+            hits[k] = sphere_cap_hits(el, origins, directions)
         elif per_ray:
             bound = np.where(left == k, -np.inf, tmin)
             hits[k] = plane_hits(origins, directions, el.pose, el.extent, bound)
@@ -495,13 +489,11 @@ def convex_mirror_transform(ray: Ray, mirror: ConvexMirror) -> Ray:
     if mirror.flat:
         point = _hit(ray, mirror.pose, mirror.extent, what).point
     else:
-        hits = sphere_cap_hits(mirror, ray.origin[None], ray.direction[None],
-                               TRACE_ROUNDING)
+        hits = sphere_cap_hits(mirror, ray.origin[None], ray.direction[None])
         if hits is None:
             raise NoIntersection(f"ray misses {what}")
         point = hits.points[0]
-    out = reflect_convex_mirror(mirror, point[None], ray.direction[None],
-                                TRACE_ROUNDING)
+    out = reflect_convex_mirror(mirror, point[None], ray.direction[None])
     return replace(ray, origin=point, direction=out[0])
 
 

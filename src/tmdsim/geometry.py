@@ -10,8 +10,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,18 +72,15 @@ def normalize(v) -> np.ndarray:
 #   broadcasts the origin.  Each ray gets the bits of its origin copied to
 #   every row.
 #
-# Pinned rounding.  Two pieces of row maths round differently in the two
-# tracers, and each tracer's golden digests pin its own rounding, so each
-# tracer hands the forms that use them its `Rounding` (TRACE_ROUNDING,
-# RENDER_ROUNDING below):
-# - row normalization: `normalize_rows` (the square root of np.vecdot) in
-#   the forward tracer, `linalg_normalize_rows` (np.linalg.norm's sum
-#   (x*x + y*y) + z*z) in the renderer; either swap moves golden digests
-#   (all 14 trace digests, or 10 of the 34 render ones);
-# - the per-row dot of two row arrays, in the sphere-cap test and the
-#   curved-mirror reflection: np.vecdot forward, einsum in the renderer;
-#   either swap moves the convex_mirror and mixed digests (3 trace or 6
-#   render), one render pixel by 1.43e-12 relative.
+# Pinned rounding.  One piece of row maths still rounds differently in the
+# two tracers: row normalization.  The renderer normalizes its camera rays and
+# lens exits with `linalg_normalize_rows` (np.linalg.norm's sum
+# (x*x + y*y) + z*z); the forward tracer, and the curved-mirror normals both
+# tracers share, use `normalize_rows` (the square root of np.vecdot).  The
+# golden digests pin each: moving the renderer to `normalize_rows` moves 10 of
+# the 34 render digests, and the forward tracer to `linalg_normalize_rows` all
+# 14 trace digests.  The per-row dot of two row arrays, in the sphere-cap test
+# and the curved-mirror reflection, is np.vecdot in both.
 
 
 def dot_rows(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -154,18 +150,6 @@ def linalg_normalize_rows(v: np.ndarray) -> np.ndarray:
     return v
 
 
-class Rounding(NamedTuple):
-    """One tracer's row normalization (which may work in place on the
-    fresh rows it is given) and per-row dot of two row arrays (see the
-    pinned rounding)."""
-    normalize: Callable[[np.ndarray], np.ndarray]
-    dot: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-TRACE_ROUNDING = Rounding(normalize_rows, np.vecdot)
-RENDER_ROUNDING = Rounding(linalg_normalize_rows, partial(np.einsum, "ij,ij->i"))
-
-
 def pick_rows(keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i of `a` where keep[i], else row i of `b`."""
     out = np.empty((len(a), 3))
@@ -178,7 +162,7 @@ def reflect_rows(directions: np.ndarray, normals: np.ndarray,
                  dots: Optional[np.ndarray] = None) -> np.ndarray:
     """Mirror each row about a unit normal, d - 2(d.n)n, for one (3,) normal
     or one per row.  With one normal per row the caller gives the rows' d.n
-    as `dots`, in its tracer's rounding; one normal takes a gemv."""
+    as `dots`; one normal takes a gemv."""
     if dots is None:
         dots = dot_rows(directions, normals)
     s = 2.0 * dots

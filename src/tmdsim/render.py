@@ -21,10 +21,9 @@ rules stated once in geometry.py, so no rework of the batch loop can move
 a pixel.  The search tests a plane only for the rays that would cross it
 nearer than their best hit so far, skips the flat element a batch just
 left, and takes the camera rays of one aperture sample with their shared
-origin as one 3-vector.  Where the goldens pin the renderer's own
-rounding (row normalization, and the per-row dots of the sphere cap and
-of the curved mirror), it hands those forms `geometry.RENDER_ROUNDING`.
-ROW_BLOCK and the one batch per aperture sample fix which batches exist
+origin as one 3-vector.  The one rounding of its own that the goldens
+pin is the row normalization of its camera rays and lens exits,
+`geometry.linalg_normalize_rows`.  ROW_BLOCK and the one batch per aperture sample fix which batches exist
 and the order in which samples add into each pixel.
 """
 from __future__ import annotations
@@ -43,8 +42,9 @@ from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
                        reflect_convex_mirror, refract_thin_lens, sample_screen,
                        split_half_mirror)
 from .errors import IoError
-from .geometry import (RENDER_ROUNDING, WEIGHT_CUTOFF, Pose, nudged_rows,
-                       require_finite, sub_rows, subset, take_rows)
+from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
+                       nudged_rows, require_finite, sub_rows, subset,
+                       take_rows)
 from .scene import EyeCamera, Scene
 from .tracer import r2_sequence, resolve_workers, uniform_draw
 
@@ -68,10 +68,6 @@ class SweepResult:
     images: Optional[list] = None
 
 
-# The renderer's rounding of row normalization (see geometry.py).
-_normalized = RENDER_ROUNDING.normalize
-
-
 # ---------------------------------------------------------------------------
 # Batch tracing
 
@@ -86,7 +82,7 @@ def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
         o, d, w, pix, left, bounce = queue.popleft()
         if len(d) == 0 or bounce >= max_bounces:
             continue
-        near, _, hits = nearest_hits(surfaces, o, d, left, RENDER_ROUNDING)
+        near, _, hits = nearest_hits(surfaces, o, d, left)
         for k, record in enumerate(hits):
             if record is None or isinstance(surfaces[k], Absorber):
                 continue
@@ -112,7 +108,7 @@ def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
     local (u, v): accumulate screen radiance into `acc`, queue the outgoing
     rays."""
     if isinstance(el, ConvexMirror):
-        nd = reflect_convex_mirror(el, point, bd, RENDER_ROUNDING)
+        nd = reflect_convex_mirror(el, point, bd)
         # A ray may meet a curved cap again: only a flat mirror is left.
         _push(queue, point, nd, bw, bp, k if el.flat else -1, bounce)
         return
@@ -129,7 +125,7 @@ def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
         acc[bp] += bw * sample_screen(el, u, v)
     elif isinstance(el, ThinLens):
         rows, out = refract_thin_lens(el, u, v, bd)
-        nd = el.pose.to_world_dirs(_normalized(out))
+        nd = el.pose.to_world_dirs(linalg_normalize_rows(out))
         _push(queue, take_rows(point, rows), nd, bw, bp, k, bounce, rows)
     elif isinstance(el, TmdPlate):
         _plate(el, k, point, u, v, bd, bw, bp, queue, bounce)
@@ -190,7 +186,7 @@ def _render_rows(surfaces, camera: EyeCamera, rows: slice, offsets: np.ndarray,
     pix = np.arange(n)
     for ax, ay in offsets:
         origin = E + ax * U + ay * V
-        d = _normalized(sub_rows(P, origin))
+        d = linalg_normalize_rows(sub_rows(P, origin))
         _trace_batches(surfaces, origin, d, np.ones(n), pix, acc, max_bounces)
     return acc / len(offsets)
 

@@ -10,10 +10,9 @@ tie and the eye must be strictly nearer), then one batch interaction per
 element, which reads the hit points and (u, v) of its hit record, a
 plane's or a curved cap's.  A ray is never tested against the flat
 element it just left (see README).  The cap test and the curved-mirror
-reflection take `geometry.TRACE_ROUNDING`, the forward tracer's pinned
-rounding.  Each row goes through the same floating-point operations as a
-ray traced on its own, so a bundle is bit for bit independent of how its
-rays are batched.
+reflection are the renderer's, with the same rounding.  Each row goes
+through the same floating-point operations as a ray traced on its own, so
+a bundle is bit for bit independent of how its rays are batched.
 
 Half mirrors branch into a path tree: the stronger branch continues the
 parent path, the weaker one becomes a child path.  Plate interactions are
@@ -45,7 +44,7 @@ from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
                        half_mirror_interact, thin_lens_transform, tmd_transform)
 from .errors import EmptySpot, InvalidGeometry, UsageError
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
-                       TRACE_ROUNDING, WEIGHT_CUTOFF, Pose, Ray, RayRows,
+                       WEIGHT_CUTOFF, Pose, Ray, RayRows,
                        advanced_rows, mark_misses, normalize_rows,
                        orthonormal_frame, pick_rows, plane_crossings,
                        sequential_sum, take_rows)
@@ -280,7 +279,7 @@ def _nearest(scene: Scene, o, d, left):
     (index len(surfaces)), tested last with the best distance so far as
     its bound, so it must be strictly nearer; the eye's Crossings ends the
     list of records."""
-    near, tmin, hits = nearest_hits(scene.surfaces, o, d, left, TRACE_ROUNDING)
+    near, tmin, hits = nearest_hits(scene.surfaces, o, d, left)
     hits.append(_eye_crossings(scene.eye, o, d, tmin))
     closer = hits[-1].t < tmin
     np.copyto(near, len(scene.surfaces), where=closer)
@@ -381,8 +380,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                 elif isinstance(surface, ConvexMirror):
                     label[rows] = _MIRROR
                     cont[rows] = True
-                    _put(out_dir, rows, reflect_convex_mirror(
-                        surface, p, d, TRACE_ROUNDING))
+                    _put(out_dir, rows, reflect_convex_mirror(surface, p, d))
                 elif isinstance(surface, TmdPlate):
                     local = surface.pose.to_local_dirs(d)
                     codes = classify_plate_modes(

@@ -7,8 +7,9 @@ in the module's `__all__`.  An import kept only for other modules to find
 
 The two tracers, tracer.py and render.py, reach the hit tests and the
 per-row dots and norms only through geometry.py and elements.py (the
-shared nearest-hit search and each tracer's rounding): neither module may
-use np.einsum, np.vecdot, np.linalg.norm, plane_hits or sphere_cap_hits.
+shared nearest-hit search, the curved-mirror forms and the row
+normalizations): neither module may use np.einsum, np.vecdot,
+np.linalg.norm, plane_hits or sphere_cap_hits.
 """
 import ast
 from pathlib import Path

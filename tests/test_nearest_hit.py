@@ -21,7 +21,7 @@ import test_render_golden as render_golden
 import test_trace_golden as trace_golden
 from tmdsim import elements, render, tracer
 from tmdsim.elements import Absorber, ConvexMirror, Screen, sphere_cap_hits
-from tmdsim.geometry import TRACE_ROUNDING, Pose, normalize, plane_hits, vec3
+from tmdsim.geometry import Pose, normalize, plane_hits, vec3
 from tmdsim.render import render_view
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
 from tmdsim.tracer import Cone, trace_bundle
@@ -29,7 +29,7 @@ from tmdsim.tracer import Cone, trace_bundle
 TURN, SHIFT = trace_golden.TURN, trace_golden.SHIFT
 
 
-def _scan(surfaces, o, d, left, rounding, eye=None):
+def _scan(surfaces, o, d, left, eye=None):
     """(element or -1, distance or inf, records by element, exact ties) of
     every element tested for every ray, then the eye if given."""
     o = np.broadcast_to(o, d.shape).copy()
@@ -37,7 +37,7 @@ def _scan(surfaces, o, d, left, rounding, eye=None):
     ts, records = [], {}
     for k, el in enumerate(surfaces):
         if isinstance(el, ConvexMirror) and not el.flat:
-            records[k] = sphere_cap_hits(el, o, d, rounding)
+            records[k] = sphere_cap_hits(el, o, d)
         else:
             records[k] = plane_hits(o, d, el.pose, el.extent)
         ts.append(np.full(len(d), np.inf) if records[k] is None
@@ -74,17 +74,16 @@ class Checked:
         self.calls = self.ties = 0
         search, forward = elements.nearest_hits, tracer._nearest
 
-        def checked_search(surfaces, o, d, left, rounding):
-            near, t, hits = search(surfaces, o, d, left, rounding)
+        def checked_search(surfaces, o, d, left):
+            near, t, hits = search(surfaces, o, d, left)
             self._check(near, t, dict(enumerate(hits)),
-                        _scan(surfaces, o, d, left, rounding))
+                        _scan(surfaces, o, d, left))
             return near, t, hits
 
         def checked_forward(scene, o, d, left):
             near, t, hits = forward(scene, o, d, left)
             self._check(near, t, dict(enumerate(hits)),
-                        _scan(scene.surfaces, o, d, left, TRACE_ROUNDING,
-                              scene.eye))
+                        _scan(scene.surfaces, o, d, left, scene.eye))
             return near, t, hits
 
         mp.setattr(tracer, "nearest_hits", checked_search)

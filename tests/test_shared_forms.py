@@ -1,13 +1,12 @@
 """The hit search and the curved-mirror forms both tracers share.
 
 Both tracers call one nearest-hit search, one sphere-cap test and one
-curved-mirror reflection; each hands them its own rounding of row
-normalization and per-row dots (geometry.TRACE_ROUNDING and
-RENDER_ROUNDING), which the tracers' golden digests pin.  The properties
-here check that the two ways of naming the element a batch just left
-mean one rule, and that under each rounding the shared cap test and
-reflection give, bit for bit, what each tracer computed with its own
-copy before they were merged (the copies are kept below).
+curved-mirror reflection.  The properties here check that the two ways of
+naming the element a batch just left mean one rule, and that the shared
+cap test and reflection give, bit for bit, what the forward tracer
+computed with its own copy before they were merged (the copy is kept
+below).  The renderer's own copy rounded its per-row dots and normals
+differently; it now calls the same forms, so nothing of it is kept.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -17,62 +16,17 @@ import test_render_golden as render_golden
 import test_trace_golden as trace_golden
 from tmdsim.elements import (ConvexMirror, nearest_hits, reflect_convex_mirror,
                              sphere_cap_hits)
-from tmdsim.geometry import (PLANE_EPS, RENDER_ROUNDING, TRACE_ROUNDING, Pose,
-                             along_rows, dot_rows, normalize, normalize_rows,
-                             sub_rows)
-
-ROUNDINGS = {"trace": TRACE_ROUNDING, "render": RENDER_ROUNDING}
+from tmdsim.geometry import (PLANE_EPS, Pose, along_rows, dot_rows, normalize,
+                             normalize_rows, sub_rows)
 
 
 # ---------------------------------------------------------------------------
-# The forms each tracer kept before the merge.
+# The forms the forward tracer kept before the merge.
 
-def _along_minus(o, t, d, minus):
-    """The renderer's o + t d - minus, a column at a time."""
-    out = np.empty((len(t), 3))
-    for j in range(3):
-        col = out[:, j]
-        np.multiply(t, d[:, j], out=col)
-        col += o[:, j]
-        col -= minus[j]
-    return out
-
-
-def _render_normalized(v):
-    """The renderer's row normalization, in place."""
-    n = v[:, 0] * v[:, 0]
-    sq = np.empty_like(n)
-    for j in (1, 2):
-        np.multiply(v[:, j], v[:, j], out=sq)
-        n += sq
-    np.sqrt(n, out=n)
-    for j in range(3):
-        v[:, j] /= n
-    return v
-
-
-def _render_cap_ts(el, o, d):
-    """The renderer's cap test, einsum for its per-row dots."""
-    R = el.curvature_radius
-    pose = el.pose
-    oc = sub_rows(o, el.centre)
-    b = np.einsum("ij,ij->i", d, oc)
-    c = np.einsum("ij,ij->i", oc, oc) - R * R
-    disc = b * b - c
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    best = np.full(len(o), np.inf)
-    score = np.full(len(o), np.inf)
-    for root in (-b - sq, -b + sq):
-        rel = _along_minus(o, root, d, pose.position)
-        u = dot_rows(rel, pose.u_axis)
-        v = dot_rows(rel, pose.v_axis)
-        wl = np.abs(dot_rows(rel, pose.normal))
-        ok = ((disc >= 0) & (root > PLANE_EPS) & (wl <= abs(R))
-              & (np.abs(u) <= 0.5 * el.extent[0]) & (np.abs(v) <= 0.5 * el.extent[1]))
-        better = ok & (wl < score)
-        best = np.where(better, root, best)
-        score = np.where(better, wl, score)
-    return best
+def _uv(pose, points):
+    """Local (u, v) of world points given as rows."""
+    rel = sub_rows(points, pose.position)
+    return dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
 
 
 def _reflect(directions, normals, dots):
@@ -84,12 +38,6 @@ def _reflect(directions, normals, dots):
         np.multiply(s, normals[:, j], out=col)
         np.subtract(directions[:, j], col, out=col)
     return out
-
-
-def _render_reflect(el, point, d):
-    """The renderer's inline curved-mirror reflection."""
-    n = _render_normalized(sub_rows(el.centre, point))
-    return _reflect(d, n, np.einsum("ij,ij->i", d, n))
 
 
 def _trace_cap_ts(mirror, origins, directions):
@@ -104,7 +52,7 @@ def _trace_cap_ts(mirror, origins, directions):
     best_wl = np.full(len(origins), np.inf)
     for t in (-b - sq, -b + sq):
         points = along_rows(origins, t, directions)
-        u, v = pose.uv_of(points)
+        u, v = _uv(pose, points)
         wl = np.abs(dot_rows(sub_rows(points, pose.position), pose.normal))
         ok = ((disc >= 0) & (t > PLANE_EPS) & (np.abs(u) <= 0.5 * mirror.extent[0])
               & (np.abs(v) <= 0.5 * mirror.extent[1]) & (wl <= abs(R))
@@ -118,10 +66,6 @@ def _trace_reflect(mirror, points, directions):
     """The forward tracer's curved-mirror reflection."""
     n = normalize_rows(mirror.centre - points)
     return _reflect(directions, n, np.vecdot(directions, n))
-
-
-BEFORE = {"trace": (_trace_cap_ts, _trace_reflect),
-          "render": (_render_cap_ts, _render_reflect)}
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +106,17 @@ def _aimed_rays(rng, pose, extent, n, shared):
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
-       st.sampled_from(sorted(ROUNDINGS)), st.sampled_from(("rows", "stride0")),
+       st.sampled_from(("rows", "stride0")),
        st.integers(-1, len(GOLDEN_CAPS) - 1))
 @settings(max_examples=200, deadline=None)
-def test_cap_forms_keep_each_tracers_bits(seed, n, tracer, layout, golden):
+def test_cap_forms_keep_each_tracers_bits(seed, n, layout, golden):
     rng = np.random.default_rng(seed)
     cap = GOLDEN_CAPS[golden] if golden >= 0 else _random_cap(rng)
     o, d = _aimed_rays(rng, cap.pose, cap.extent, n, layout == "stride0")
     if layout == "stride0":
         o = np.broadcast_to(o, (n, 3))
-    rounding = ROUNDINGS[tracer]
-    cap_ts, reflect = BEFORE[tracer]
-    want = cap_ts(cap, o, d)
-    hits = sphere_cap_hits(cap, o, d, rounding)
+    want = _trace_cap_ts(cap, o, d)
+    hits = sphere_cap_hits(cap, o, d)
     if hits is None:
         assert (want == np.inf).all()
         return
@@ -183,10 +125,10 @@ def test_cap_forms_keep_each_tracers_bits(seed, n, tracer, layout, golden):
     rows = np.flatnonzero(hits.t < np.inf)
     points, u, v = hits.at(rows)
     assert points.tobytes() == along_rows(o[rows], hits.t[rows], d[rows]).tobytes()
-    want_u, want_v = cap.pose.uv_of(points)
+    want_u, want_v = _uv(cap.pose, points)
     assert u.tobytes() == want_u.tobytes() and v.tobytes() == want_v.tobytes()
-    out = reflect_convex_mirror(cap, points, d[rows], rounding)
-    assert out.tobytes() == reflect(cap, points, d[rows]).tobytes()
+    out = reflect_convex_mirror(cap, points, d[rows])
+    assert out.tobytes() == _trace_reflect(cap, points, d[rows]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +150,9 @@ SCENE_NAMES = sorted([f"trace:{name}" for name in trace_golden.CASES]
 
 
 @given(st.sampled_from(SCENE_NAMES), st.integers(0, 2 ** 32 - 1),
-       st.integers(1, 40), st.sampled_from(sorted(ROUNDINGS)), st.booleans(),
-       st.data())
+       st.integers(1, 40), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_left_once_or_per_ray_is_one_rule(name, seed, n, tracer, shared, data):
+def test_left_once_or_per_ray_is_one_rule(name, seed, n, shared, data):
     # Rays start near element `left` (or near some element, for -1), off
     # its plane so that some would meet it again, and head for points on
     # every element of the scene.
@@ -243,10 +184,9 @@ def test_left_once_or_per_ray_is_one_rule(name, seed, n, tracer, shared, data):
     if not shared:
         o = o[ahead]
 
-    rounding = ROUNDINGS[tracer]
-    near, t, hits = nearest_hits(surfaces, o, d, left, rounding)
+    near, t, hits = nearest_hits(surfaces, o, d, left)
     per_near, per_t, per_hits = nearest_hits(surfaces, o, d,
-                                             np.full(len(d), left), rounding)
+                                             np.full(len(d), left))
     assert not (near == left).any() or left < 0
     assert np.array_equal(near, per_near)
     assert t.tobytes() == per_t.tobytes()
