@@ -3,10 +3,10 @@
 from .design import (LayoutParams, design_report, fov_ame, fov_convex_mirror,
                      fov_half_mirror, resolution_estimate, subtended_angle_deg)
 from .elements import (ConvexMirror, HalfMirror, Screen, ThinLens, TmdPlate,
-                       classify_tmd_mode, screen_emit)
+                       classify_tmd_mode)
 from .errors import (DegenerateBundle, EmptySpot, InvalidGeometry, IoError,
-                     NoIntersection, OutOfBounds, ParseError, TmdSimError,
-                     UsageError, ValidationError)
+                     NoIntersection, ParseError, TmdSimError, UsageError,
+                     ValidationError)
 from .geometry import Pose, Ray, closest_point_to_rays, intersect_plane
 from .presets import PRESET_BUILDERS, build_preset
 from .render import (Image, SweepResult, best_offset, defocus_sweep,
@@ -23,13 +23,13 @@ __all__ = [
     "BundleResult", "Cone", "ConvexMirror", "DegenerateBundle", "EmptySpot",
     "EyeCamera", "HalfMirror", "HMD_PRESETS", "HmdSpec", "Image",
     "InvalidGeometry", "IoError", "LayoutParams", "NoIntersection",
-    "OutOfBounds", "ParseError", "Pose", "PRESET_BUILDERS", "Ray", "Scene",
+    "ParseError", "Pose", "PRESET_BUILDERS", "Ray", "Scene",
     "Screen", "SpotDiagram", "SweepResult", "ThinLens", "TmdPlate",
     "TmdSimError", "UsageError", "ValidationError", "best_offset",
     "build_preset", "classify_tmd_mode", "closest_point_to_rays", "defocus_sweep",
     "design_report", "fov_ame", "fov_convex_mirror", "fov_half_mirror",
     "intersect_plane", "make_pattern", "parse_scene", "read_ppm",
-    "render_view", "resolution_estimate", "screen_emit", "serialize_scene",
+    "render_view", "resolution_estimate", "serialize_scene",
     "sharpness_metric", "spot_diagram", "subtended_angle_deg",
     "terminal_rays", "tone_map", "trace_bundle", "trace_ray", "write_csv",
     "write_ppm",

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidGeometry, NoIntersection, OutOfBounds
+from .errors import InvalidGeometry, NoIntersection
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS,
                        Crossings, Pose, Ray, along_rows, dot_rows,
                        intersect_plane, normalize_rows, plane_hits,
@@ -227,12 +227,6 @@ def split_weights(weights: np.ndarray, fraction: float):
         return part, weights - part
     rest = weights * (1.0 - fraction)
     return weights - rest, rest
-
-
-def split_weight(weight: float, fraction: float):
-    """`split_weights` for one weight."""
-    part, rest = split_weights(np.array([weight], dtype=np.float64), fraction)
-    return float(part[0]), float(rest[0])
 
 
 # Batch interactions.  Each takes the rays that hit one element as rows
@@ -538,15 +532,3 @@ def sample_screen(screen: Screen, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     top = img.take(ya + xa) * (1.0 - fx) + img.take(ya + xb) * fx
     bot = img.take(yb + xa) * (1.0 - fx) + img.take(yb + xb) * fx
     return top * (1.0 - fy) + bot * fy
-
-
-def screen_emit(screen: Screen, uv, toward=None) -> float:
-    """Radiance leaving the screen at local (u, v); direction-independent
-    (see sample_screen).  Raises OutOfBounds when (u, v) falls outside the
-    screen extent.
-    """
-    u, v = float(uv[0]), float(uv[1])
-    w, h = screen.extent
-    if abs(u) > 0.5 * w + 1e-9 or abs(v) > 0.5 * h + 1e-9:
-        raise OutOfBounds(f"({u}, {v}) outside screen {screen.ident!r}")
-    return float(sample_screen(screen, np.array([u]), np.array([v]))[0])

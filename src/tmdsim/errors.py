@@ -13,10 +13,6 @@ class NoIntersection(TmdSimError):
     """Ray does not meet the element surface within its extent."""
 
 
-class OutOfBounds(TmdSimError):
-    """Sample coordinates fall outside the surface extent."""
-
-
 class InvalidGeometry(TmdSimError):
     """Layout or element parameters describe an impossible arrangement."""
 

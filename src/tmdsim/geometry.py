@@ -349,14 +349,8 @@ class Pose:
     def normal(self) -> np.ndarray:
         return self.rotation[:, 2]
 
-    def to_local_point(self, p) -> np.ndarray:
-        return self.rotation.T @ (np.asarray(p, dtype=np.float64) - self.position)
-
     def to_world_point(self, p) -> np.ndarray:
         return self.position + self.rotation @ np.asarray(p, dtype=np.float64)
-
-    def to_local_dir(self, d) -> np.ndarray:
-        return self.rotation.T @ np.asarray(d, dtype=np.float64)
 
     def to_world_dir(self, d) -> np.ndarray:
         return self.rotation @ np.asarray(d, dtype=np.float64)
@@ -368,11 +362,6 @@ class Pose:
     def to_world_dirs(self, d: np.ndarray) -> np.ndarray:
         """Local directions given as rows, in the world frame."""
         return d @ self._rotation_t
-
-    def uv_of(self, points: np.ndarray):
-        """Local (u, v) coordinates of world points given as rows."""
-        rel = sub_rows(points, self.position)
-        return dot_rows(rel, self.u_axis), dot_rows(rel, self.v_axis)
 
 
 class PlaneHit(NamedTuple):

@@ -83,17 +83,6 @@ def uniform_draw(seed: int, ray_index: int, bounce: int) -> float:
     return float(uniform_draws(seed, ids, bounce)[0])
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Per-ray random stream; draws are pure functions of the key."""
-
-    seed: int
-    ray_index: int
-
-    def draw(self, bounce: int) -> float:
-        return uniform_draw(self.seed, self.ray_index, bounce)
-
-
 # R2 additive recurrence (plastic constant); fixed, index-addressable.
 _R2_A1 = 0.7548776662466927
 _R2_A2 = 0.5698402909980532
@@ -420,19 +409,18 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     return BundleResult(log, parents, idents, modes, seed)
 
 
-def trace_ray(scene: Scene, ray: Ray, max_bounces: int = 16,
-              rng: Optional[RngStream] = None) -> TracePath:
+def trace_ray(scene: Scene, ray: Ray, max_bounces: int = 16, seed: int = 0,
+              ray_index: int = 0) -> TracePath:
     """Trace one ray to a terminal, branching at half mirrors.
 
-    Plate modes are drawn from the rng stream at the current bounce index.
-    Branches below the weight cutoff are never spawned, and a ray whose own
-    weight sinks below the cutoff terminates as absorbed.
+    Plate modes are drawn from the random stream (seed, ray_index) at the
+    current bounce index, as ray `ray_index` of a bundle traced with `seed`
+    draws them.  Branches below the weight cutoff are never spawned, and a
+    ray whose own weight sinks below the cutoff terminates as absorbed.
     """
-    if rng is None:
-        rng = RngStream(0, 0)
-    ids = np.array([rng.ray_index & _MASK64], dtype=np.uint64)
+    ids = np.array([ray_index & _MASK64], dtype=np.uint64)
     return _trace(scene, ray.origin[None], ray.direction[None],
-                  np.array([ray.weight]), ray.mode, ids, rng.seed,
+                  np.array([ray.weight]), ray.mode, ids, seed,
                   max_bounces).paths[0]
 
 

@@ -11,9 +11,9 @@ from tmdsim.elements import (ConvexMirror, HalfMirror, INTERACT_ABSORB,
                              PLATE_INTERACTIONS, Screen, ThinLens, TmdPlate,
                              classify_tmd_mode, convex_mirror_transform,
                              half_mirror_interact, plate_exit, quantize_uv,
-                             refract_thin_lens, sample_screen, screen_emit,
-                             split_weight, thin_lens_transform, tmd_transform)
-from tmdsim.errors import InvalidGeometry, NoIntersection, OutOfBounds
+                             refract_thin_lens, sample_screen, split_weights,
+                             thin_lens_transform, tmd_transform)
+from tmdsim.errors import InvalidGeometry, NoIntersection
 from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
                              normalize_rows, orthonormal_frame, plane_hits,
                              vec3)
@@ -28,12 +28,18 @@ def line_point_distance(ray, point):
     return float(np.linalg.norm(rel - (rel @ ray.direction) * ray.direction))
 
 
+def split_one(weight, fraction):
+    """split_weights of one weight, as Python floats."""
+    part, rest = split_weights(np.array([weight]), fraction)
+    return float(part[0]), float(rest[0])
+
+
 class TestSplitWeight:
     def test_halves(self):
-        assert split_weight(1.0, 0.5) == (0.5, 0.5)
+        assert split_one(1.0, 0.5) == (0.5, 0.5)
 
     def test_order(self):
-        part, rest = split_weight(0.8, 0.25)
+        part, rest = split_one(0.8, 0.25)
         assert part == pytest.approx(0.2)
         assert rest == pytest.approx(0.6)
 
@@ -41,13 +47,13 @@ class TestSplitWeight:
            st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=400, deadline=None)
     def test_sum_is_exact(self, w, f):
-        part, rest = split_weight(w, f)
+        part, rest = split_one(w, f)
         assert part + rest == w
         assert part >= 0.0 and rest >= 0.0
 
     def test_fraction_range(self):
         with pytest.raises(ValueError):
-            split_weight(1.0, 1.5)
+            split_weights(np.array([1.0]), 1.5)
 
 
 class TestThinLens:
@@ -381,6 +387,11 @@ def test_per_ray_forms_give_the_batch_bits(seed, mode):
     assert got.direction.tobytes() == want.direction.tobytes()
 
 
+def emit(screen, uv):
+    """sample_screen at one local (u, v), as a Python float."""
+    return float(sample_screen(screen, np.array([uv[0]]), np.array([uv[1]]))[0])
+
+
 class TestScreenEmit:
     def screen(self, image, extent=(2.0, 2.0), flip=(False, False)):
         return Screen("S", facing_z(), extent, np.asarray(image, float), flip)
@@ -388,32 +399,33 @@ class TestScreenEmit:
     def test_uniform(self):
         s = self.screen(np.full((4, 4), 0.7))
         for uv in ((0.0, 0.0), (0.99, -0.99), (-1.0, 1.0)):
-            assert screen_emit(s, uv) == pytest.approx(0.7)
+            assert emit(s, uv) == pytest.approx(0.7)
 
     def test_bilinear_midpoint(self):
         s = self.screen([[0.0, 1.0], [0.0, 1.0]])
-        assert screen_emit(s, (0.0, 0.3)) == pytest.approx(0.5)
-        assert screen_emit(s, (-0.5, 0.0)) == pytest.approx(0.0)
-        assert screen_emit(s, (0.5, 0.0)) == pytest.approx(1.0)
+        assert emit(s, (0.0, 0.3)) == pytest.approx(0.5)
+        assert emit(s, (-0.5, 0.0)) == pytest.approx(0.0)
+        assert emit(s, (0.5, 0.0)) == pytest.approx(1.0)
 
     def test_row_zero_is_top(self):
         s = self.screen([[1.0, 1.0], [0.0, 0.0]])
-        assert screen_emit(s, (0.0, 0.9)) == pytest.approx(1.0)
-        assert screen_emit(s, (0.0, -0.9)) == pytest.approx(0.0)
+        assert emit(s, (0.0, 0.9)) == pytest.approx(1.0)
+        assert emit(s, (0.0, -0.9)) == pytest.approx(0.0)
 
     def test_flip_u(self):
         s = self.screen([[0.0, 1.0], [0.0, 1.0]], flip=(True, False))
-        assert screen_emit(s, (0.5, 0.0)) == pytest.approx(0.0)
-        assert screen_emit(s, (-0.5, 0.0)) == pytest.approx(1.0)
+        assert emit(s, (0.5, 0.0)) == pytest.approx(0.0)
+        assert emit(s, (-0.5, 0.0)) == pytest.approx(1.0)
 
     def test_flip_v(self):
         s = self.screen([[1.0, 1.0], [0.0, 0.0]], flip=(False, True))
-        assert screen_emit(s, (0.0, 0.9)) == pytest.approx(0.0)
+        assert emit(s, (0.0, 0.9)) == pytest.approx(0.0)
 
     def test_out_of_bounds(self):
-        s = self.screen(np.ones((2, 2)))
-        with pytest.raises(OutOfBounds):
-            screen_emit(s, (1.5, 0.0))
+        # No bounds check: past the border the edge texels' values hold.
+        s = self.screen([[0.0, 1.0], [0.0, 1.0]])
+        assert emit(s, (1.5, 0.0)) == emit(s, (1.0, 0.0)) == 1.0
+        assert emit(s, (-1.5, 0.0)) == emit(s, (-1.0, 0.0)) == 0.0
 
     def test_negative_image_rejected(self):
         with pytest.raises(InvalidGeometry):
@@ -445,7 +457,7 @@ def _bilinear_reference(screen, u, v):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
        st.tuples(st.booleans(), st.booleans()))
 @settings(max_examples=60, deadline=None)
-def test_screen_emit_is_sample_screen_row_bit_for_bit(seed, n, flip):
+def test_sample_screen_one_row_is_its_batch_row_bit_for_bit(seed, n, flip):
     rng = np.random.default_rng(seed)
     extent = tuple(rng.uniform(0.5, 300.0, 2))
     image = rng.uniform(0.0, 2.0, tuple(rng.integers(1, 9, 2)))
@@ -454,7 +466,7 @@ def test_screen_emit_is_sample_screen_row_bit_for_bit(seed, n, flip):
     v = rng.uniform(-0.5, 0.5, n) * extent[1]
     batch = sample_screen(s, u, v)
     for i in range(n):
-        one = screen_emit(s, (u[i], v[i]))
+        one = emit(s, (u[i], v[i]))
         assert one == batch[i] == _bilinear_reference(s, float(u[i]), float(v[i]))
 
 

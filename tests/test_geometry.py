@@ -127,7 +127,8 @@ class TestFrameAndPose:
     def test_point_round_trip(self, px, py, pz, wx, wy, wz):
         pose = Pose.facing(vec3(1.0, -2.0, 0.5), normalize(vec3(wx, wy, wz)))
         p = vec3(px, py, pz)
-        back = pose.to_world_point(pose.to_local_point(p))
+        local = pose.to_local_dirs((p - pose.position)[None])[0]
+        back = pose.to_world_point(local)
         assert np.allclose(back, p, atol=1e-9)
 
     @given(unit_ish, unit_ish, unit_ish)
@@ -135,7 +136,7 @@ class TestFrameAndPose:
     def test_dir_round_trip_preserves_norm(self, dx, dy, dz):
         pose = Pose.facing(vec3(0, 0, 0), normalize(vec3(0.2, 0.3, 0.9)))
         d = normalize(vec3(dx, dy, dz))
-        local = pose.to_local_dir(d)
+        local = pose.to_local_dirs(d[None])[0]
         assert abs(np.linalg.norm(local) - 1.0) < 1e-12
         assert np.allclose(pose.to_world_dir(local), d, atol=1e-12)
 
@@ -298,11 +299,17 @@ def _hits(o, d, pose):
     return np.full(len(o), np.inf) if hits is None else hits.t
 
 
+def _uv(pose, points):
+    # Local (u, v) of world points given as rows, as plane_crossings takes
+    # them from its crossing points.
+    rel = sub_rows(points, pose.position)
+    return dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
+
+
 # Each shared row form as a function of (origins, directions, pose), giving
 # one result row per ray.
 ROW_FORMS = {
     "dot_rows": lambda o, d, pose: dot_rows(d, pose.normal),
-    "uv_of": lambda o, d, pose: np.stack(pose.uv_of(o), axis=1),
     "to_local_dirs": lambda o, d, pose: pose.to_local_dirs(d),
     "to_world_dirs": lambda o, d, pose: pose.to_world_dirs(d),
     "plane_crossings": _crossings,
@@ -314,13 +321,13 @@ ROW_FORMS = {
 def _refracted(o, d, pose):
     # Every row passes: the clear aperture is far wider than the rows' spread.
     _, out = refract_thin_lens(ThinLens("lens", pose, 50.0, 1e6),
-                               *pose.uv_of(o), d)
+                               *_uv(pose, o), d)
     return out
 
 
 def _plate_exit(o, d, pose):
     plate = TmdPlate("plate", pose, (1e6, 1e6), pitch=0.7)
-    exits, out = plate_exit(plate, o, *pose.uv_of(o), pose.to_local_dirs(d),
+    exits, out = plate_exit(plate, o, *_uv(pose, o), pose.to_local_dirs(d),
                             np.arange(len(o)) % 4)
     return np.column_stack([exits, out])
 
@@ -415,7 +422,7 @@ class TestBatchInvariance:
     @settings(max_examples=100, deadline=None)
     def test_record_gives_the_recomputed_hit_bits(self, seed, n, data):
         # What Crossings.at hands to an interaction is what the interaction
-        # would compute from the winners' t: o + t d, then uv_of.
+        # would compute from the winners' t: o + t d, then its local u, v.
         rng = np.random.default_rng(seed)
         pose = Pose.facing(rng.uniform(-50.0, 50.0, 3), rng.standard_normal(3),
                            rng.standard_normal(3))
@@ -432,7 +439,7 @@ class TestBatchInvariance:
             winners = None  # every ray wins, as the renderer passes it
         rows = np.arange(n) if winners is None else winners
         point = along_rows(o[rows], hits.t[rows], d[rows])
-        u, v = pose.uv_of(point)
+        u, v = _uv(pose, point)
         got = hits.at(winners)
         for a, b in zip(got, (point, u, v)):
             assert a.tobytes() == b.tobytes()

@@ -12,7 +12,7 @@ from tmdsim import render
 from tmdsim.elements import Screen, TmdPlate
 from tmdsim.geometry import Pose, Ray, orthonormal_frame, vec3
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
-from tmdsim.tracer import RngStream, trace_ray
+from tmdsim.tracer import trace_ray
 
 # The golden scenes' general rigid motion (tests/test_*_golden.py).
 TURN = orthonormal_frame(vec3(0.3, -0.5, 0.8), (0.6, 0.7, 0.2))
@@ -51,7 +51,7 @@ def _grazing():
 def test_forward_paths_meet_the_plate_once():
     scene, origins, directions = _grazing()
     for i in range(N):
-        path = trace_ray(scene, Ray(origins[i], directions[i]), rng=RngStream(1, i))
+        path = trace_ray(scene, Ray(origins[i], directions[i]), seed=1, ray_index=i)
         elements = [s.element for s in path.segments]
         assert elements in (["plate"], ["plate", "wall"]), elements
         if elements == ["plate"]:

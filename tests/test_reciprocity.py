@@ -3,10 +3,11 @@
 The plate forms an exact real image, so light traced forward from a
 screen point to the eye and then sent back from where it met the eye must
 retrace its path.  At pitch 0 (snapping an exit to its cell centre cannot
-be undone) a forward `trace_ray` from a screen point whose root path ends
-at the eye is reversed at its eye hit and handed to the renderer's batch
-loop as one pixel.  Every `render._interact` call is recorded, and one
-branch of the renderer's tree must:
+be undone) a forward `trace_ray` from a screen point, on a drawn random
+stream, whose root path ends at the eye is reversed at its eye hit and
+handed to the renderer's batch loop as one pixel.  Every
+`render._interact` call is recorded, and one branch of the renderer's
+tree must:
 
 - visit the forward path's elements in reverse order, each at the forward
   hit point, then the source screen within 1e-9 mm of the source;
@@ -94,7 +95,9 @@ def _forward(scene, rng):
         sources = _sources(scene, rng)
         for i in rng.permutation(len(sources)).tolist():
             screen, point, direction = sources[i]
-            path = trace_ray(scene, Ray(point, direction), max_bounces=MAX_BOUNCES)
+            path = trace_ray(scene, Ray(point, direction), MAX_BOUNCES,
+                             seed=int(rng.integers(1 << 31)),
+                             ray_index=int(rng.integers(1 << 31)))
             if path.terminal == "reached_eye":
                 return screen, point, path
     return None

@@ -29,8 +29,8 @@ from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
                              orthonormal_frame, vec3)
 from tmdsim.presets import build_preset
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
-from tmdsim.tracer import (Cone, RngStream, cone_directions, terminal_rays,
-                           trace_bundle, trace_ray)
+from tmdsim.tracer import (Cone, cone_directions, terminal_rays, trace_bundle,
+                           trace_ray)
 
 N_RAYS = 48
 SEED = 5
@@ -240,7 +240,7 @@ def test_trace_ray_matches_the_first_bundle_paths(name):
     bundle = trace_bundle(scene, source, N_RAYS, cone, seed=SEED)
     dirs = cone_directions(cone, N_RAYS)
     for i in range(16):
-        path = trace_ray(scene, Ray(source, dirs[i]), rng=RngStream(SEED, i))
+        path = trace_ray(scene, Ray(source, dirs[i]), seed=SEED, ray_index=i)
         assert _path_digest(path) == _path_digest(bundle.paths[i]), i
 
 
@@ -252,7 +252,7 @@ def test_trace_ray_matches_bundle_path(name, seed, n, data):
     scene, source, cone = case_inputs(name)
     bundle = trace_bundle(scene, source, n, cone, seed=seed)
     dirs = cone_directions(cone, n)
-    path = trace_ray(scene, Ray(source, dirs[i]), rng=RngStream(seed, i))
+    path = trace_ray(scene, Ray(source, dirs[i]), seed=seed, ray_index=i)
     assert _path_digest(path) == _path_digest(bundle.paths[i])
 
 

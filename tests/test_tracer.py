@@ -10,10 +10,10 @@ from tmdsim.errors import EmptySpot, UsageError
 from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
                              vec3)
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
-from tmdsim.tracer import (Cone, RngStream, cone_directions, dfs_order,
-                           r2_sequence, resolve_workers, spot_diagram,
-                           terminal_rays, trace_bundle, trace_ray,
-                           uniform_draw)
+from tmdsim.tracer import (Cone, cone_directions, dfs_order, r2_sequence,
+                           resolve_workers, spot_diagram, terminal_rays,
+                           trace_bundle, trace_ray, uniform_draw,
+                           uniform_draws)
 
 Z_PLUS = vec3(0.0, 0.0, 1.0)
 
@@ -51,8 +51,8 @@ class TestUniformDraw:
         assert uniform_draw(1, 2, 3) != uniform_draw(2, 2, 3)
 
     def test_stream_wrapper(self):
-        s = RngStream(42, 5)
-        assert s.draw(2) == uniform_draw(42, 5, 2)
+        draws = uniform_draws(42, np.arange(8, dtype=np.uint64), 2)
+        assert draws[5] == uniform_draw(42, 5, 2)
 
 
 def _stack_walk(parents, n_roots):
@@ -235,10 +235,10 @@ class TestTraceRay:
     def test_plate_modes_follow_stream(self):
         scene = plate_scene(mode_weights=(0.6, 0.3, 0.1))
         ray = Ray(vec3(0.0, 1.0, 30.0), -Z_PLUS)
-        p1 = trace_ray(scene, ray, rng=RngStream(9, 0))
-        p2 = trace_ray(scene, ray, rng=RngStream(9, 0))
+        p1 = trace_ray(scene, ray, seed=9, ray_index=0)
+        p2 = trace_ray(scene, ray, seed=9, ray_index=0)
         assert p1.segments[0].interaction == p2.segments[0].interaction
-        seen = {trace_ray(scene, ray, rng=RngStream(9, i)).segments[0].interaction
+        seen = {trace_ray(scene, ray, seed=9, ray_index=i).segments[0].interaction
                 for i in range(200)}
         assert "double_reflect" in seen and "pass_through" in seen
 
