@@ -167,8 +167,7 @@ def _cmd_design(args) -> int:
                           d=args.d, d2=args.d2, d4=args.d4, a_mag=args.a_mag)
     if args.l1 <= 0 or args.l3 <= 0 or args.a <= 0 or args.d <= 0 \
             or args.d2 <= 0 or args.d4 <= 0 or args.l2 <= 0:
-        print("design: lengths must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("design lengths must be positive")
     report = design_report(HMD_PRESETS[args.hmd], params, pitch=args.pitch)
     for key, value in report.lines():
         print(f"{key},{value}")

@@ -96,6 +96,9 @@ class EyeCamera:
         if self.aperture_diameter <= 0:
             raise InvalidGeometry("camera aperture must be positive")
         w, h, p = self.sensor
+        if w != int(w) or h != int(h):
+            raise InvalidGeometry(f"camera sensor width and height must be whole "
+                                  f"pixel counts, got {w} x {h}")
         if int(w) <= 0 or int(h) <= 0 or float(p) <= 0:
             raise InvalidGeometry("camera sensor must be positive (w, h, pitch)")
         object.__setattr__(self, "sensor", (int(w), int(h), float(p)))
@@ -187,9 +190,10 @@ def _as_float(tok: str, line: int) -> float:
 
 
 def _as_count(tok: str, line: int) -> int:
+    """A whole number, written as an integer or as a float such as 256.0."""
     value = _as_float(tok, line)
-    if not math.isfinite(value):
-        raise ParseError(line, f"expected a count, got {tok!r}")
+    if not (math.isfinite(value) and value.is_integer()):
+        raise ParseError(line, f"expected a whole count, got {tok!r}")
     return int(value)
 
 
@@ -255,9 +259,14 @@ def _take_image(keys, line):
         spec = " ".join(toks)
     else:
         vline = line
-    res = _take_floats(keys, "image_res", line, 1, float(DEFAULT_IMAGE_RES))
+    res = DEFAULT_IMAGE_RES
+    if "image_res" in keys:
+        toks, rline = keys.pop("image_res")
+        if len(toks) != 1:
+            raise ParseError(rline, f"image_res expects 1 value(s), got {len(toks)}")
+        res = _as_count(toks[0], rline)
     try:
-        return make_pattern(spec, int(res)), spec
+        return make_pattern(spec, res), spec
     except (ValueError, OverflowError) as exc:
         raise ParseError(vline, str(exc)) from None
 

@@ -78,9 +78,10 @@ class TestDesign:
         assert err.value.code == 2
 
     def test_negative_length(self, capsys):
-        code, _, err = run(capsys, "design", "--l1", "-5")
+        code, out, err = run(capsys, "design", "--l1", "-5")
         assert code == 2
-        assert "positive" in err
+        assert out == ""
+        assert err.startswith("error: ") and "positive" in err
 
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "report.csv"

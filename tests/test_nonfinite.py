@@ -6,6 +6,8 @@ the CLI exit with code 3 before anything is traced or rendered.  A
 non-finite number on the command line (`trace --source`, `--axis` or
 `--spot-plane`, a `design` length, a `sweep` offset) is a usage error
 (code 2); only `design --l2 inf`, the unbounded eyepiece, is accepted.
+A sensor's width and height in pixels must also be whole numbers (256.0
+is one): a fractional count is invalid geometry, not truncated.
 """
 import math
 
@@ -228,3 +230,25 @@ def test_design_takes_an_unbounded_eyepiece(capsys):
     explicit = capsys.readouterr().out
     assert main(["design"]) == 0
     assert explicit == capsys.readouterr().out != ""
+
+
+@pytest.mark.parametrize("sensor", [(3.7, 2, 0.5), (64, 48.5, 0.5), (0.5, 2, 0.5)])
+def test_a_fractional_sensor_pixel_count_is_invalid(sensor):
+    with pytest.raises(InvalidGeometry, match="whole pixel counts"):
+        EyeCamera("eye", _pose(), sensor=sensor)
+
+
+def test_a_whole_float_sensor_pixel_count_is_accepted():
+    eye = EyeCamera("eye", _pose(), sensor=(256.0, np.float64(48.0), 0.5))
+    assert eye.sensor == (256, 48, 0.5)
+
+
+@pytest.mark.parametrize("sensor,code", [("10.9 12.5 0.5", 3), ("8.0 6 0.5", 0)])
+def test_cli_renders_only_whole_sensor_pixel_counts(tmp_path, capsys, sensor, code):
+    path = tmp_path / "sensor.scene"
+    path.write_text(SCENE.replace("sensor = 8 6 0.5", f"sensor = {sensor}"))
+    out = tmp_path / "view.ppm"
+    assert main(["render", str(path), "--out", str(out), "--rpp", "1"]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert capsys.readouterr().err.startswith("error: ")

@@ -190,6 +190,21 @@ element tmd panel {
         panel = scene.element("panel")
         assert np.array_equal(panel.image, [[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("line", ["image_res = 16.9", "image_res = nan",
+                                      "image_data = 2.5 2 0 1 1 0",
+                                      "image_data = 2 1.5 0 1 1"])
+    def test_fractional_image_counts_are_parse_errors(self, line):
+        text = MINIMAL.replace("image = checker 8", f"image = checker 8\n  {line}")
+        with pytest.raises(ParseError, match="whole count") as err:
+            parse_scene(text)
+        assert err.value.line == 12  # the count's own line
+
+    @pytest.mark.parametrize("line,shape", [("image_res = 16.0", (16, 16)),
+                                            ("image_data = 2.0 2 0 1 1 0", (2, 2))])
+    def test_whole_float_image_counts_are_accepted(self, line, shape):
+        text = MINIMAL.replace("image = checker 8", f"image = checker 8\n  {line}")
+        assert parse_scene(text).element("panel").image.shape == shape
+
     def test_all_element_kinds(self):
         text = MINIMAL + """
 element tmd plate {
