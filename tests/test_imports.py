@@ -1,5 +1,5 @@
-"""Every import in the package is used, and the tracers keep no row maths
-of their own.
+"""Every import in the package is used, every definition is read, and the
+tracers keep no row maths of their own.
 
 A name bound by an import must be read somewhere in its module, or listed
 in the module's `__all__`.  An import kept only for other modules to find
@@ -10,8 +10,17 @@ per-row dots and norms only through geometry.py and elements.py (the
 shared nearest-hit search, the curved-mirror forms and the row
 normalizations): neither module may use np.einsum, np.vecdot,
 np.linalg.norm, plane_hits or sphere_cap_hits.
+
+Every function, class and method (dunder methods aside) of the package is
+read somewhere in the package outside its own definition: called, looked
+up as an attribute, or imported (a re-export counts).  A definition that
+only tests read is dead code.  The few that only callers outside the
+package read are listed, each with its reason, and the list must match
+what the check finds, so it cannot go stale.  The check goes by name, so
+a method counts as read wherever any attribute of its name is read.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -114,3 +123,72 @@ def test_the_check_sees_a_forbidden_use():
     assert forbidden_uses(source) == [
         ("sphere_cap_hits", 2), ("np.linalg.norm", 3), ("np.einsum", 4),
         ("geometry.plane_hits", 5)]
+
+
+# Definitions that nothing in the package reads, kept for callers outside it.
+OUTSIDE_CALLERS = {
+    "geometry.reflect": "the acceptance module's involution checks",
+    "geometry.Pose.to_world_point": "the acceptance module places poses",
+    "geometry.Pose.to_world_dir": "the acceptance module places poses",
+    "scene.Scene.element": "public lookup of an element by its identifier",
+    "tracer.TracePath.walk": "the acceptance module and perfbench walk "
+                             "path trees",
+}
+
+
+def _reads(tree):
+    """Every name the tree reads: loaded names and attributes, and the
+    names an import takes from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _definitions(body, prefix):
+    """(qualified name, node) of the functions and classes of a module or
+    class body, and of the non-dunder methods of each class."""
+    for node in body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        name = f"{prefix}.{node.name}"
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            yield name, node
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node.body, name)
+
+
+def unread_definitions(sources: dict) -> list:
+    """Qualified names of the definitions in `sources` (module name ->
+    source text) that no code outside their own definition reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    return sorted(
+        qualified for module, tree in trees.items()
+        for qualified, node in _definitions(tree.body, module)
+        if reads[node.name] == sum(1 for name in _reads(node) if name == node.name))
+
+
+def test_every_definition_is_read_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unread_definitions(sources) == sorted(OUTSIDE_CALLERS)
+
+
+def test_the_check_sees_an_unread_definition():
+    sources = {
+        "a": ("def used():\n    return helper()\n"
+              "def helper():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Box:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def shown(self):\n        return self.hidden\n"
+              "    @property\n    def hidden(self):\n        return 2\n"
+              "    def lonely(self):\n        return 3\n"),
+        "b": "from a import used, Box\n",
+    }
+    assert unread_definitions(sources) == ["a.Box.lonely", "a.Box.shown",
+                                           "a.recursive"]
