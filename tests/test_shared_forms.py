@@ -5,8 +5,7 @@ curved-mirror reflection.  The properties here check that the two ways of
 naming the element a batch just left mean one rule, and that the shared
 cap test and reflection give, bit for bit, what the forward tracer
 computed with its own copy before they were merged (the copy is kept
-below).  The renderer's own copy rounded its per-row dots and normals
-differently; it now calls the same forms, so nothing of it is kept.
+below).
 """
 import numpy as np
 from hypothesis import given, settings
