@@ -23,8 +23,9 @@ nearer than their best hit so far, skips the flat element a batch just
 left, and takes the camera rays of one aperture sample with their shared
 origin as one 3-vector.  The one rounding of its own that the goldens
 pin is the row normalization of its camera rays and lens exits,
-`geometry.linalg_normalize_rows`.  ROW_BLOCK and the one batch per aperture sample fix which batches exist
-and the order in which samples add into each pixel.
+`geometry.linalg_normalize_rows`.  ROW_BLOCK and the one batch per
+aperture sample fix which batches exist and the order in which samples
+add into each pixel.
 """
 from __future__ import annotations
 

@@ -167,10 +167,13 @@ def unread_definitions(sources: dict) -> list:
     source text) that no code outside their own definition reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     reads = Counter(name for tree in trees.values() for name in _reads(tree))
-    return sorted(
-        qualified for module, tree in trees.items()
-        for qualified, node in _definitions(tree.body, module)
-        if reads[node.name] == sum(1 for name in _reads(node) if name == node.name))
+    unread = []
+    for module, tree in trees.items():
+        for qualified, node in _definitions(tree.body, module):
+            own = Counter(_reads(node))[node.name]  # recursion, self.name
+            if reads[node.name] == own:
+                unread.append(qualified)
+    return sorted(unread)
 
 
 def test_every_definition_is_read_in_the_package():
