@@ -11,15 +11,18 @@ tree must:
 
 - visit the forward path's elements in reverse order, each at the forward
   hit point, then the source screen within 1e-9 mm of the source;
-- carry exactly the weight that the renderer's deterministic splits give
-  that branch: the plate's band fraction for the forward path's plate
-  interaction (as a product, from the renderer's own incidence) and the
-  half mirror's `split_weights` part for its reflect or transmit.
+- carry exactly the product of the renderer's split fractions along that
+  branch: the plate's band fraction for the forward path's plate
+  interaction (from the renderer's own incidence), and the half mirror's
+  reflectance or its complement.  A root path takes a half mirror's
+  stronger branch, the part `split_weights` computes as a product.
 
 Source points and directions come from a forward bundle out of the eye's
 pupil into the scene: the last leg of a path that ends on a screen,
 reversed.  The scenes are the golden scene builders that hold a screen,
-the turned ones and the curved caps included.
+the turned ones and the curved caps included, and the forward ping-pong
+builder with splitters that transmit more than they reflect, so that root
+paths cross them.
 """
 import math
 from dataclasses import replace
@@ -33,7 +36,7 @@ import test_render_golden as render_golden
 import test_trace_golden as trace_golden
 from tmdsim import render
 from tmdsim.elements import (PLATE_INTERACTIONS, HalfMirror, Screen, TmdPlate,
-                             double_band, split_weights)
+                             double_band)
 from tmdsim.geometry import WEIGHT_CUTOFF, Ray
 from tmdsim.scene import Scene
 from tmdsim.tracer import Cone, trace_bundle, trace_ray
@@ -53,16 +56,21 @@ def _at_pitch_zero(scene):
 def _scene(name):
     if name not in _SCENES:
         kind, case = name.split(":")
-        scene = (trace_golden.case_inputs(case)[0] if kind == "trace"
-                 else render_golden.CASES[case]()[0])
+        if kind == "trace":
+            scene = trace_golden.case_inputs(case)[0]
+        elif kind == "render":
+            scene = render_golden.CASES[case]()[0]
+        else:
+            scene = trace_golden._ping_pong_scene(0.3, 0.2)
         _SCENES[name] = _at_pitch_zero(scene)
     return _SCENES[name]
 
 
-# Every golden scene with a screen; the forward `mixed` case has none.
+# Every golden scene with a screen (the forward `mixed` case has none).
 SCENE_NAMES = sorted(
     name for name in ([f"trace:{case}" for case in trace_golden.CASES]
-                      + [f"render:{case}" for case in render_golden.CASES])
+                      + [f"render:{case}" for case in render_golden.CASES]
+                      + ["builder:ping_pong_transmit"])
     if any(isinstance(el, Screen) for el in _scene(name).surfaces))
 
 
@@ -129,8 +137,8 @@ def _split(el, label, bd, w):
         band = (double_band(el, el.pose.to_local_dirs(bd)), single, single, p_p)
         return w * band[code]
     if isinstance(el, HalfMirror):
-        parts = split_weights(w, el.reflectance)
-        return parts[0 if label == "half_mirror_reflect" else 1]
+        r = el.reflectance
+        return w * (r if label == "half_mirror_reflect" else 1.0 - r)
     return w  # a lens or a mirror passes the whole weight on
 
 
@@ -167,4 +175,5 @@ def test_a_reversed_forward_path_retraces_it_in_the_renderer(name, seed):
 
 def test_the_scenes_include_turned_and_curved_ones():
     assert {"render:mixed_turned", "trace:ame_dk2_turned",
-            "trace:convex_mirror", "render:mixed"} <= set(SCENE_NAMES)
+            "trace:convex_mirror", "render:mixed",
+            "builder:ping_pong_transmit"} <= set(SCENE_NAMES)
