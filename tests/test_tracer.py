@@ -108,6 +108,16 @@ class TestSequences:
         pts = r2_sequence(500)
         assert pts.min() >= 0.0 and pts.max() < 1.0
 
+    @pytest.mark.parametrize("n,start", [(1, 0), (2000, 0), (10**5, 0),
+                                         (10**5, 12345), (77, 2**31)])
+    def test_r2_keeps_the_bits_of_the_remainder_form(self, n, start):
+        # The sequence as it was written with % 1.0; floor must not move a bit.
+        i = np.arange(start + 1, start + n + 1, dtype=np.float64)
+        a1, a2 = 0.7548776662466927, 0.5698402909980532
+        ref = np.stack([(0.5 + a1 * i) % 1.0, (0.5 + a2 * i) % 1.0], axis=1)
+        assert np.array_equal(r2_sequence(n, start).view(np.int64),
+                              ref.view(np.int64))
+
     def test_cone_directions_inside_cone(self):
         axis = normalize(vec3(0.3, -0.5, 0.8))
         cone = Cone(axis, math.radians(7.0))
@@ -321,6 +331,12 @@ class TestBundle:
     def test_bounce_budget_below_one(self, budget):
         with pytest.raises(ValueError, match="max_bounces"):
             self.bundle(plate_scene(), max_bounces=budget)
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_trace_ray_bounce_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="max_bounces must be >= 1"):
+            trace_ray(plate_scene(), Ray(vec3(0, 0, 20.0), -Z_PLUS),
+                      max_bounces=budget)
 
     def test_workers_env(self, monkeypatch):
         monkeypatch.setenv("TMDSIM_WORKERS", "3")
