@@ -9,8 +9,10 @@ multipliers.  That keeps images noise-free and makes the polarizer
 identity exact — blocking the single band is bitwise identical to zeroing
 its weight.  Images are deterministic in (scene, camera, seed); the worker
 count only changes wall time because pixel blocks are fixed and disjoint.
-Several workers are forked processes, each rendering whole blocks with
-the same code, so they overlap where threads would queue on the GIL.
+N workers are the calling process and N - 1 forked children, each taking
+the next whole block from a shared pipe, one at a time, and writing its
+rows into one shared map with the same code, so they overlap where
+threads would queue on the GIL.
 
 The camera never occludes itself: the scene's eye is the ray source, not
 a surface.
@@ -33,7 +35,6 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -193,14 +194,123 @@ def _render_rows(surfaces, camera: EyeCamera, rows: slice, offsets: np.ndarray,
 
 
 def _pool_size(workers: int, n_blocks: int) -> int:
-    """Processes worth forking for `workers` over `n_blocks` row blocks:
-    never more than there are blocks or usable cores, because the pool
-    forks every one of them at its first task."""
+    """Processes worth rendering with for `workers` over `n_blocks` row
+    blocks: never more than there are blocks or usable cores."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cores = os.cpu_count() or 1
     return min(workers, n_blocks, cores)
+
+
+# Block indices go into the work pipe as 4-byte tokens before any process
+# reads them, so they must fit the pipe at once: at most 4096 bytes, one
+# page, the least a Linux pipe holds (64 KiB by default).  A sensor with
+# more blocks than that many tokens hands its blocks out in runs of
+# consecutive ones.
+_TOKEN_BYTES = 4
+_MAX_TOKENS = 4096 // _TOKEN_BYTES
+
+
+def _taken_blocks(fd: int, run: int, n_blocks: int):
+    """Block indices this process takes from the work pipe `fd`: the `run`
+    blocks from each token it reads, until the pipe is empty."""
+    while token := os.read(fd, _TOKEN_BYTES):
+        first = int.from_bytes(token, "little") * run
+        yield from range(first, min(first + run, n_blocks))
+
+
+def _failure_report(exc: BaseException) -> bytes:
+    """The pickle a child sends back for `exc`: the exception itself when it
+    survives a pickle round trip, else a RuntimeError with its traceback."""
+    import pickle
+    import traceback
+    try:
+        report = pickle.dumps(exc)
+        pickle.loads(report)
+        return report
+    except Exception:
+        text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        return pickle.dumps(RuntimeError(f"a render worker failed:\n{text}"))
+
+
+def _render_forked(render_block, n_blocks: int, nprocs: int, shape) -> np.ndarray:
+    """Render blocks 0..n_blocks-1 with this process and nprocs - 1 forked
+    children; `render_block(acc, i)` writes block i's rows into `acc`.
+
+    Every process takes the next block index from one pipe filled before
+    the fork (a small pipe read is atomic, so no lock is needed) and writes
+    its rows into one shared anonymous map, returned as an array.  A child
+    sends an exception back over its own pipe, and the caller raises it
+    after reaping every child.  If the caller's own share fails, it stops
+    and reaps the children before raising: no child outlives the call.
+    """
+    # Imported here because only multi-worker renders use them.
+    import mmap
+    import pickle
+    import signal
+
+    acc = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]),
+                        dtype=np.float64).reshape(shape)
+    run = -(-n_blocks // _MAX_TOKENS)
+    work, fill = os.pipe()
+    children = {}  # pid -> read end of the pipe its failure comes back on
+    try:
+        with open(fill, "wb") as pipe:
+            pipe.write(np.arange(-(-n_blocks // run), dtype="<u4").tobytes())
+        for _ in range(nprocs - 1):
+            report, send = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(report)
+                os.close(send)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    # Hold no read end of a report pipe, so that a report
+                    # nobody reads fails instead of blocking.
+                    for fd in (report, *children.values()):
+                        os.close(fd)
+                    for i in _taken_blocks(work, run, n_blocks):
+                        render_block(acc, i)
+                    status = 0
+                except BaseException as exc:
+                    with open(send, "wb") as pipe:
+                        pipe.write(_failure_report(exc))
+                finally:
+                    # Never return into the caller's code, nor run its
+                    # atexit handlers or stdio flushes.
+                    os._exit(status)
+            children[pid] = report
+            os.close(send)
+        for i in _taken_blocks(work, run, n_blocks):
+            render_block(acc, i)
+        failures = []
+        for pid, report in list(children.items()):
+            # Read the report before reaping: a child blocks on a large one.
+            with open(report, "rb", closefd=False) as pipe:
+                text = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if text:
+                failures.append(pickle.loads(text))
+            elif status != 0:
+                failures.append(RuntimeError(
+                    f"render worker {pid} ended with status {status}"))
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGTERM)
+        for pid, report in children.items():
+            os.close(report)  # a child blocked sending a report gets EPIPE
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(work)
+    if failures:
+        raise failures[0]
+    return acc
 
 
 def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
@@ -209,36 +319,33 @@ def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
     """Render the scene from its eye (or an explicit camera).
 
     Deterministic in (scene, camera, rays_per_pixel, seed): pixel rows are
-    processed in fixed blocks whatever the worker count.  With more than
-    one worker the blocks are rendered by a pool of forked processes, at
-    most one per usable core and per block; where the platform cannot
-    fork, they are rendered in this process.  Raises UsageError for a
-    worker count below 1 and ValueError for a bounce budget below 1.
+    processed in fixed blocks whatever the worker count.  N workers, capped
+    at the usable cores and the block count, are this process and N - 1
+    forked children: each takes the next block index from a shared pipe and
+    writes its rows into a shared map.  Where the platform cannot fork,
+    every block is rendered in this process.  Raises UsageError for a
+    worker count below 1 and ValueError for a bounce budget below 1; a
+    failure in a child is raised here with its type and message.
     """
     if max_bounces < 1:
         raise ValueError("max_bounces must be >= 1")
     camera = camera or scene.eye
     w_px, h_px, _ = camera.sensor
     offsets = _aperture_points(camera, rays_per_pixel, seed)
-    blocks = [slice(r, min(r + ROW_BLOCK, h_px)) for r in range(0, h_px, ROW_BLOCK)]
-    run = partial(_render_rows, scene.surfaces, camera, offsets=offsets,
-                  max_bounces=max_bounces)
+    n_blocks = -(-h_px // ROW_BLOCK)
 
-    acc = np.zeros((h_px, w_px))
-    nprocs = _pool_size(resolve_workers(workers), len(blocks))
-    results = map(run, blocks)
-    if nprocs > 1:
-        # Imported here because only multi-worker renders use them, and
-        # they add about 20 ms to every start-up otherwise.  Forked, not
-        # spawned, children start with numpy and the package imported;
-        # where the platform cannot fork, the serial map above stands.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(nprocs, multiprocessing.get_context("fork")) as pool:
-                results = list(pool.map(run, blocks))
-    for block, rows_acc in zip(blocks, results):
-        acc[block] = rows_acc.reshape(block.stop - block.start, w_px)
+    def render_block(acc, i):
+        rows = slice(i * ROW_BLOCK, min((i + 1) * ROW_BLOCK, h_px))
+        acc[rows] = _render_rows(scene.surfaces, camera, rows, offsets,
+                                 max_bounces).reshape(-1, w_px)
+
+    nprocs = _pool_size(resolve_workers(workers), n_blocks)
+    if nprocs > 1 and hasattr(os, "fork"):
+        acc = _render_forked(render_block, n_blocks, nprocs, (h_px, w_px))
+    else:
+        acc = np.zeros((h_px, w_px))
+        for i in range(n_blocks):
+            render_block(acc, i)
     pixels = np.repeat(acc[:, :, None], 3, axis=2)
     return Image(w_px, h_px, pixels)
 

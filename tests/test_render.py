@@ -1,7 +1,9 @@
+import contextlib
 import itertools
 import math
 import os
 import signal
+import time
 import warnings
 
 import numpy as np
@@ -280,6 +282,56 @@ class TestBounceBudget:
                         max_bounces=budget)
 
 
+@pytest.fixture
+def forking(monkeypatch):
+    """Render with as many processes as asked for, up to the block count,
+    whatever the core count."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the platform cannot fork")
+    monkeypatch.setattr(render, "_pool_size", min)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def hung(signum, frame):
+        raise TimeoutError("render_view did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _camera(width, height, scene=None):
+    eye = (scene or build_preset("defocus_flat")).eye
+    return EyeCamera(eye.ident, eye.pose, eye.focal_length,
+                     eye.aperture_diameter, (width, height, eye.sensor[2]))
+
+
+def _in_children_only(monkeypatch, action):
+    """Run `action` in place of every block a forked child takes.  The
+    caller renders its blocks slowly, so that a child starts in time to
+    take one."""
+    caller = os.getpid()
+    rows = render._render_rows
+
+    def patched(*args, **kwargs):
+        if os.getpid() != caller:
+            return action()
+        time.sleep(0.5)
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(render, "_render_rows", patched)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkerPool:
     def test_pool_size_is_capped(self):
         # Pure arithmetic: no render and no process is started here.
@@ -293,29 +345,104 @@ class TestWorkerPool:
         assert _pool_size(1, 8) == 1
         assert _pool_size(2, 8) == min(2, cores)
 
-    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
-        # The forked workers inherit the patched module, so the failure
-        # happens inside them; the caller must get that error back (not a
-        # BrokenProcessPool, which is no ValueError) and must not hang.
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch, forking):
+        # Every process, the caller first among them, fails on its first
+        # block: the caller must raise that error (not hang) and leave no
+        # child behind.
         def broken(*args, **kwargs):
             raise ValueError("interaction failed")
 
-        def hung(signum, frame):
-            raise TimeoutError("render_view did not return")
-
         monkeypatch.setattr(render, "_interact", broken)
-        eye = build_preset("defocus_flat").eye
-        camera = EyeCamera(eye.ident, eye.pose, eye.focal_length,
-                           eye.aperture_diameter, (16, 2 * ROW_BLOCK, eye.sensor[2]))
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(ValueError, match="interaction failed"):
-                render_view(build_preset("defocus_flat"), camera,
-                            rays_per_pixel=1, workers=2)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with _deadline(60), pytest.raises(ValueError, match="interaction failed"):
+            render_view(build_preset("defocus_flat"), _camera(16, 2 * ROW_BLOCK),
+                        rays_per_pixel=1, workers=2)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("size", [10, 200_000])
+    def test_error_only_in_a_child_reaches_the_caller(self, monkeypatch, forking,
+                                                      size):
+        # The caller renders its share; one child fails.  A report larger
+        # than a pipe holds must not deadlock the caller's wait.
+        message = "child failed " + "x" * size
+
+        def fail():
+            raise ValueError(message)
+
+        _in_children_only(monkeypatch, fail)
+        with _deadline(60), pytest.raises(ValueError) as info:
+            render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
+                        rays_per_pixel=1, workers=2)
+        assert type(info.value) is ValueError and str(info.value) == message
+        _assert_no_child_left()
+
+    def test_an_unpicklable_child_error_arrives_as_its_traceback(
+            self, monkeypatch, forking):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        def fail():
+            raise LocalError("no pickle for me")
+
+        _in_children_only(monkeypatch, fail)
+        with _deadline(60), pytest.raises(RuntimeError,
+                                          match="(?s)LocalError.*no pickle for me"):
+            render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
+                        rays_per_pixel=1, workers=2)
+        _assert_no_child_left()
+
+    def test_a_child_killed_without_a_report_is_an_error(self, monkeypatch,
+                                                         forking):
+        # Its blocks were never written: the image must not come back.
+        _in_children_only(monkeypatch,
+                          lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with _deadline(60), pytest.raises(RuntimeError, match="status -9"):
+            render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
+                        rays_per_pixel=1, workers=2)
+        _assert_no_child_left()
+
+    def test_an_interrupt_in_the_callers_share_stops_the_children(
+            self, monkeypatch, forking):
+        # The children would sleep far past the deadline: the caller must
+        # end them, not wait for them.
+        caller = os.getpid()
+
+        def slow_children(*args, **kwargs):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(600)
+
+        monkeypatch.setattr(render, "_render_rows", slow_children)
+        with _deadline(60), pytest.raises(KeyboardInterrupt):
+            render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
+                        rays_per_pixel=1, workers=3)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("height", [2 * ROW_BLOCK + 5, ROW_BLOCK - 3])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_match_one_worker(self, forking, workers, height):
+        # A partial last block, and a sensor of one block.
+        scene = build_preset("tmd_see_through")
+        camera = _camera(24, height, scene)
+        one = render_view(scene, camera, rays_per_pixel=2, seed=7, workers=1)
+        with _deadline(120):
+            many = render_view(scene, camera, rays_per_pixel=2, seed=7,
+                               workers=workers)
+        assert np.array_equal(one.pixels, many.pixels)
+        _assert_no_child_left()
+
+    def test_more_blocks_than_a_pipe_holds(self, monkeypatch, forking):
+        # One row per block and more blocks than 64 KiB of 4-byte indices:
+        # handing them out must not block, and every row is written once.
+        height = 16384 + 123
+        monkeypatch.setattr(render, "ROW_BLOCK", 1)
+        monkeypatch.setattr(render, "_render_rows",
+                            lambda surfaces, camera, rows, offsets, budget:
+                            np.arange(rows.start, rows.stop, dtype=np.float64) + 1)
+        with _deadline(120):
+            image = render_view(build_preset("defocus_flat"), _camera(1, height),
+                                rays_per_pixel=1, workers=3)
+        assert np.array_equal(image.pixels[:, 0, 0], np.arange(height) + 1.0)
+        _assert_no_child_left()
 
 
 class TestSweep:
