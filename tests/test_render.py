@@ -311,6 +311,11 @@ def _camera(width, height, scene=None):
                      eye.aperture_diameter, (width, height, eye.sensor[2]))
 
 
+def _four_block_render(workers):
+    return render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
+                       rays_per_pixel=1, workers=workers)
+
+
 def _in_children_only(monkeypatch, action):
     """Run `action` in place of every block a forked child takes.  The
     caller renders its blocks slowly, so that a child starts in time to
@@ -370,8 +375,7 @@ class TestWorkerPool:
 
         _in_children_only(monkeypatch, fail)
         with _deadline(60), pytest.raises(ValueError) as info:
-            render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
-                        rays_per_pixel=1, workers=2)
+            _four_block_render(workers=2)
         assert type(info.value) is ValueError and str(info.value) == message
         _assert_no_child_left()
 
@@ -386,8 +390,7 @@ class TestWorkerPool:
         _in_children_only(monkeypatch, fail)
         with _deadline(60), pytest.raises(RuntimeError,
                                           match="(?s)LocalError.*no pickle for me"):
-            render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
-                        rays_per_pixel=1, workers=2)
+            _four_block_render(workers=2)
         _assert_no_child_left()
 
     def test_a_child_killed_without_a_report_is_an_error(self, monkeypatch,
@@ -396,8 +399,7 @@ class TestWorkerPool:
         _in_children_only(monkeypatch,
                           lambda: os.kill(os.getpid(), signal.SIGKILL))
         with _deadline(60), pytest.raises(RuntimeError, match="status -9"):
-            render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
-                        rays_per_pixel=1, workers=2)
+            _four_block_render(workers=2)
         _assert_no_child_left()
 
     def test_an_interrupt_in_the_callers_share_stops_the_children(
@@ -413,8 +415,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(render, "_render_rows", slow_children)
         with _deadline(60), pytest.raises(KeyboardInterrupt):
-            render_view(build_preset("defocus_flat"), _camera(8, 4 * ROW_BLOCK),
-                        rays_per_pixel=1, workers=3)
+            _four_block_render(workers=3)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("height", [2 * ROW_BLOCK + 5, ROW_BLOCK - 3])
@@ -432,7 +433,7 @@ class TestWorkerPool:
 
     def test_more_blocks_than_a_pipe_holds(self, monkeypatch, forking):
         # One row per block and more blocks than 64 KiB of 4-byte indices:
-        # handing them out must not block, and every row is written once.
+        # handing them out must not block, and every row is written.
         height = 16384 + 123
         monkeypatch.setattr(render, "ROW_BLOCK", 1)
         monkeypatch.setattr(render, "_render_rows",
