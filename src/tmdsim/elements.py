@@ -18,9 +18,9 @@ import numpy as np
 from .errors import InvalidGeometry, NoIntersection
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS,
                        Crossings, Pose, Ray, along_rows, dot_rows,
-                       intersect_plane, normalize_rows, plane_hits,
-                       reflect_rows, require_finite, subset, sub_rows,
-                       take_rows)
+                       facing_plane_hits, intersect_plane, normalize_rows,
+                       plane_facing, reflect_rows, require_finite, subset,
+                       sub_rows, take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -339,23 +339,30 @@ def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
     `origins` are rows, or one 3-vector that every ray starts from.  Each
     plane is tested only for the rays it could still win, those whose
     crossing lies nearer than their best hit so far, so an earlier element
-    wins a tie.  A ray is not tested against the flat element it just
-    left: `left` is that element's index (-1 for none), one for the whole
-    batch, whose test is then skipped, or one per ray, whose rows get a
-    bound of -inf.
+    wins a tie.  A plane that no ray can reach within its bound is dropped
+    before any crossing point is built, and d.n is computed once per
+    distinct normal (compared as bytes, so each ray keeps the bits of its
+    own d.n).  A ray is not tested against the flat element it just left:
+    `left` is that element's index (-1 for none), one for the whole batch,
+    whose test is then skipped, or one per ray, whose rows get a bound of
+    -inf.
     """
     tmin = np.full(len(directions), np.inf)
     near = np.full(len(directions), -1)
     hits = [None] * len(surfaces)
+    facings = {}  # normal bytes -> plane_facing of the batch
     per_ray = np.ndim(left) > 0
     for k, el in enumerate(surfaces):
         if isinstance(el, ConvexMirror) and not el.flat:
             hits[k] = sphere_cap_hits(el, origins, directions)
-        elif per_ray:
-            bound = np.where(left == k, -np.inf, tmin)
-            hits[k] = plane_hits(origins, directions, el.pose, el.extent, bound)
-        elif k != left:
-            hits[k] = plane_hits(origins, directions, el.pose, el.extent, tmin)
+        elif per_ray or k != left:
+            normal = el.pose.normal
+            key = normal.tobytes()
+            if key not in facings:
+                facings[key] = plane_facing(directions, normal)
+            bound = np.where(left == k, -np.inf, tmin) if per_ray else tmin
+            hits[k] = facing_plane_hits(origins, directions, el.pose,
+                                        el.extent, bound, facings[key])
         if hits[k] is not None:
             closer = hits[k].t < tmin
             np.copyto(near, k, where=closer)
@@ -525,10 +532,11 @@ def sample_screen(screen: Screen, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     xb = xa + 1
     yb = ya + 1
     for i, last in ((xa, cols - 1), (xb, cols - 1), (ya, rows - 1), (yb, rows - 1)):
-        np.clip(i, 0, last, out=i)
+        np.minimum(np.maximum(i, 0, out=i), last, out=i)
     ya *= cols  # texel (y, x) is flat index y * cols + x
     yb *= cols
     img = screen.image.ravel()
-    top = img.take(ya + xa) * (1.0 - fx) + img.take(ya + xb) * fx
-    bot = img.take(yb + xa) * (1.0 - fx) + img.take(yb + xb) * fx
+    gx = 1.0 - fx
+    top = img.take(ya + xa) * gx + img.take(ya + xb) * fx
+    bot = img.take(yb + xa) * gx + img.take(yb + xb) * fx
     return top * (1.0 - fy) + bot * fy

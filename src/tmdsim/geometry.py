@@ -67,7 +67,7 @@ def normalize(v) -> np.ndarray:
 #   or a stride-0 broadcast gives Fortran order, on which the next gemv
 #   rounds differently.  `dot_rows` makes its rows C-contiguous itself.
 # - Rays that share their origin (a camera's rays for one aperture sample)
-#   may hand it over as one 3-vector: `plane_crossings` computes
+#   may hand it over as one 3-vector: `plane_distances` computes
 #   (position - origin).n once, as a one-row `dot_rows`, and `along_rows`
 #   broadcasts the origin.  Each ray gets the bits of its origin copied to
 #   every row.
@@ -91,26 +91,26 @@ def dot_rows(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return rows @ vec
 
 
-def _col(a: np.ndarray, j: int):
-    """Column j of (n, 3) rows, or component j of a fixed 3-vector."""
-    return a[:, j] if a.ndim == 2 else a[j]
+def _cols(a: np.ndarray):
+    """The three columns of (n, 3) rows, or the components of a fixed
+    3-vector."""
+    return a.T if a.ndim == 2 else a
 
 
 def along_rows(o: np.ndarray, t: np.ndarray, d: np.ndarray) -> np.ndarray:
     """o + t[:, None] * d, either of o and d a fixed 3-vector."""
     out = np.empty((len(t), 3))
-    for j in range(3):
-        col = out[:, j]
-        np.multiply(t, _col(d, j), out=col)
-        col += _col(o, j)
+    for col, dj, oj in zip(out.T, _cols(d), _cols(o)):
+        np.multiply(t, dj, out=col)
+        col += oj
     return out
 
 
 def sub_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a - b over rows, either of them a fixed 3-vector."""
     out = np.empty((len(a if a.ndim == 2 else b), 3))
-    for j in range(3):
-        np.subtract(_col(a, j), _col(b, j), out=out[:, j])
+    for col, aj, bj in zip(out.T, _cols(a), _cols(b)):
+        np.subtract(aj, bj, out=col)
     return out
 
 
@@ -167,10 +167,9 @@ def reflect_rows(directions: np.ndarray, normals: np.ndarray,
         dots = dot_rows(directions, normals)
     s = 2.0 * dots
     out = np.empty((len(directions), 3))
-    for j in range(3):
-        col = out[:, j]
-        np.multiply(s, _col(normals, j), out=col)
-        np.subtract(directions[:, j], col, out=col)
+    for col, nj, dj in zip(out.T, _cols(normals), directions.T):
+        np.multiply(s, nj, out=col)
+        np.subtract(dj, col, out=col)
     return out
 
 
@@ -399,25 +398,40 @@ class Crossings(NamedTuple):
         return tuple(take_rows(a, rays) for a in (self.points, self.u, self.v))
 
 
-def plane_crossings(origins: np.ndarray, directions: np.ndarray,
-                    pose: Pose, bound=None) -> Crossings:
-    """Where each ray meets the unbounded plane of `pose`, as a Crossings.
+def plane_facing(directions: np.ndarray, normal: np.ndarray):
+    """(dots, parallel) of rows with a plane normal: each row's d.n, with 1.0
+    in place of the rows parallel to the plane, and the mask of those rows,
+    or None when no row is parallel."""
+    dots = dot_rows(directions, normal)
+    parallel = np.abs(dots) < PARALLEL_EPS
+    if not parallel.any():
+        return dots, None
+    return np.where(parallel, 1.0, dots), parallel
 
-    `origins` are rows, or one 3-vector that every ray starts from.  With a
-    `bound` (one distance per ray), a ray counts as ahead of the plane only
-    if it crosses it nearer than its bound: the others get t = inf and no
-    crossing point.  A bound of -inf rules a ray out.
+
+def plane_distances(origins: np.ndarray, pose: Pose, facing, bound):
+    """The distance stage of plane_crossings: (t, ahead) of rays whose
+    directions gave `facing` (see plane_facing) on the plane of `pose`.
+
+    t is each ray's distance to the plane (meaningless for a parallel ray);
+    `ahead` marks the rays that count as ahead of it.
     """
-    n = pose.normal
-    denom = dot_rows(directions, n)
-    parallel = np.abs(denom) < PARALLEL_EPS
-    if parallel.any():
-        denom = np.where(parallel, 1.0, denom)
+    dots, parallel = facing
     # One row, (position - origin).n, when the rays share their origin.
-    t = dot_rows(sub_rows(pose.position, np.atleast_2d(origins)), n) / denom
-    ahead = ~parallel & (t > PLANE_EPS)
+    t = dot_rows(sub_rows(pose.position, np.atleast_2d(origins)),
+                 pose.normal) / dots
+    ahead = t > PLANE_EPS
+    if parallel is not None:
+        ahead &= ~parallel
     if bound is not None:
         ahead &= t < bound
+    return t, ahead
+
+
+def crossing_points(origins: np.ndarray, directions: np.ndarray, pose: Pose,
+                    t: np.ndarray, ahead: np.ndarray) -> Crossings:
+    """The point stage of plane_crossings: the Crossings of the rays that
+    plane_distances gave (t, ahead).  Writes inf into t off `ahead`."""
     rows = subset(ahead)
     if rows is not None:
         t[~ahead] = np.inf
@@ -428,6 +442,20 @@ def plane_crossings(origins: np.ndarray, directions: np.ndarray,
     rel = sub_rows(points, pose.position)
     return Crossings(t, rows, points, dot_rows(rel, pose.u_axis),
                      dot_rows(rel, pose.v_axis))
+
+
+def plane_crossings(origins: np.ndarray, directions: np.ndarray,
+                    pose: Pose, bound=None) -> Crossings:
+    """Where each ray meets the unbounded plane of `pose`, as a Crossings.
+
+    `origins` are rows, or one 3-vector that every ray starts from.  With a
+    `bound` (one distance per ray), a ray counts as ahead of the plane only
+    if it crosses it nearer than its bound: the others get t = inf and no
+    crossing point.  A bound of -inf rules a ray out.
+    """
+    facing = plane_facing(directions, pose.normal)
+    t, ahead = plane_distances(origins, pose, facing, bound)
+    return crossing_points(origins, directions, pose, t, ahead)
 
 
 def _inside(u, v, extent):
@@ -447,10 +475,22 @@ def plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
 
     `extent` is the full (width, height) of the rectangle centred on the
     pose; hits farther than PLANE_EPS along the ray, and nearer than its
-    `bound` if one is given (see plane_crossings), are accepted.  The
-    rectangle's edges are tested only on the rays ahead of the plane.
+    `bound` if one is given (see plane_crossings), are accepted.
     """
-    hits = plane_crossings(origins, directions, pose, bound)
+    return facing_plane_hits(origins, directions, pose, extent, bound,
+                             plane_facing(directions, pose.normal))
+
+
+def facing_plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
+                      extent, bound, facing) -> Optional[Crossings]:
+    """plane_hits for rays whose directions gave `facing` (see plane_facing)
+    on the pose's normal.  When no ray is ahead of the plane within its
+    bound, it returns None before building any crossing point; the
+    rectangle's edges are tested only on the rays ahead of the plane."""
+    t, ahead = plane_distances(origins, pose, facing, bound)
+    if not ahead.any():
+        return None
+    hits = crossing_points(origins, directions, pose, t, ahead)
     inside = _inside(hits.u, hits.v, extent)
     if not inside.any():
         return None
@@ -460,8 +500,8 @@ def plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
 
 def intersect_plane(ray: Ray, pose: Pose, extent) -> Optional[PlaneHit]:
     """First hit of a ray on a bounded rectangle, or None (see plane_hits)."""
-    hit = plane_crossings(ray.origin[None], ray.direction[None], pose)
-    if hit.t[0] == np.inf or not _inside(hit.u, hit.v, extent)[0]:
+    hit = plane_hits(ray.origin[None], ray.direction[None], pose, extent)
+    if hit is None:
         return None
     return PlaneHit(float(hit.t[0]), hit.points[0],
                     (float(hit.u[0]), float(hit.v[0])))

@@ -48,7 +48,8 @@ from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
                        nudged_rows, require_finite, sub_rows, subset,
                        take_rows)
 from .scene import EyeCamera, Scene
-from .tracer import r2_sequence, resolve_workers, uniform_draw
+from .tracer import (positive_count, r2_sequence, resolve_workers,
+                     uniform_draw)
 
 ROW_BLOCK = 32  # rows per work unit; fixed so outputs ignore the worker count
 
@@ -142,6 +143,8 @@ def _plate(plate, k, point, u, v, bd, bw, bp, queue, bounce):
     # Each branch's interaction code indexes PLATE_INTERACTIONS: double,
     # single u, single v, pass.
     for code, frac in enumerate((double_band(plate, local), single, single, p_p)):
+        if isinstance(frac, float) and frac == 0.0:
+            continue  # no row of this branch can reach the cutoff
         nw = bw * frac
         keep = nw >= WEIGHT_CUTOFF
         if not keep.any():
@@ -158,8 +161,6 @@ def _plate(plate, k, point, u, v, bd, bw, bp, queue, bounce):
 def _aperture_points(camera: EyeCamera, rays_per_pixel: int, seed: int):
     """Lens-disk sample offsets shared by every pixel.  A single sample sits
     at the centre (pinhole); more get a seed-rotated low-discrepancy set."""
-    if rays_per_pixel < 1:
-        raise ValueError("rays_per_pixel must be >= 1")
     if rays_per_pixel == 1:
         return np.zeros((1, 2))
     uv = r2_sequence(rays_per_pixel)
@@ -180,9 +181,13 @@ def _render_rows(surfaces, camera: EyeCamera, rows: slice, offsets: np.ndarray,
     f = camera.focal_length
     xs = (np.arange(w_px) + 0.5 - 0.5 * w_px) * pitch
     ys = (0.5 * h_px - (np.arange(rows.start, rows.stop) + 0.5)) * pitch
-    # In-focus point for each pixel, on the plane one focal length out.
-    P = (E - f * W)[None, None, :] + ys[:, None, None] * V + xs[None, :, None] * U
-    P = P.reshape(-1, 3)
+    # In-focus point for each pixel, on the plane one focal length out,
+    # (E - f W + y V) + x U built one column at a time.
+    C = E - f * W
+    P = np.empty((3, len(ys), len(xs)))
+    for j in range(3):
+        np.add((C[j] + ys * V[j])[:, None], xs * U[j], out=P[j])
+    P = P.reshape(3, -1).T
     n = len(P)
     acc = np.zeros(n)
     pix = np.arange(n)
@@ -324,11 +329,12 @@ def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
     forked children: each takes the next block index from a shared pipe and
     writes its rows into a shared map.  Where the platform cannot fork,
     every block is rendered in this process.  Raises UsageError for a
-    worker count below 1 and ValueError for a bounce budget below 1; a
-    failure in a child is raised here with its type and message.
+    worker count below 1 and ValueError when `rays_per_pixel` or
+    `max_bounces` is not a whole number of at least 1; a failure in a
+    child is raised here with its type and message.
     """
-    if max_bounces < 1:
-        raise ValueError("max_bounces must be >= 1")
+    max_bounces = positive_count("max_bounces", max_bounces)
+    rays_per_pixel = positive_count("rays_per_pixel", rays_per_pixel)
     camera = camera or scene.eye
     w_px, h_px, _ = camera.sensor
     offsets = _aperture_points(camera, rays_per_pixel, seed)

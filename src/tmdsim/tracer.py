@@ -28,6 +28,7 @@ segment log on first access.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -172,11 +173,17 @@ def dfs_order(parents: np.ndarray, n_roots: int) -> np.ndarray:
 
     `parents` holds each path's parent id, -1 for the `n_roots` roots that
     come first; a child's id is above its parent's, and siblings' ids rise
-    in spawn order.  Each path's key is its ancestor chain read from the
-    root, padded with -1, so a lexsort puts a parent before its children.
+    in spawn order.  When every child's parent is a root, the order is a
+    stable sort by each path's root.  Otherwise each path's key is its
+    ancestor chain read from the root, padded with -1, so a lexsort puts a
+    parent before its children.
     """
     if n_roots == len(parents):  # no children: creation order
         return np.arange(n_roots)
+    if (parents[n_roots:] < n_roots).all():
+        root = parents.copy()
+        root[:n_roots] = np.arange(n_roots)
+        return np.argsort(root, kind="stable")
     chain = [np.arange(len(parents))]
     while (chain[-1] >= 0).any():
         up = chain[-1]
@@ -419,14 +426,29 @@ def trace_ray(scene: Scene, ray: Ray, max_bounces: int = 16, seed: int = 0,
     current bounce index, as ray `ray_index` of a bundle traced with `seed`
     draws them.  Branches below the weight cutoff are never spawned, and a
     ray whose own weight sinks below the cutoff terminates as absorbed.
-    Raises ValueError for a bounce budget below 1.
+    Raises ValueError for a bounce budget that is not a whole number of at
+    least 1.
     """
-    if max_bounces < 1:
-        raise ValueError("max_bounces must be >= 1")
+    max_bounces = positive_count("max_bounces", max_bounces)
     ids = np.array([ray_index & _MASK64], dtype=np.uint64)
     return _trace(scene, ray.origin[None], ray.direction[None],
                   np.array([ray.weight]), ray.mode, ids, seed,
                   max_bounces).paths[0]
+
+
+def positive_count(what: str, value) -> int:
+    """`value` as an int of at least 1: an integer, or a float such as 4.0
+    that holds one.  Raises ValueError for any other value."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        if not (isinstance(value, float) and value.is_integer()):
+            raise ValueError(f"{what} must be a whole number, "
+                             f"got {value!r}") from None
+        count = int(value)
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return count
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -494,11 +516,11 @@ def trace_bundle(scene: Scene, source_point, n_rays: int, cone: Cone,
     Ray i always takes direction i of the cone sequence and random stream
     (seed, i), so the result is identical for any worker count (`workers`
     is validated and otherwise unused: the batch runs in one thread).
+    Raises ValueError when `n_rays` or `max_bounces` is not a whole number
+    of at least 1.
     """
-    if n_rays <= 0:
-        raise ValueError("n_rays must be positive")
-    if max_bounces < 1:
-        raise ValueError("max_bounces must be >= 1")
+    n_rays = positive_count("n_rays", n_rays)
+    max_bounces = positive_count("max_bounces", max_bounces)
     resolve_workers(workers)
     source = np.asarray(source_point, dtype=np.float64)
     directions = normalize_rows(cone_directions(cone, n_rays))

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import test_trace_golden as trace_golden
 from tmdsim.geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
                              normalize, sequential_sum, vec3)
 from tmdsim.presets import PRESET_BUILDERS, build_preset
@@ -21,6 +22,9 @@ from tmdsim.tracer import (_LABELS, _TERMINAL_OF, _TERMINALS, Cone,
                            _bundle_stats, _first_seen, dfs_order, trace_bundle)
 
 SCENES = {name: build_preset(name) for name in sorted(PRESET_BUILDERS)}
+# Two facing splitters whose weaker branches meet the other one: children of
+# children, beyond `dfs_order`'s sort for one-level trees.
+SCENES["ping_pong_leak"] = trace_golden._ping_pong_scene(0.97, 0.3)
 # None is `tmdsim trace --mode any`; "lens_flare" is a tag no ray carries.
 MODES = (None, MODE_PRIMARY, MODE_DOUBLE, MODE_SINGLE, MODE_PASS, "lens_flare")
 
@@ -81,6 +85,7 @@ def _same_dict(got, want):
        st.floats(0.5, 60.0), st.integers(1, 160), st.integers(0, 2 ** 32 - 1),
        st.integers(1, 6))
 @example("half_mirror", (1.0, 19.0, 21.0), (-1.0, -19.0, -1.0), 2.0, 128, 42, 16)
+@example("ping_pong_leak", (1.0, 2.0, 5.0), (-0.1, -0.2, 0.7), 20.0, 16, 5, 6)
 @example("tmd_see_through", (5.0, -3.0, -59.5), None, 2.0, 128, 7, 16)
 @example("ame_dk2", (2.0, -1.5, -60.5), None, 3.0, 64, 1, 2)
 @settings(max_examples=80, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmdsim import geometry
 from tmdsim.elements import ThinLens, TmdPlate, plate_exit, refract_thin_lens
 from tmdsim.errors import DegenerateBundle, InvalidGeometry
 from tmdsim.geometry import (PLANE_EPS, RAY_ADVANCE, Pose, Ray, RayRows,
@@ -269,6 +270,31 @@ class TestPlaneIntersection:
     def test_parallel_misses(self):
         ray = Ray(vec3(0, 0, 5.0), vec3(1.0, 0, 0))
         assert intersect_plane(ray, self.plane, (200.0, 200.0)) is None
+
+    def test_no_ray_ahead_builds_no_crossing_point(self, monkeypatch):
+        # A batch wholly behind the plane (one ray parallel to it), and one
+        # in front whose bounds rule every ray out, are dropped before any
+        # crossing point is built.
+        calls = []
+        along_rows = geometry.along_rows
+
+        def counted(o, t, d):
+            calls.append(len(t))
+            return along_rows(o, t, d)
+
+        monkeypatch.setattr(geometry, "along_rows", counted)
+        d = normalize_rows(np.array([[0.1, 0.0, 1.0], [0.0, -0.2, 1.0],
+                                     [1.0, 0.0, 0.0]]))
+        behind = np.array([[0.0, 0.0, 5.0], [1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+        assert plane_hits(behind, d, self.plane, (200.0, 200.0)) is None
+        ahead = -behind
+        for bound in (np.full(3, 2.0), np.full(3, -np.inf)):
+            assert plane_hits(ahead, d, self.plane, (200.0, 200.0),
+                              bound) is None
+        assert calls == []
+        # Without a bound, the two rays that cross the plane get points.
+        hits = plane_hits(ahead, d, self.plane, (200.0, 200.0))
+        assert hits.rows.tolist() == [0, 1] and calls == [2]
 
     def test_origin_on_plane_does_not_self_hit(self):
         ray = Ray(vec3(0.0, 0.0, PLANE_EPS / 4), vec3(0, 0, -1.0))

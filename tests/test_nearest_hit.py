@@ -20,7 +20,8 @@ import test_left_element
 import test_render_golden as render_golden
 import test_trace_golden as trace_golden
 from tmdsim import elements, render, tracer
-from tmdsim.elements import Absorber, ConvexMirror, Screen, sphere_cap_hits
+from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
+                            sphere_cap_hits)
 from tmdsim.geometry import Pose, normalize, plane_hits, vec3
 from tmdsim.render import render_view
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
@@ -177,3 +178,51 @@ def test_grazing_rays_skip_the_element_they_left():
         render._trace_batches(scene.surfaces, origins, directions, np.ones(n),
                               np.arange(n), np.zeros(n), max_bounces=12)
     assert checked.calls > 0
+
+
+def _shared_normals():
+    """A splitter, a panel and a far wall that share the normal +z, a stop
+    whose normal is +z with a negative zero x component, a tilted absorber,
+    and rays from above: most aim down, some are parallel to the planes."""
+    def facing(position, normal):
+        return Pose.facing(vec3(*position), vec3(*normal))
+
+    up, signed = (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0)
+    split = HalfMirror("split", facing((0.0, 0.0, 0.0), up), (80.0, 80.0), 0.3)
+    stop = Absorber("stop", facing((0.0, 0.0, -10.0), signed), (8.0, 8.0))
+    tilted = Absorber("tilted", facing((12.0, 0.0, -15.0), (0.0, 0.6, 0.8)),
+                      (10.0, 10.0))
+    panel = Screen("panel", facing((0.0, 0.0, -20.0), up), (30.0, 30.0),
+                   make_pattern("checker 4", 16))
+    wall = Screen("wall", facing((0.0, 0.0, -100.0), up), (400.0, 400.0),
+                  make_pattern("uniform 0.5", 4))
+    eye = EyeCamera("eye", camera_pose(vec3(0.0, 0.0, 100.0), (0.0, 0.0, -1.0)))
+    scene = Scene((split, stop, tilted, panel), eye, wall)
+    rng = np.random.default_rng(11)
+    n = 48
+    directions = np.column_stack([rng.uniform(-0.4, 0.4, (n, 2)),
+                                  np.full(n, -1.0)])
+    directions[::6, 2] = 0.0  # parallel to every plane but the tilted one
+    directions = directions / np.linalg.norm(directions, axis=1)[:, None]
+    origins = np.column_stack([rng.uniform(-10.0, 10.0, (n, 2)),
+                               np.full(n, 30.0)])
+    return scene, origins, directions
+
+
+def test_planes_sharing_a_normal_match_the_scan():
+    scene, origins, directions = _shared_normals()
+    normals = [el.pose.normal for el in scene.surfaces if el.ident != "tilted"]
+    assert all(np.array_equal(a, normals[0]) for a in normals)
+    assert len({a.tobytes() for a in normals}) == 2
+    assert (directions[::6] @ normals[0] == 0.0).all()
+    n = len(origins)
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        bundle = tracer._trace(scene, origins, directions, np.ones(n),
+                               "primary", np.arange(n, dtype=np.uint64), 1, 16)
+        for o in (origins, origins[0]):  # rows, and one shared origin
+            render._trace_batches(scene.surfaces, o, directions, np.ones(n),
+                                  np.arange(n), np.zeros(n), max_bounces=12)
+    assert checked.calls > 0
+    hit = set(bundle.idents[k] for k in bundle.elem[bundle.elem >= 0].tolist())
+    assert hit == {"split", "stop", "tilted", "panel", "wall"}

@@ -281,6 +281,15 @@ class TestBounceBudget:
             render_view(build_preset("defocus_flat"), rays_per_pixel=1,
                         max_bounces=budget)
 
+    @pytest.mark.parametrize("counts", [{"rays_per_pixel": 2.5},
+                                        {"rays_per_pixel": "4"},
+                                        {"max_bounces": 2.5},
+                                        {"max_bounces": math.nan}])
+    def test_non_integral_counts_are_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            render_view(build_preset("defocus_flat"),
+                        **{"rays_per_pixel": 1, **counts})
+
 
 @pytest.fixture
 def forking(monkeypatch):
@@ -458,6 +467,13 @@ class TestSweep:
                               rays_per_pixel=1, keep_images=True)
         assert len(sweep.images) == 1
         assert sweep.images[0].width == 256
+
+    @pytest.mark.parametrize("rpp", [2.5, math.inf])
+    def test_non_integral_rays_per_pixel_is_rejected(self, rpp):
+        with pytest.raises(ValueError,
+                           match="rays_per_pixel must be a whole number"):
+            defocus_sweep(build_preset("defocus_flat"), offsets=(0.0,),
+                          rays_per_pixel=rpp)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_offset_is_rejected(self, bad):

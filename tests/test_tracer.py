@@ -338,6 +338,23 @@ class TestBundle:
             trace_ray(plate_scene(), Ray(vec3(0, 0, 20.0), -Z_PLUS),
                       max_bounces=budget)
 
+    @pytest.mark.parametrize("counts", [{"n": 3.7}, {"n": "150"},
+                                        {"max_bounces": 2.5},
+                                        {"max_bounces": math.nan}])
+    def test_non_integral_counts_are_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            self.bundle(plate_scene(), **counts)
+
+    def test_whole_float_counts_act_as_integers(self):
+        want = self.bundle(plate_scene(), n=40, max_bounces=3).stats
+        assert self.bundle(plate_scene(), n=40.0, max_bounces=3.0).stats == want
+
+    @pytest.mark.parametrize("budget", [2.5, math.inf, "3"])
+    def test_trace_ray_non_integral_budget(self, budget):
+        with pytest.raises(ValueError, match="max_bounces must be a whole number"):
+            trace_ray(plate_scene(), Ray(vec3(0, 0, 20.0), -Z_PLUS),
+                      max_bounces=budget)
+
     def test_workers_env(self, monkeypatch):
         monkeypatch.setenv("TMDSIM_WORKERS", "3")
         assert resolve_workers() == 3
