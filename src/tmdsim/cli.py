@@ -34,6 +34,11 @@ EXIT_USAGE = 2
 EXIT_GEOMETRY = 3
 EXIT_EMPTY = 4
 EXIT_IO = 5
+# The largest `trace --rays` and `render`/`sweep --rpp`, refused before
+# anything is traced: a bundle logs about 120 bytes per ray and bounce, and
+# 10000 aperture samples put a 256 x 256 render at minutes.
+MAX_RAYS = 1_000_000
+MAX_RPP = 10_000
 
 
 def _parse_number(text: str) -> float:
@@ -181,6 +186,8 @@ def _cmd_trace(args, parser) -> int:
     scene = _load_scene(args, parser)
     if args.rays <= 0:
         parser.error("--rays must be positive")
+    if args.rays > MAX_RAYS:
+        parser.error(f"--rays must be at most {MAX_RAYS}")
     if args.max_bounces <= 0:
         parser.error("--max-bounces must be positive")
     axis = args.axis
@@ -236,6 +243,8 @@ def _cmd_render(args, parser) -> int:
     scene = _load_scene(args, parser)
     if args.rpp <= 0:
         parser.error("--rpp must be positive")
+    if args.rpp > MAX_RPP:
+        parser.error(f"--rpp must be at most {MAX_RPP}")
     if args.max_bounces <= 0:
         parser.error("--max-bounces must be positive")
     image = render_view(scene, rays_per_pixel=args.rpp, seed=args.seed,
@@ -250,6 +259,8 @@ def _cmd_sweep(args, parser) -> int:
     scene = _load_scene(args, parser)
     if args.rpp <= 0:
         parser.error("--rpp must be positive")
+    if args.rpp > MAX_RPP:
+        parser.error(f"--rpp must be at most {MAX_RPP}")
     keep = args.out_dir is not None
     names = [f"offset_{off:+g}mm.ppm" for off in args.offsets]
     if keep and len(set(names)) < len(names):

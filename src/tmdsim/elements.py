@@ -5,7 +5,7 @@ transmissive mirror plate (a dihedral corner reflector array that forms a
 plane-symmetric real image) and emissive screens.  Interactions are pure
 functions; the one stochastic choice (which slat interaction a plate cell
 produces) takes its uniform draw as an explicit argument so callers own
-the randomness.
+the randomness.  `leave` is the interaction table of both tracers.
 """
 from __future__ import annotations
 
@@ -38,12 +38,13 @@ _DOUBLE, _SINGLE_U, _SINGLE_V, _PASS, _ABSORB = range(5)
 # Local-frame direction sign flips per (non-absorbed) plate interaction code.
 _PLATE_FLIPS = np.array([(-1.0, -1.0, 1.0), (-1.0, 1.0, 1.0),
                          (1.0, -1.0, 1.0), (1.0, 1.0, 1.0)])
-_MODE_TAG = {
-    INTERACT_DOUBLE: MODE_DOUBLE,
-    INTERACT_SINGLE_U: MODE_SINGLE,
-    INTERACT_SINGLE_V: MODE_SINGLE,
-    INTERACT_PASS: MODE_PASS,
-}
+# Branch codes of `leave`, indices into this tuple; a plate interaction code
+# c other than absorption leaves on branch _PLATE + c.
+BRANCHES = ("lens", "half_mirror_reflect", "half_mirror_transmit",
+            "mirror_reflect") + PLATE_INTERACTIONS[:4]
+_LENS, _REFLECT, _TRANSMIT, _MIRROR, _PLATE = range(5)
+# The history tag a ray takes on each branch (None: it keeps its own).
+BRANCH_MODES = (None,) * 4 + (MODE_DOUBLE, MODE_SINGLE, MODE_SINGLE, MODE_PASS)
 
 
 def _positive_extent(extent) -> tuple:
@@ -266,15 +267,6 @@ def refract_thin_lens(lens: ThinLens, u: np.ndarray, v: np.ndarray,
     return rows, out
 
 
-def split_half_mirror(mirror: HalfMirror, directions: np.ndarray,
-                      weights: np.ndarray):
-    """(reflected_directions, reflected_weights, transmitted_weights); the
-    transmitted rays keep their directions and the two weights of a row sum
-    to its incident weight exactly."""
-    w_r, w_t = split_weights(weights, mirror.reflectance)
-    return reflect_rows(directions, mirror.pose.normal), w_r, w_t
-
-
 def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
                     directions: np.ndarray) -> Optional[Crossings]:
     """The rays' Crossings with a curved combiner's cap, t inf where a ray
@@ -331,6 +323,11 @@ def reflect_convex_mirror(mirror: ConvexMirror, points: np.ndarray,
     return reflect_rows(directions, normals, np.vecdot(directions, normals))
 
 
+def curved_cap(el) -> bool:
+    """A curved cap is hit-tested as a sphere and may be met again at once."""
+    return isinstance(el, ConvexMirror) and not el.flat
+
+
 def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
     """Nearest hit of each ray on `surfaces`: (element index or -1,
     distance or inf, each element's Crossings, None for an element not
@@ -353,7 +350,7 @@ def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
     facings = {}  # normal bytes -> plane_facing of the batch
     per_ray = np.ndim(left) > 0
     for k, el in enumerate(surfaces):
-        if isinstance(el, ConvexMirror) and not el.flat:
+        if curved_cap(el):
             hits[k] = sphere_cap_hits(el, origins, directions)
         elif per_ray or k != left:
             normal = el.pose.normal
@@ -447,6 +444,69 @@ def plate_exit(plate: TmdPlate, points: np.ndarray, u: np.ndarray,
     return (cells if snap.all() else np.where(snap[:, None], cells, points)), out
 
 
+def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
+          directions: np.ndarray, weights: np.ndarray, draws=None,
+          normalize=normalize_rows, cutoff: float = 0.0) -> list:
+    """The branches leaving `el` for the rays that hit it at `points`
+    (local u, v): the one place where both tracers decide what leaves a hit.
+
+    A branch is (code, rows, exit_points, exit_directions, weights): `code`
+    indexes BRANCHES (one per row for a sampled plate), `rows` are its
+    places among the hit rays (None for all).  Rays on no branch are
+    absorbed; a screen or an absorber gives none, an unknown element raises
+    TypeError.  Only a lens normalizes its exits, by `normalize`, the one
+    rounding the tracers pin apart (geometry.py).  A half mirror's two
+    weights sum to the incident one exactly.  A plate given `draws` sends
+    each ray on the branch `classify_plate_modes` picks; without, it splits
+    every ray over its nonzero fractions (double band, half the single band
+    per slat or none under the polarizer, pass band).  A split keeps the
+    rows whose share reaches `cutoff`.
+    """
+    if isinstance(el, TmdPlate):
+        local = el.pose.to_local_dirs(directions)
+        if draws is not None:
+            codes = classify_plate_modes(el, local, draws)
+            kept = subset(codes != _ABSORB)
+            codes = take_rows(codes, kept)
+            exits, out = plate_exit(
+                el, *(take_rows(a, kept) for a in (points, u, v, local)), codes)
+            return [(_PLATE + codes, kept, exits, out, take_rows(weights, kept))]
+        _, p_s, p_p = el.mode_weights
+        single = 0.5 * (0.0 if el.polarizer else p_s)
+        branches = []
+        for code, frac in enumerate((double_band(el, local), single, single, p_p)):
+            if isinstance(frac, float) and frac == 0.0:
+                continue  # no row of this branch carries any weight
+            share = weights * frac
+            keep = None if cutoff <= 0.0 else subset(share >= cutoff)
+            if keep is None or len(keep):
+                exits, out = plate_exit(
+                    el, *(take_rows(a, keep) for a in (points, u, v, local)), code)
+                branches.append((_PLATE + code, keep, exits, out,
+                                 take_rows(share, keep)))
+        return branches
+    if isinstance(el, ThinLens):
+        rows, out = refract_thin_lens(el, u, v, directions)
+        return [(_LENS, rows, take_rows(points, rows),
+                 el.pose.to_world_dirs(normalize(out)), take_rows(weights, rows))]
+    if isinstance(el, ConvexMirror):
+        return [(_MIRROR, None, points,
+                 reflect_convex_mirror(el, points, directions), weights)]
+    if isinstance(el, HalfMirror):
+        reflected = reflect_rows(directions, el.pose.normal)
+        branches = []
+        for code, out, share in zip((_REFLECT, _TRANSMIT), (reflected, directions),
+                                    split_weights(weights, el.reflectance)):
+            keep = None if cutoff <= 0.0 else subset(share >= cutoff)
+            if keep is None or len(keep):
+                branches.append((code, keep, take_rows(points, keep),
+                                 take_rows(out, keep), take_rows(share, keep)))
+        return branches
+    if isinstance(el, (Screen, Absorber)):
+        return []
+    raise TypeError(f"no interaction for element {type(el).__name__}")
+
+
 def _hit(ray: Ray, pose: Pose, extent, what: str):
     hit = intersect_plane(ray, pose, extent)
     if hit is None:
@@ -476,8 +536,8 @@ def half_mirror_interact(ray: Ray, mirror: HalfMirror):
     The two branch weights sum to the incident weight exactly.
     """
     hit = _hit(ray, mirror.pose, mirror.extent, f"half mirror {mirror.ident!r}")
-    out, w_r, w_t = split_half_mirror(mirror, ray.direction[None],
-                                      np.array([ray.weight]))
+    (*_, out, w_r), (*_, w_t) = leave(mirror, hit.point[None], *_uv_rows(hit),
+                                      ray.direction[None], np.array([ray.weight]))
     reflected = replace(ray, origin=hit.point, direction=out[0],
                         weight=float(w_r[0]))
     transmitted = replace(ray, origin=hit.point, weight=float(w_t[0]))
@@ -501,13 +561,14 @@ def convex_mirror_transform(ray: Ray, mirror: ConvexMirror) -> Ray:
 def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
     """Carry a ray through the plate for an already chosen interaction mode
     (see plate_exit)."""
-    if mode not in _MODE_TAG:
+    if mode not in BRANCHES[_PLATE:]:
         raise ValueError(f"unknown plate mode {mode!r}")
     hit = _hit(ray, plate.pose, plate.extent, f"plate {plate.ident!r}")
     local = plate.pose.to_local_dirs(ray.direction[None])
+    code = BRANCHES.index(mode)
     exits, out = plate_exit(plate, hit.point[None], *_uv_rows(hit), local,
-                            PLATE_INTERACTIONS.index(mode))
-    return replace(ray, origin=exits[0], direction=out[0], mode=_MODE_TAG[mode])
+                            code - _PLATE)
+    return replace(ray, origin=exits[0], direction=out[0], mode=BRANCH_MODES[code])
 
 
 def sample_screen(screen: Screen, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -73,8 +73,9 @@ def normalize(v) -> np.ndarray:
 #   every row.
 #
 # Pinned rounding.  One piece of row maths still rounds differently in the
-# two tracers: row normalization.  The renderer normalizes its camera rays and
-# lens exits with `linalg_normalize_rows` (np.linalg.norm's sum
+# two tracers: row normalization.  The renderer normalizes its camera rays, and
+# its lens exits through the `normalize` argument of the interaction table
+# (`elements.leave`), with `linalg_normalize_rows` (np.linalg.norm's sum
 # (x*x + y*y) + z*z); the forward tracer, and the curved-mirror normals both
 # tracers share, use `normalize_rows` (the square root of np.vecdot).  The
 # golden digests pin each: moving the renderer to `normalize_rows` moves 10 of

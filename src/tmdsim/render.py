@@ -3,12 +3,13 @@
 One ray per pixel per aperture sample leaves a thin-lens camera (focus
 plane at its focal length), walks the scene in vectorized batches, and
 accumulates screen/background radiance weighted by path weight.  Plate
-interactions are not sampled here: each batch splits deterministically
-into its double / single / pass branches with the mode weights applied as
-multipliers.  That keeps images noise-free and makes the polarizer
-identity exact — blocking the single band is bitwise identical to zeroing
-its weight.  Images are deterministic in (scene, camera, seed); the worker
-count only changes wall time because pixel blocks are fixed and disjoint.
+interactions are not sampled here: the interaction table splits each
+batch deterministically into its double / single / pass branches with
+the mode weights applied as multipliers.  That keeps images noise-free
+and makes the polarizer identity exact — blocking the single band is
+bitwise identical to zeroing its weight.  Images are deterministic in
+(scene, camera, seed); the worker count only changes wall time because
+pixel blocks are fixed and disjoint.
 N workers are the calling process and N - 1 forked children, each taking
 the next whole block from a shared pipe, one at a time, and writing its
 rows into one shared map with the same code, so they overlap where
@@ -18,16 +19,17 @@ The camera never occludes itself: the scene's eye is the ray source, not
 a surface.
 
 The row arithmetic, the nearest-hit search (`elements.nearest_hits`) and
-every interaction are the ones the forward tracer calls, under the layout
-rules stated once in geometry.py, so no rework of the batch loop can move
-a pixel.  The search tests a plane only for the rays that would cross it
-nearer than their best hit so far, skips the flat element a batch just
-left, and takes the camera rays of one aperture sample with their shared
-origin as one 3-vector.  The one rounding of its own that the goldens
-pin is the row normalization of its camera rays and lens exits,
-`geometry.linalg_normalize_rows`.  ROW_BLOCK and the one batch per
-aperture sample fix which batches exist and the order in which samples
-add into each pixel.
+the interaction table (`elements.leave`, which decides what leaves a hit)
+are the forward tracer's, under the layout rules stated once in
+geometry.py, so no rework of the batch loop can move a pixel.  The search
+tests a plane only for the rays that would cross it nearer than their
+best hit so far, skips the flat element a batch just left, and takes the
+camera rays of one aperture sample with their shared origin as one
+3-vector.  The one rounding of its own that the goldens pin is the row
+normalization of its camera rays and lens exits (the table's `normalize`
+argument), `geometry.linalg_normalize_rows`.  ROW_BLOCK and the one batch
+per aperture sample fix which batches exist and the order in which
+samples add into each pixel.
 """
 from __future__ import annotations
 
@@ -39,14 +41,11 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
-                       TmdPlate, double_band, nearest_hits, plate_exit,
-                       reflect_convex_mirror, refract_thin_lens, sample_screen,
-                       split_half_mirror)
+from .elements import (Absorber, Screen, curved_cap, leave, nearest_hits,
+                       sample_screen)
 from .errors import IoError
 from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
-                       nudged_rows, require_finite, sub_rows, subset,
-                       take_rows)
+                       nudged_rows, require_finite, sub_rows, take_rows)
 from .scene import EyeCamera, Scene
 from .tracer import (positive_count, r2_sequence, resolve_workers,
                      uniform_draw)
@@ -98,61 +97,21 @@ def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
                       queue, bounce + 1)
 
 
-def _push(queue, points, nd, nw, bp, left, bounce, keep=None):
-    """Queue rays leaving `points` on element `left` along `nd`, with the
-    weights and pixels of the rows in `keep` of `nw` and `bp` (all rows
-    when None)."""
-    nw, bp = take_rows(nw, keep), take_rows(bp, keep)
-    queue.append((nudged_rows(points, nd), nd, nw, bp, left, bounce))
-
-
 def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
     """Apply element `el` (index k) to the rays that hit it at `point`,
-    local (u, v): accumulate screen radiance into `acc`, queue the outgoing
-    rays."""
-    if isinstance(el, ConvexMirror):
-        nd = reflect_convex_mirror(el, point, bd)
-        # A ray may meet a curved cap again: only a flat mirror is left.
-        _push(queue, point, nd, bw, bp, k if el.flat else -1, bounce)
-        return
-    if isinstance(el, HalfMirror):
-        reflected, wr, wt = split_half_mirror(el, bd, bw)
-        for nd, nw in ((reflected, wr), (bd, wt)):
-            keep = nw >= WEIGHT_CUTOFF
-            if keep.any():
-                keep = subset(keep)
-                _push(queue, take_rows(point, keep), take_rows(nd, keep), nw, bp,
-                      k, bounce, keep)
-        return
+    local (u, v): accumulate screen radiance into `acc`, queue the rays
+    that leave on each branch of the interaction table, plate branches
+    split by weight and below-cutoff rows dropped."""
     if isinstance(el, Screen):
         acc[bp] += bw * sample_screen(el, u, v)
-    elif isinstance(el, ThinLens):
-        rows, out = refract_thin_lens(el, u, v, bd)
-        nd = el.pose.to_world_dirs(linalg_normalize_rows(out))
-        _push(queue, take_rows(point, rows), nd, bw, bp, k, bounce, rows)
-    elif isinstance(el, TmdPlate):
-        _plate(el, k, point, u, v, bd, bw, bp, queue, bounce)
-    else:  # pragma: no cover
-        raise TypeError(f"unrenderable element {type(el).__name__}")
-
-
-def _plate(plate, k, point, u, v, bd, bw, bp, queue, bounce):
-    _, p_s, p_p = plate.mode_weights
-    local = plate.pose.to_local_dirs(bd)
-    single = 0.5 * (0.0 if plate.polarizer else p_s)
-    # Each branch's interaction code indexes PLATE_INTERACTIONS: double,
-    # single u, single v, pass.
-    for code, frac in enumerate((double_band(plate, local), single, single, p_p)):
-        if isinstance(frac, float) and frac == 0.0:
-            continue  # no row of this branch can reach the cutoff
-        nw = bw * frac
-        keep = nw >= WEIGHT_CUTOFF
-        if not keep.any():
-            continue
-        keep = subset(keep)
-        rows = (take_rows(a, keep) for a in (point, u, v, local))
-        exits, nd = plate_exit(plate, *rows, code)
-        _push(queue, exits, nd, nw, bp, k, bounce, keep)
+        return
+    # A ray may meet a curved cap again: only a flat element is left.
+    left = -1 if curved_cap(el) else k
+    for _, rows, exits, nd, nw in leave(el, point, u, v, bd, bw,
+                                        normalize=linalg_normalize_rows,
+                                        cutoff=WEIGHT_CUTOFF):
+        queue.append((nudged_rows(exits, nd), nd, nw, take_rows(bp, rows),
+                      left, bounce))
 
 
 # ---------------------------------------------------------------------------

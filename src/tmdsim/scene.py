@@ -43,6 +43,12 @@ from .geometry import Pose, normalize, orthonormal_frame, require_finite
 
 DEFAULT_SENSOR = (256, 256, 0.5)
 DEFAULT_IMAGE_RES = 64
+# The largest screen image side (`image_res`, `image_data` rows and columns)
+# and eye sensor a scene file may ask for.  The parser refuses more before
+# anything is allocated: a 4096-texel side is a 128 MiB grid, and a render
+# holds about 60 bytes per sensor pixel.
+MAX_IMAGE_SIDE = 4096
+MAX_SENSOR_PIXELS = 4096 * 4096
 
 
 @dataclass(frozen=True)
@@ -249,6 +255,9 @@ def _take_image(keys, line):
         if len(toks) < 3:
             raise ParseError(vline, "image_data needs: rows cols v0 v1 ...")
         rows, cols = _as_count(toks[0], vline), _as_count(toks[1], vline)
+        if max(rows, cols) > MAX_IMAGE_SIDE:
+            raise ParseError(vline, f"image_data sides must be at most "
+                                    f"{MAX_IMAGE_SIDE}, got {rows}x{cols}")
         vals = [_as_float(t, vline) for t in toks[2:]]
         if rows <= 0 or cols <= 0 or len(vals) != rows * cols:
             raise ParseError(vline, f"image_data expects {rows}x{cols} samples")
@@ -265,6 +274,9 @@ def _take_image(keys, line):
         if len(toks) != 1:
             raise ParseError(rline, f"image_res expects 1 value(s), got {len(toks)}")
         res = _as_count(toks[0], rline)
+        if res > MAX_IMAGE_SIDE:
+            raise ParseError(rline, f"image_res must be at most {MAX_IMAGE_SIDE}, "
+                                    f"got {res}")
     try:
         return make_pattern(spec, res), spec
     except (ValueError, OverflowError) as exc:
@@ -321,7 +333,14 @@ def _build_eye(ident, keys, line) -> EyeCamera:
     position = _take_floats(keys, "position", line, 3, (0.0, 0.0, 0.0))
     look = _take_floats(keys, "look", line, 3, (0.0, 0.0, -1.0))
     up = _take_floats(keys, "up", line, 3, (0.0, 1.0, 0.0))
+    sensor_line = keys.get("sensor", (None, line))[1]
     sensor = _take_floats(keys, "sensor", line, 3, tuple(map(float, DEFAULT_SENSOR)))
+    w, h, _ = sensor
+    # Non-finite and negative sizes are left to EyeCamera: invalid geometry.
+    if (min(w, h) > 0 and math.isfinite(w) and math.isfinite(h)
+            and w * h > MAX_SENSOR_PIXELS):
+        raise ParseError(sensor_line, f"sensor must have at most {MAX_SENSOR_PIXELS} "
+                                      f"pixels, got {w:.15g} x {h:.15g}")
     require_finite("eye position", position)
     require_finite("eye orientation", look + up)
     try:

@@ -6,13 +6,14 @@ path id) and advances all of them one bounce per pass: the nearest-hit
 search the renderer shares (`elements.nearest_hits`) over the surfaces,
 then the eye, in which each plane is tested only for the rays that would
 cross it nearer than their best hit so far (so an earlier surface wins a
-tie and the eye must be strictly nearer), then one batch interaction per
-element, which reads the hit points and (u, v) of its hit record, a
-plane's or a curved cap's.  A ray is never tested against the flat
-element it just left (see README).  The cap test and the curved-mirror
-reflection are the renderer's, with the same rounding.  Each row goes
-through the same floating-point operations as a ray traced on its own, so
-a bundle is bit for bit independent of how its rays are batched.
+tie and the eye must be strictly nearer), then per element the one
+interaction table both tracers read, `elements.leave`, which decides what
+leaves the hits from the points and (u, v) of their hit record, a plane's
+or a curved cap's.  A ray is never tested against the flat element it
+just left (see README).  The cap test and the curved-mirror reflection
+are the renderer's, with the same rounding.  Each row goes through the
+same floating-point operations as a ray traced on its own, so a bundle is
+bit for bit independent of how its rays are batched.
 
 Half mirrors branch into a path tree: the stronger branch continues the
 parent path, the weaker one becomes a child path.  Plate interactions are
@@ -35,10 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import (Absorber, ConvexMirror, HalfMirror, PLATE_INTERACTIONS,
-                       Screen, ThinLens, TmdPlate, classify_plate_modes,
-                       nearest_hits, plate_exit, reflect_convex_mirror,
-                       refract_thin_lens, split_half_mirror)
+from .elements import (BRANCH_MODES, BRANCHES, HalfMirror, Screen, TmdPlate,
+                       curved_cap, leave, nearest_hits)
 # Re-exported per-ray forms: profilers that wrap names in this module
 # (perfbench/tracing.py) look them up here.  The kernel calls the batch forms.
 from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
@@ -147,15 +146,12 @@ class TracePath:
             yield from child.walk()
 
 
-# Segment labels; the kernel logs indices into this tuple.  Plate code c
-# (an index into PLATE_INTERACTIONS) other than absorption is label
-# _PLATE + c.
+# Segment labels; the kernel logs indices into this tuple.  A ray that
+# leaves an element on branch c of the interaction table (an index into
+# elements.BRANCHES) is label _BRANCH + c.
 _LABELS = ("faded", "max_bounces", "escaped", "reached_eye", "screen",
-           "absorbed", "lens", "half_mirror_reflect", "half_mirror_transmit",
-           "mirror_reflect") + PLATE_INTERACTIONS[:4]
-(_FADED, _MAX_BOUNCES, _ESCAPED, _REACHED_EYE, _SCREEN, _ABSORBED, _LENS,
- _REFLECT, _TRANSMIT, _MIRROR, _PLATE) = range(11)
-_PLATE_ABSORB = PLATE_INTERACTIONS.index("absorbed")
+           "absorbed") + BRANCHES
+_FADED, _MAX_BOUNCES, _ESCAPED, _REACHED_EYE, _SCREEN, _ABSORBED, _BRANCH = range(7)
 _TERMINALS = (TERMINAL_ABSORBED, TERMINAL_MAX_BOUNCES, TERMINAL_ESCAPED,
               TERMINAL_REACHED_EYE)
 # Terminal index of each label that ends a path, else -1.
@@ -164,7 +160,8 @@ _TERMINAL_OF = np.array([0, 1, 2, 3, 0, 0] + [-1] * (len(_LABELS) - 6))
 # flight: escaped, at the eye or at the bounce budget.
 _PROPAGATES = np.isin(_TERMINAL_OF, (1, 2, 3))
 _MODES = (MODE_PRIMARY, MODE_DOUBLE, MODE_SINGLE, MODE_PASS)
-_PLATE_MODE = np.array([1, 2, 2, 3])  # mode index per non-absorbed plate code
+# Mode index per branch code (-1 where a ray keeps its own).
+_BRANCH_MODE = np.array([_MODES.index(m) if m else -1 for m in BRANCH_MODES])
 
 
 def dfs_order(parents: np.ndarray, n_roots: int) -> np.ndarray:
@@ -306,8 +303,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     pass.  Every ray alive at pass k has made k interactions."""
     surfaces = scene.surfaces
     eye_k = len(surfaces)
-    flat = np.array([not isinstance(s, ConvexMirror) or s.flat for s in surfaces],
-                    dtype=bool)
+    flat = np.array([not curved_cap(s) for s in surfaces], dtype=bool)
     modes = list(_MODES) if mode in _MODES else list(_MODES) + [mode]
     n = len(origins)
     O, D, W = origins, directions, weights
@@ -348,54 +344,33 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                     label[rows] = _REACHED_EYE
                     continue
                 surface = surfaces[k]
-                d = _rows(D, rows)
                 if isinstance(surface, Screen):
                     label[rows] = _SCREEN
-                elif isinstance(surface, Absorber):
-                    label[rows] = _ABSORBED
-                elif isinstance(surface, ThinLens):
-                    passing, out = refract_thin_lens(surface, u, v, d)
-                    label[rows] = _ABSORBED
-                    if passing is not None:
-                        rows = rows[passing]
-                    label[rows] = _LENS
-                    cont[rows] = True
-                    _put(out_dir, rows,
-                         surface.pose.to_world_dirs(normalize_rows(out)))
-                elif isinstance(surface, HalfMirror):
-                    reflected, w_r, w_t = split_half_mirror(surface, d,
-                                                            _rows(W, rows))
+                    continue
+                label[rows] = _ABSORBED  # unless a branch leaves
+                plate = isinstance(surface, TmdPlate)
+                draws = uniform_draws(seed, rid[rows], step) if plate else None
+                branches = leave(surface, p, u, v, _rows(D, rows),
+                                 _rows(W, rows), draws)
+                if isinstance(surface, HalfMirror):
+                    # The stronger branch continues the path, the weaker spawns a child.
+                    (c_r, _, _, d_r, w_r), (c_t, _, _, d_t, w_t) = branches
                     keep = w_r >= w_t
-                    label[rows] = np.where(keep, _REFLECT, _TRANSMIT)
-                    cont[rows] = True
-                    _put(out_dir, rows, pick_rows(keep, reflected, d))
                     out_w[rows] = np.where(keep, w_r, w_t)
                     child_w = np.where(keep, w_t, w_r)
                     spawn = np.flatnonzero(child_w >= WEIGHT_CUTOFF)
-                    spawned.append((rows[spawn],
-                                    _rows(pick_rows(keep, d, reflected), spawn),
+                    spawned.append((rows[spawn], _rows(pick_rows(keep, d_t, d_r), spawn),
                                     child_w[spawn]))
-                elif isinstance(surface, ConvexMirror):
-                    label[rows] = _MIRROR
-                    cont[rows] = True
-                    _put(out_dir, rows, reflect_convex_mirror(surface, p, d))
-                elif isinstance(surface, TmdPlate):
-                    local = surface.pose.to_local_dirs(d)
-                    codes = classify_plate_modes(
-                        surface, local, uniform_draws(seed, rid[rows], step))
-                    label[rows] = _ABSORBED
-                    kept = np.flatnonzero(codes != _PLATE_ABSORB)
-                    rows, codes = rows[kept], codes[kept]
-                    exit_points, exit_dirs = plate_exit(
-                        surface, *(_rows(a, kept) for a in (p, u, v, local)),
-                        codes)
-                    _put(point, rows, exit_points)
-                    _put(out_dir, rows, exit_dirs)
-                    label[rows] = _PLATE + codes
-                    out_m[rows] = _PLATE_MODE[codes]
-                    cont[rows] = True
-                else:  # pragma: no cover - scene validation prevents this
-                    raise TypeError(f"untraceable element {type(surface).__name__}")
+                    branches = [(np.where(keep, c_r, c_t), None, p,
+                                 pick_rows(keep, d_r, d_t), None)]
+                for code, sub, exits, exit_dirs, _ in branches:
+                    sub = take_rows(rows, sub)
+                    label[sub] = _BRANCH + code
+                    cont[sub] = True
+                    _put(out_dir, sub, exit_dirs)
+                    if plate:  # only a plate moves the exit point or the tag
+                        _put(point, sub, exits)
+                        out_m[sub] = _BRANCH_MODE[code]
         log.append((pid, np.full(n, step), label, elem, O, D, W, M, point))
 
         # Survivors continue their paths; spawned branches start new ones.

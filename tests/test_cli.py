@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tmdsim
+from tmdsim import cli
 from tmdsim.cli import main
 from tmdsim.scene import parse_scene
 
@@ -425,3 +426,59 @@ class TestEntryPoint:
                            "if m in sys.modules))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestLimits:
+    """Oversized counts exit 2 with an error line before anything is
+    allocated, instead of a traceback from numpy's allocator."""
+
+    SCENES = {
+        "image_res": GOOD_SCENE.replace("image = checker 8",
+                                        "image = checker 8\n  image_res = 999999999999"),
+        "sensor": GOOD_SCENE.replace("position = 0 0 60",
+                                     "position = 0 0 60\n  sensor = 99999999 99999999 0.2"),
+    }
+
+    @staticmethod
+    def assert_refused(proc, message):
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert any(line.startswith(("error:", "tmdsim: error:")) and message in line
+                   for line in proc.stderr.splitlines()), proc.stderr
+
+    @pytest.mark.parametrize("key", sorted(SCENES))
+    def test_oversized_scene_file(self, key, tmp_path):
+        scene = tmp_path / "big.scene"
+        scene.write_text(self.SCENES[key])
+        out = tmp_path / "x.ppm"
+        self.assert_refused(_run_module("render", str(scene), "--out", str(out)),
+                            "at most")
+        assert not out.exists()
+
+    # The commands of TestCountsBelowOne; a flag given again overrides it.
+    COUNTS = list(zip(TestCountsBelowOne.COMMANDS, ("--rays", "--rpp", "--rpp"),
+                      (cli.MAX_RAYS, cli.MAX_RPP, cli.MAX_RPP)))
+
+    @pytest.mark.parametrize("command,flag,limit", COUNTS)
+    def test_oversized_ray_counts(self, command, flag, limit, tmp_path,
+                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.assert_refused(_run_module(*command, flag, "1000000000000"),
+                            f"{flag} must be at most {limit}")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,flag,limit", COUNTS)
+    def test_one_past_the_limit(self, command, flag, limit, capsys, tmp_path,
+                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+        def traced(*args, **kwargs):
+            raise AssertionError("an oversized count reached the tracer")
+
+        for name in ("trace_bundle", "render_view", "defocus_sweep"):
+            monkeypatch.setattr(cli, name, traced)
+        with pytest.raises(SystemExit) as err:
+            main([*command, flag, str(limit + 1)])
+        assert err.value.code == 2
+        assert f"{flag} must be at most {limit}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -7,9 +7,11 @@ in the module's `__all__`.  An import kept only for other modules to find
 
 The two tracers, tracer.py and render.py, reach the hit tests and the
 per-row dots and norms only through geometry.py and elements.py (the
-shared nearest-hit search, the curved-mirror forms and the row
-normalizations): neither module may use np.einsum, np.vecdot,
-np.linalg.norm, plane_hits or sphere_cap_hits.
+shared nearest-hit search and the row normalizations): neither module may
+use np.einsum, np.vecdot, np.linalg.norm, plane_hits or sphere_cap_hits.
+They reach an element's physics only through the interaction table
+(`elements.leave`): neither may use refract_thin_lens,
+reflect_convex_mirror, plate_exit, classify_plate_modes or double_band.
 
 Every function, class and method (dunder methods aside) of the package is
 read somewhere in the package outside its own definition: called, looked
@@ -97,7 +99,10 @@ def _dotted(node):
 
 def _forbidden(name):
     return (name in ("np.einsum", "np.vecdot", "np.linalg.norm")
-            or name.rsplit(".", 1)[-1] in ("plane_hits", "sphere_cap_hits"))
+            or name.rsplit(".", 1)[-1] in (
+                "plane_hits", "sphere_cap_hits", "refract_thin_lens",
+                "reflect_convex_mirror", "plate_exit", "classify_plate_modes",
+                "double_band"))
 
 
 def forbidden_uses(source: str) -> list:
@@ -125,10 +130,11 @@ def test_the_check_sees_a_forbidden_use():
               "n = np.linalg.norm(x, axis=1)\n"
               "dot = np.einsum\n"
               "hits = geometry.plane_hits(o, d, pose, extent)\n"
-              "y = np.dot(x, x) + np.linalg.det(m)\n")
+              "y = np.dot(x, x) + np.linalg.det(m)\n"
+              "out = elements.plate_exit(plate, p, u, v, local, 0)\n")
     assert forbidden_uses(source) == [
         ("sphere_cap_hits", 2), ("np.linalg.norm", 3), ("np.einsum", 4),
-        ("geometry.plane_hits", 5)]
+        ("geometry.plane_hits", 5), ("elements.plate_exit", 7)]
 
 
 # Definitions that nothing in the package reads, kept for callers outside it.

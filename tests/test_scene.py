@@ -7,8 +7,9 @@ from tmdsim.elements import HalfMirror, Screen, ThinLens, TmdPlate
 from tmdsim.errors import ParseError, ValidationError
 from tmdsim.presets import (PRESET_BUILDERS, ame_lens_focal_length,
                             build_preset)
-from tmdsim.scene import (EyeCamera, HMD_PRESETS, Scene, camera_pose,
-                          make_pattern, parse_scene, serialize_scene)
+from tmdsim.scene import (EyeCamera, HMD_PRESETS, MAX_IMAGE_SIDE,
+                          MAX_SENSOR_PIXELS, Scene, camera_pose, make_pattern,
+                          parse_scene, serialize_scene)
 
 MINIMAL = """
 scene demo
@@ -204,6 +205,32 @@ element tmd panel {
     def test_whole_float_image_counts_are_accepted(self, line, shape):
         text = MINIMAL.replace("image = checker 8", f"image = checker 8\n  {line}")
         assert parse_scene(text).element("panel").image.shape == shape
+
+    @pytest.mark.parametrize("line", [f"image_res = {MAX_IMAGE_SIDE + 1}",
+                                      f"image_data = {MAX_IMAGE_SIDE + 1} 1 0",
+                                      f"image_data = 1 {MAX_IMAGE_SIDE + 1} 0",
+                                      "image_res = 999999999999"])
+    def test_oversized_images_are_parse_errors(self, line):
+        # Refused before any grid is allocated.
+        text = MINIMAL.replace("image = checker 8", f"image = checker 8\n  {line}")
+        with pytest.raises(ParseError, match=f"at most {MAX_IMAGE_SIDE}") as err:
+            parse_scene(text)
+        assert err.value.line == 12
+
+    def test_sensor_pixel_limit(self):
+        side = math.isqrt(MAX_SENSOR_PIXELS)
+        assert side * side == MAX_SENSOR_PIXELS
+        for sensor, ok in (((side, side), True), ((side + 1, side), False),
+                           ((1, MAX_SENSOR_PIXELS), True),
+                           ((99999999, 99999999), False)):
+            text = MINIMAL.replace("look = 0 0 -1", "look = 0 0 -1\n  sensor = "
+                                   f"{sensor[0]} {sensor[1]} 0.2")
+            if ok:
+                assert parse_scene(text).eye.sensor[:2] == sensor
+            else:
+                with pytest.raises(ParseError, match="at most") as err:
+                    parse_scene(text)
+                assert err.value.line == 6
 
     def test_all_element_kinds(self):
         text = MINIMAL + """
