@@ -30,10 +30,11 @@ from .render import (best_offset, defocus_sweep, render_view, sharpness_metric,
 from .scene import HMD_PRESETS, parse_scene, serialize_scene
 from .tracer import Cone, spot_diagram, terminal_rays, trace_bundle
 
-EXIT_USAGE = 2
-EXIT_GEOMETRY = 3
-EXIT_EMPTY = 4
-EXIT_IO = 5
+# The errors main() reports, each with its exit code (see the module
+# docstring); the first match wins.
+EXIT_CODES = {ParseError: 2, UsageError: 2, InvalidGeometry: 3,
+              ValidationError: 3, EmptySpot: 4, DegenerateBundle: 4,
+              IoError: 5, OSError: 5}
 # The largest `trace --rays` and `render`/`sweep --rpp`, refused before
 # anything is traced: a bundle logs about 120 bytes per ray and bounce, and
 # 10000 aperture samples put a 256 x 256 render at minutes.
@@ -314,21 +315,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         return _cmd_presets(args, parser)
-    except (ParseError, UsageError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidGeometry, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except (EmptySpot, DegenerateBundle) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

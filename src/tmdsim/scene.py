@@ -25,8 +25,10 @@ A scene file is a sequence of blocks::
 `#` starts a comment.  Keys take one value each (a number, `true`/`false`,
 or a fixed-length tuple of numbers); unknown keys and malformed lines raise
 ParseError with the line number.  Units are millimeters and degrees.
-Serialization writes keys alphabetically so files diff cleanly, and
-parse(serialize(scene)) reproduces every numeric field to 1e-12.
+ELEMENT_KEYS and EYE_KEYS list each block's keys.  Serialization writes keys
+alphabetically so files diff cleanly, and parse(serialize(scene))
+reproduces every position and parameter bit for bit and every rotation to
+1e-15: a pose is saved as its own axes, not as the hints it was built from.
 """
 from __future__ import annotations
 
@@ -36,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import (DEFAULT_MODE_WEIGHTS, DEFAULT_REFLECTANCE, Absorber,
-                       ConvexMirror, HalfMirror, Screen, ThinLens, TmdPlate)
+from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
+                       TmdPlate)
 from .errors import InvalidGeometry, ParseError, ValidationError
 from .geometry import Pose, normalize, orthonormal_frame, require_finite
 
@@ -138,12 +140,6 @@ class Scene:
             return self.elements
         return self.elements + (self.background,)
 
-    def element(self, ident: str):
-        for e in self.elements:
-            if e.ident == ident:
-                return e
-        raise KeyError(ident)
-
 
 def make_pattern(spec: str, res: int = DEFAULT_IMAGE_RES) -> np.ndarray:
     """Build a named test image: `uniform [v]`, `checker [n]`, `hgrad`,
@@ -179,13 +175,67 @@ def make_pattern(spec: str, res: int = DEFAULT_IMAGE_RES) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The format
+
+REQUIRED = object()   # the default of a key that a block must give
+
+
+def _sensor_limit(value):
+    # Non-finite and negative sizes are left to EyeCamera: invalid geometry.
+    w, h, _ = value
+    if (min(w, h) > 0 and math.isfinite(w) and math.isfinite(h)
+            and w * h > MAX_SENSOR_PIXELS):
+        raise ValueError(f"must have at most {MAX_SENSOR_PIXELS} pixels, "
+                         f"got {w:.15g} x {h:.15g}")
+    return value
+
+
+def _zero_is_none(value):
+    return None if value == (0.0, 0.0) else value
+
+
+# The keys of each block past its pose, as (key, field, arity, default
+# [, finish]).  A key sets the named constructor field.  Its arity is a
+# count of numbers (one number reads as a float, more as a tuple) or `bool`
+# for one true/false.  An absent key takes the default, or is an error if
+# the default is REQUIRED.  `finish`, where given, turns the value read into
+# the field's value, or refuses it with a ValueError.  Parsing and saving
+# both read these tables; only the pose, the screen block and the eye's
+# `look` are read and written by hand.
+ELEMENT_KEYS = {
+    "tmd": (TmdPlate, (
+        ("extent", "extent", 2, REQUIRED),
+        ("pitch", "pitch", 1, TmdPlate.pitch),
+        ("mirror_ratio", "mirror_ratio", 1, TmdPlate.mirror_ratio),
+        ("weights", "mode_weights", 3, TmdPlate.mode_weights),
+        ("polarizer", "polarizer", bool, TmdPlate.polarizer),
+        ("angular_fill", "angular_fill", bool, TmdPlate.angular_fill))),
+    "half_mirror": (HalfMirror, (
+        ("extent", "extent", 2, REQUIRED),
+        ("reflectance", "reflectance", 1, HalfMirror.reflectance))),
+    "convex_mirror": (ConvexMirror, (
+        ("a_mag", "a_mag", 1, 1.0),
+        ("extent", "extent", 2, REQUIRED),
+        ("eye_distance", "eye_distance", 1, REQUIRED))),
+    "lens": (ThinLens, (
+        ("focal_length", "focal_length", 1, REQUIRED),
+        ("aperture", "aperture_diameter", 1, REQUIRED),
+        # `0 0`, like an absent line, leaves the mount to the aperture.
+        ("housing", "housing_extent", 2, ThinLens.housing_extent,
+         _zero_is_none))),
+    "absorber": (Absorber, (
+        ("extent", "extent", 2, REQUIRED),)),
+}
+EYE_KEYS = (
+    ("focal_length", "focal_length", 1, EyeCamera.focal_length),
+    ("aperture", "aperture_diameter", 1, EyeCamera.aperture_diameter),
+    ("sensor", "sensor", 3, EyeCamera.sensor, _sensor_limit))
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 
 _TRUE, _FALSE = "true", "false"
-
-
-def _tokens(value: str):
-    return value.split()
 
 
 def _as_float(tok: str, line: int) -> float:
@@ -203,40 +253,35 @@ def _as_count(tok: str, line: int) -> int:
     return int(value)
 
 
-def _take_floats(keys, name, line, count, default=None):
-    if name not in keys:
-        if default is None:
-            raise ParseError(line, f"missing required key {name!r}")
+def _take(keys, key, line, arity, default=REQUIRED, finish=None):
+    """Pop `key` from a block and read its value (see ELEMENT_KEYS)."""
+    if key not in keys:
+        if default is REQUIRED:
+            raise ParseError(line, f"missing required key {key!r}")
         return default
-    toks, vline = keys.pop(name)
-    if len(toks) != count:
-        raise ParseError(vline, f"{name} expects {count} value(s), got {len(toks)}")
-    vals = tuple(_as_float(t, vline) for t in toks)
-    return vals if count > 1 else vals[0]
+    toks, vline = keys.pop(key)
+    if arity is bool:
+        if len(toks) != 1 or toks[0] not in (_TRUE, _FALSE):
+            raise ParseError(vline, f"{key} expects true or false")
+        return toks[0] == _TRUE
+    if len(toks) != arity:
+        raise ParseError(vline, f"{key} expects {arity} value(s), got {len(toks)}")
+    value = tuple(_as_float(t, vline) for t in toks)
+    value = value if arity > 1 else value[0]
+    try:
+        return finish(value) if finish else value
+    except ValueError as exc:
+        raise ParseError(vline, f"{key} {exc}") from None
 
 
-def _take_bool(keys, name, line, default=False):
-    if name not in keys:
-        return default
-    toks, vline = keys.pop(name)
-    if len(toks) != 1 or toks[0] not in (_TRUE, _FALSE):
-        raise ParseError(vline, f"{name} expects true or false")
-    return toks[0] == _TRUE
-
-
-def _take_bools(keys, name, line, count, default):
-    if name not in keys:
-        return default
-    toks, vline = keys.pop(name)
-    if len(toks) != count or any(t not in (_TRUE, _FALSE) for t in toks):
-        raise ParseError(vline, f"{name} expects {count} true/false value(s)")
-    return tuple(t == _TRUE for t in toks)
+def _take_fields(keys, entries, line) -> dict:
+    return {field: _take(keys, key, line, *rest) for key, field, *rest in entries}
 
 
 def _take_pose(keys, line) -> Pose:
-    position = _take_floats(keys, "position", line, 3, (0.0, 0.0, 0.0))
-    norm = _take_floats(keys, "normal", line, 3, (0.0, 0.0, 1.0))
-    up = _take_floats(keys, "up", line, 3, (0.0, 1.0, 0.0))
+    position = _take(keys, "position", line, 3, (0.0, 0.0, 0.0))
+    norm = _take(keys, "normal", line, 3, (0.0, 0.0, 1.0))
+    up = _take(keys, "up", line, 3, (0.0, 1.0, 0.0))
     # Non-finite numbers are invalid geometry, not a bad orientation.
     require_finite("position", position)
     require_finite("orientation", norm + up)
@@ -285,74 +330,38 @@ def _take_image(keys, line):
 
 def _build_screen(ident, keys, line) -> Screen:
     pose = _take_pose(keys, line)
-    extent = _take_floats(keys, "extent", line, 2)
+    extent = _take(keys, "extent", line, 2)
     image, spec = _take_image(keys, line)
-    flip = _take_bools(keys, "flip", line, 2, (False, False))
-    brightness = _take_floats(keys, "brightness", line, 1, 1.0)
-    return Screen(ident, pose, extent, image * brightness, flip, spec)
+    flip, fline = keys.pop("flip", ([_FALSE, _FALSE], line))
+    if len(flip) != 2 or not {*flip} <= {_TRUE, _FALSE}:
+        raise ParseError(fline, "flip expects 2 true/false value(s)")
+    brightness = _take(keys, "brightness", line, 1, 1.0)
+    # A scaled pattern is no longer the named one, so it is saved as data.
+    return Screen(ident, pose, extent, image * brightness,
+                  (flip[0] == _TRUE, flip[1] == _TRUE),
+                  spec if brightness == 1.0 else None)
 
 
 def _build_element(kind, ident, keys, line):
     if kind == "screen":
         return _build_screen(ident, keys, line)
-    if kind == "tmd":
-        return TmdPlate(
-            ident, _take_pose(keys, line),
-            _take_floats(keys, "extent", line, 2),
-            pitch=_take_floats(keys, "pitch", line, 1, TmdPlate.pitch),
-            mirror_ratio=_take_floats(keys, "mirror_ratio", line, 1,
-                                      TmdPlate.mirror_ratio),
-            mode_weights=_take_floats(keys, "weights", line, 3, DEFAULT_MODE_WEIGHTS),
-            polarizer=_take_bool(keys, "polarizer", line),
-            angular_fill=_take_bool(keys, "angular_fill", line))
-    if kind == "half_mirror":
-        return HalfMirror(
-            ident, _take_pose(keys, line),
-            _take_floats(keys, "extent", line, 2),
-            reflectance=_take_floats(keys, "reflectance", line, 1, DEFAULT_REFLECTANCE))
-    if kind == "convex_mirror":
-        return ConvexMirror(
-            ident, _take_pose(keys, line),
-            a_mag=_take_floats(keys, "a_mag", line, 1, 1.0),
-            extent=_take_floats(keys, "extent", line, 2),
-            eye_distance=_take_floats(keys, "eye_distance", line, 1))
-    if kind == "lens":
-        housing = _take_floats(keys, "housing", line, 2, (0.0, 0.0))
-        return ThinLens(
-            ident, _take_pose(keys, line),
-            focal_length=_take_floats(keys, "focal_length", line, 1),
-            aperture_diameter=_take_floats(keys, "aperture", line, 1),
-            housing_extent=housing if housing != (0.0, 0.0) else None)
-    if kind == "absorber":
-        return Absorber(ident, _take_pose(keys, line),
-                        _take_floats(keys, "extent", line, 2))
-    raise ParseError(line, f"unknown element kind {kind!r}")
+    if kind not in ELEMENT_KEYS:
+        raise ParseError(line, f"unknown element kind {kind!r}")
+    cls, entries = ELEMENT_KEYS[kind]
+    return cls(ident, _take_pose(keys, line), **_take_fields(keys, entries, line))
 
 
 def _build_eye(ident, keys, line) -> EyeCamera:
-    position = _take_floats(keys, "position", line, 3, (0.0, 0.0, 0.0))
-    look = _take_floats(keys, "look", line, 3, (0.0, 0.0, -1.0))
-    up = _take_floats(keys, "up", line, 3, (0.0, 1.0, 0.0))
-    sensor_line = keys.get("sensor", (None, line))[1]
-    sensor = _take_floats(keys, "sensor", line, 3, tuple(map(float, DEFAULT_SENSOR)))
-    w, h, _ = sensor
-    # Non-finite and negative sizes are left to EyeCamera: invalid geometry.
-    if (min(w, h) > 0 and math.isfinite(w) and math.isfinite(h)
-            and w * h > MAX_SENSOR_PIXELS):
-        raise ParseError(sensor_line, f"sensor must have at most {MAX_SENSOR_PIXELS} "
-                                      f"pixels, got {w:.15g} x {h:.15g}")
+    position = _take(keys, "position", line, 3, (0.0, 0.0, 0.0))
+    look = _take(keys, "look", line, 3, (0.0, 0.0, -1.0))
+    up = _take(keys, "up", line, 3, (0.0, 1.0, 0.0))
     require_finite("eye position", position)
     require_finite("eye orientation", look + up)
     try:
         pose = camera_pose(position, look, up)
     except (InvalidGeometry, ValueError) as exc:
         raise ParseError(line, f"bad eye orientation: {exc}") from None
-    return EyeCamera(ident, pose,
-                     focal_length=_take_floats(keys, "focal_length", line, 1,
-                                               EyeCamera.focal_length),
-                     aperture_diameter=_take_floats(keys, "aperture", line, 1,
-                                                    EyeCamera.aperture_diameter),
-                     sensor=sensor)
+    return EyeCamera(ident, pose, **_take_fields(keys, EYE_KEYS, line))
 
 
 def parse_scene(text: str) -> Scene:
@@ -396,7 +405,7 @@ def parse_scene(text: str) -> Scene:
             raise ParseError(lineno, f"expected 'key = value', got {line!r}")
         if key in current[2]:
             raise ParseError(lineno, f"duplicate key {key!r}")
-        current[2][key] = (_tokens(value), lineno)
+        current[2][key] = (value.split(), lineno)
     if current is not None:
         raise ParseError(len(text.splitlines()), f"unterminated block {current[0]!r}")
 
@@ -428,66 +437,44 @@ def parse_scene(text: str) -> Scene:
 # Serialization
 
 def _fmt(v) -> str:
+    """A value as the parser reads it back: true/false, a whole count, a
+    float's repr (which reloads to the same bits), or a sequence of these."""
     if isinstance(v, bool):
         return _TRUE if v else _FALSE
     if isinstance(v, (int, np.integer)):
         return str(int(v))
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return " ".join(map(_fmt, v))
     return repr(float(v))
 
 
-def _fmt_seq(vals) -> str:
-    return " ".join(_fmt(v) for v in vals)
-
-
 def _pose_keys(pose: Pose) -> dict:
-    return {"position": _fmt_seq(pose.position),
-            "normal": _fmt_seq(pose.normal),
-            "up": _fmt_seq(pose.v_axis)}
+    return {"position": _fmt(pose.position), "normal": _fmt(pose.normal),
+            "up": _fmt(pose.v_axis)}
+
+
+def _table_keys(obj, entries) -> dict:
+    return {key: _fmt(getattr(obj, field)) for key, field, *_ in entries}
 
 
 def _screen_keys(s: Screen) -> dict:
     keys = _pose_keys(s.pose)
-    keys["extent"] = _fmt_seq(s.extent)
-    keys["flip"] = _fmt_seq(s.flip_uv)
+    keys["extent"] = _fmt(s.extent)
+    keys["flip"] = _fmt(s.flip_uv)
     if s.image_spec is not None:
         keys["image"] = s.image_spec
         keys["image_res"] = _fmt(s.image.shape[0])
     else:
-        rows, cols = s.image.shape
-        keys["image_data"] = f"{rows} {cols} " + _fmt_seq(s.image.ravel())
+        keys["image_data"] = _fmt(s.image.shape) + " " + _fmt(s.image.ravel())
     return keys
 
 
 def _element_keys(e) -> tuple:
     if isinstance(e, Screen):
         return "screen", _screen_keys(e)
-    if isinstance(e, TmdPlate):
-        keys = _pose_keys(e.pose)
-        keys.update(extent=_fmt_seq(e.extent), pitch=_fmt(e.pitch),
-                    mirror_ratio=_fmt(e.mirror_ratio),
-                    weights=_fmt_seq(e.mode_weights),
-                    polarizer=_fmt(e.polarizer),
-                    angular_fill=_fmt(e.angular_fill))
-        return "tmd", keys
-    if isinstance(e, HalfMirror):
-        keys = _pose_keys(e.pose)
-        keys.update(extent=_fmt_seq(e.extent), reflectance=_fmt(e.reflectance))
-        return "half_mirror", keys
-    if isinstance(e, ConvexMirror):
-        keys = _pose_keys(e.pose)
-        keys.update(extent=_fmt_seq(e.extent), a_mag=_fmt(e.a_mag),
-                    eye_distance=_fmt(e.eye_distance))
-        return "convex_mirror", keys
-    if isinstance(e, ThinLens):
-        keys = _pose_keys(e.pose)
-        keys.update(focal_length=_fmt(e.focal_length),
-                    aperture=_fmt(e.aperture_diameter),
-                    housing=_fmt_seq(e.housing_extent))
-        return "lens", keys
-    if isinstance(e, Absorber):
-        keys = _pose_keys(e.pose)
-        keys["extent"] = _fmt_seq(e.extent)
-        return "absorber", keys
+    for kind, (cls, entries) in ELEMENT_KEYS.items():
+        if isinstance(e, cls):
+            return kind, {**_pose_keys(e.pose), **_table_keys(e, entries)}
     raise TypeError(f"cannot serialize {type(e).__name__}")
 
 
@@ -503,13 +490,8 @@ def serialize_scene(scene: Scene) -> str:
     out = [f"scene {scene.name}", ""]
     eye = scene.eye
     _emit_block(out, f"eye {eye.ident}", {
-        "position": _fmt_seq(eye.pose.position),
-        "look": _fmt_seq(eye.look),
-        "up": _fmt_seq(eye.pose.v_axis),
-        "focal_length": _fmt(eye.focal_length),
-        "aperture": _fmt(eye.aperture_diameter),
-        "sensor": _fmt_seq(eye.sensor),
-    })
+        "position": _fmt(eye.pose.position), "look": _fmt(eye.look),
+        "up": _fmt(eye.pose.v_axis), **_table_keys(eye, EYE_KEYS)})
     for e in scene.elements:
         kind, keys = _element_keys(e)
         _emit_block(out, f"element {kind} {e.ident}", keys)

@@ -386,7 +386,7 @@ class TestPresets:
         path = tmp_path / "p.scene"
         code, _, _ = run(capsys, "presets", "half_mirror", "--out", str(path))
         assert code == 0
-        assert parse_scene(path.read_text()).element("combiner") is not None
+        assert "combiner" in [e.ident for e in parse_scene(path.read_text()).elements]
 
     def test_unknown(self, capsys):
         with pytest.raises(SystemExit) as err:

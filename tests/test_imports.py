@@ -142,7 +142,6 @@ OUTSIDE_CALLERS = {
     "geometry.reflect": "the acceptance module's involution checks",
     "geometry.Pose.to_world_point": "the acceptance module places poses",
     "geometry.Pose.to_world_dir": "the acceptance module places poses",
-    "scene.Scene.element": "public lookup of an element by its identifier",
     "tracer.TracePath.walk": "the acceptance module and perfbench walk "
                              "path trees",
 }

@@ -258,7 +258,8 @@ class TestBounceBudget:
         eye = scene.eye
         camera = EyeCamera(eye.ident, eye.pose, eye.focal_length,
                            eye.aperture_diameter, (32, 32, eye.sensor[2]))
-        screen_z = scene.element("panel").pose.position[2]
+        (panel,) = [e for e in scene.elements if e.ident == "panel"]
+        screen_z = panel.pose.position[2]
         source = vec3(2.0, -1.5, screen_z + 0.5)
         cone = Cone(normalize(eye.pose.position - source), math.radians(2.0))
         full = render_view(scene, camera, rays_per_pixel=1, workers=1)

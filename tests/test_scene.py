@@ -1,15 +1,20 @@
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tmdsim import elements
 from tmdsim.elements import HalfMirror, Screen, ThinLens, TmdPlate
 from tmdsim.errors import ParseError, ValidationError
 from tmdsim.presets import (PRESET_BUILDERS, ame_lens_focal_length,
                             build_preset)
-from tmdsim.scene import (EyeCamera, HMD_PRESETS, MAX_IMAGE_SIDE,
-                          MAX_SENSOR_PIXELS, Scene, camera_pose, make_pattern,
-                          parse_scene, serialize_scene)
+from tmdsim.scene import (ELEMENT_KEYS, EYE_KEYS, EyeCamera, HMD_PRESETS,
+                          MAX_IMAGE_SIDE, MAX_SENSOR_PIXELS, REQUIRED, Scene,
+                          camera_pose, make_pattern, parse_scene,
+                          serialize_scene)
 
 MINIMAL = """
 scene demo
@@ -24,6 +29,11 @@ element screen panel {
   image = checker 8
 }
 """
+
+
+def _element(scene, ident):
+    (found,) = [e for e in scene.elements if e.ident == ident]
+    return found
 
 
 class TestPatterns:
@@ -97,7 +107,7 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         text = MINIMAL.replace("extent = 40 40", "extent = 40 40  # mm\n\n")
         scene = parse_scene(text)
-        assert scene.element("panel").extent == (40.0, 40.0)
+        assert _element(scene, "panel").extent == (40.0, 40.0)
 
     def test_defaults_applied(self):
         scene = parse_scene(MINIMAL)
@@ -188,7 +198,7 @@ element tmd panel {
         text = MINIMAL.replace("image = checker 8",
                                "image_data = 2 2 0 1 1 0")
         scene = parse_scene(text)
-        panel = scene.element("panel")
+        panel = _element(scene, "panel")
         assert np.array_equal(panel.image, [[0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("line", ["image_res = 16.9", "image_res = nan",
@@ -204,7 +214,7 @@ element tmd panel {
                                             ("image_data = 2.0 2 0 1 1 0", (2, 2))])
     def test_whole_float_image_counts_are_accepted(self, line, shape):
         text = MINIMAL.replace("image = checker 8", f"image = checker 8\n  {line}")
-        assert parse_scene(text).element("panel").image.shape == shape
+        assert _element(parse_scene(text), "panel").image.shape == shape
 
     @pytest.mark.parametrize("line", [f"image_res = {MAX_IMAGE_SIDE + 1}",
                                       f"image_data = {MAX_IMAGE_SIDE + 1} 1 0",
@@ -269,16 +279,16 @@ element absorber stop {
 }
 """
         scene = parse_scene(text)
-        plate = scene.element("plate")
+        plate = _element(scene, "plate")
         assert isinstance(plate, TmdPlate)
         assert plate.pitch == 0.5 and plate.polarizer
         assert plate.mode_weights == (0.6, 0.3, 0.1)
-        hm = scene.element("hm")
+        hm = _element(scene, "hm")
         assert isinstance(hm, HalfMirror) and hm.reflectance == 0.4
-        lens = scene.element("eyepiece")
+        lens = _element(scene, "eyepiece")
         assert isinstance(lens, ThinLens)
         assert lens.housing_extent == (60.0, 60.0)
-        assert scene.element("cm").curvature_radius == pytest.approx(1200.0)
+        assert _element(scene, "cm").curvature_radius == pytest.approx(1200.0)
 
 
 class TestRoundTrip:
@@ -304,6 +314,168 @@ class TestRoundTrip:
         again = parse_scene(text)
         assert np.allclose(again.eye.pose.position, scene.eye.pose.position,
                            atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("brightness", ["0.3", "3"])
+    def test_brightness_survives_a_save(self, brightness):
+        text = (MINIMAL.replace("image = checker 8",
+                                f"image = checker 4\n  brightness = {brightness}")
+                + "background world {\n  extent = 4000 4000\n"
+                f"  image = uniform 0.25\n  brightness = {brightness}\n}}\n")
+        scene = parse_scene(text)
+        assert scene.background.image.max() == 0.25 * float(brightness)
+        saved = serialize_scene(scene)
+        again = parse_scene(saved)
+        assert "image_data" in saved and "brightness" not in saved
+        for a, b in ((scene.elements[0], again.elements[0]),
+                     (scene.background, again.background)):
+            assert np.array_equal(a.image, b.image)
+        assert serialize_scene(again) == saved
+
+
+# Each block kind's constructor and the keys that fill its fields.
+TABLES = {**ELEMENT_KEYS, "eye": (EyeCamera, EYE_KEYS)}
+
+
+class TestFormatTable:
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_table_names_every_field(self, kind):
+        cls, entries = TABLES[kind]
+        named = [field for _, field, *_ in entries] + ["ident", "pose"]
+        assert sorted(named) == sorted(f.name for f in fields(cls))
+
+    def test_screen_block_names_every_field(self):
+        # extent, flip and the image keys (image, image_res, image_data,
+        # brightness) are read and written by hand.
+        assert sorted(f.name for f in fields(Screen)) == [
+            "extent", "flip_uv", "ident", "image", "image_spec", "pose"]
+
+    def test_every_element_class_has_a_kind(self):
+        classes = {cls for cls in vars(elements).values() if is_dataclass(cls)
+                   and "ident" in {f.name for f in fields(cls)}}
+        assert classes == {cls for cls, _ in ELEMENT_KEYS.values()} | {Screen}
+
+
+NUMBER = st.floats(0.5, 500.0)
+# Values the constructors accept, by field; any other field takes NUMBER
+# for each of its numbers, or a boolean.
+VALUES = {
+    "reflectance": st.floats(0.01, 0.99),
+    "mode_weights": st.tuples(*[st.floats(0.0, 0.33)] * 3),
+    "aperture_diameter": st.floats(0.5, 50.0),
+    "housing_extent": st.just((0.0, 0.0)) | st.tuples(*[st.floats(50.0, 500.0)] * 2),
+    "sensor": st.tuples(st.integers(1, 64), st.integers(1, 64), st.floats(0.01, 1.0)),
+}
+KINDS = sorted(ELEMENT_KEYS) + ["screen"]
+PATTERNS = ["checker 4", "checker 1", "uniform", "uniform 0.3", "hgrad", "vstep",
+            "spot"]
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(map(_text, value))
+    return repr(value)
+
+
+@st.composite
+def _pose_lines(draw, facing="normal"):
+    """A position and hints that are neither unit nor orthogonal, and never
+    near parallel."""
+    i, j, _ = draw(st.permutations(range(3)))
+    jitter = st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3)
+    normal, up = draw(jitter), draw(jitter)
+    normal[i] += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 3.0))
+    up[j] += draw(st.floats(0.5, 3.0))
+    position = draw(st.tuples(*[st.floats(-1000.0, 1000.0)] * 3))
+    return [f"position = {_text(position)}", f"{facing} = {_text(tuple(normal))}",
+            f"up = {_text(tuple(up))}"]
+
+
+@st.composite
+def _table_lines(draw, entries):
+    lines = []
+    for key, field, arity, default, *_ in entries:
+        if default is not REQUIRED and draw(st.booleans()):
+            continue  # absent: the default applies
+        values = VALUES.get(field, st.booleans() if arity is bool
+                            else st.tuples(*[NUMBER] * arity))
+        lines.append(f"{key} = {_text(draw(values))}")
+    return lines
+
+
+@st.composite
+def _screen_lines(draw):
+    lines = [f"extent = {_text(draw(st.tuples(NUMBER, NUMBER)))}"]
+    if draw(st.booleans()):
+        lines.append(f"flip = {_text(draw(st.tuples(st.booleans(), st.booleans())))}")
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        data = draw(st.tuples(*[st.floats(0.0, 100.0)] * (rows * cols)))
+        lines.append(f"image_data = {rows} {cols} {_text(data)}")
+    else:
+        lines.append(f"image = {draw(st.sampled_from(PATTERNS))}")
+        lines.append(f"image_res = {draw(st.integers(4, 16))}")
+    if draw(st.booleans()):
+        lines.append(f"brightness = {_text(draw(st.floats(0.0, 10.0)))}")
+    return lines
+
+
+def _block(header, lines) -> str:
+    return header + " {\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
+
+
+@st.composite
+def scene_texts(draw):
+    """A scene file with every element kind, perhaps a background, and the
+    keys of each block drawn from the format tables."""
+    kinds = draw(st.permutations(KINDS)) + draw(st.lists(st.sampled_from(KINDS),
+                                                         max_size=3))
+    blocks = [_block("eye eye", draw(_pose_lines("look"))
+                     + draw(_table_lines(EYE_KEYS)))]
+    for n, kind in enumerate(kinds):
+        lines = draw(_screen_lines() if kind == "screen"
+                     else _table_lines(ELEMENT_KEYS[kind][1]))
+        blocks.append(_block(f"element {kind} e{n}", draw(_pose_lines()) + lines))
+    if draw(st.booleans()):
+        blocks.append(_block("background world", draw(_pose_lines())
+                             + draw(_screen_lines())))
+    return "scene generated\n" + "".join(blocks)
+
+
+def _assert_same(a, b):
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "pose":
+            assert x.position.tobytes() == y.position.tobytes()
+            assert np.max(np.abs(x.rotation - y.rotation)) <= 1e-15
+        elif isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        else:
+            assert repr(x) == repr(y)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(scene_texts())
+    def test_saved_scene_reloads_the_same(self, text):
+        """Saving a parsed scene and parsing it again gives every field but
+        the pose, and every position, bit for bit, and every rotation to
+        1e-15.  A pose is saved as its own axes, not as the hints it was
+        built from, and the frame rebuilt from them can move by an ulp;
+        saving rotations that reload exactly is left open (ROADMAP, scene
+        files as a checked boundary)."""
+        scene = parse_scene(text)
+        again = parse_scene(serialize_scene(scene))
+        assert again.name == scene.name
+        assert len(again.elements) == len(scene.elements)
+        for a, b in zip(scene.elements, again.elements):
+            _assert_same(a, b)
+        _assert_same(scene.eye, again.eye)
+        assert (scene.background is None) == (again.background is None)
+        if scene.background is not None:
+            _assert_same(scene.background, again.background)
 
 
 class TestAmeFocal:
