@@ -193,14 +193,18 @@ class Screen:
 
     def __post_init__(self):
         object.__setattr__(self, "extent", _positive_extent(self.extent))
-        img = np.array(self.image, dtype=np.float64)
+        img = np.asarray(self.image, dtype=np.float64)
         if img.ndim != 2 or img.size == 0:
             raise InvalidGeometry("screen image must be a non-empty 2-d grid")
         require_finite("screen radiance", img)
         if img.min() < 0:
             raise InvalidGeometry("screen radiance samples must be non-negative")
-        img.flags.writeable = False
-        object.__setattr__(self, "image", img)
+        # The texels are held once, inside a border that repeats the edge
+        # texels (what `sample_screen` reads); `image` is the interior.
+        texels = np.pad(img, 1, mode="edge")
+        texels.flags.writeable = False
+        object.__setattr__(self, "_texels", texels)
+        object.__setattr__(self, "image", texels[1:-1, 1:-1])
         object.__setattr__(self, "flip_uv", (bool(self.flip_uv[0]), bool(self.flip_uv[1])))
 
 
@@ -573,31 +577,51 @@ def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
 
 def sample_screen(screen: Screen, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Radiance of each row of local (u, v) screen coordinates: bilinear
-    between texel centres, clamped at the borders.  No bounds check."""
+    between texel centres; past the borders the edge texels hold.  No bounds
+    check; a NaN or infinite coordinate gives a NaN row."""
+    # The same IEEE operations as the plain bilinear form, in its order,
+    # done in place on few buffers.
     w, h = screen.extent
-    su = (u + 0.5 * w) / w
-    sv = (v + 0.5 * h) / h
+    x = u + 0.5 * w  # su, then x, then fx
+    x /= w
+    y = v + 0.5 * h  # sv, then y, then fy
+    y /= h
     if screen.flip_uv[0]:
-        su = 1.0 - su
+        np.subtract(1.0, x, out=x)
     if screen.flip_uv[1]:
-        sv = 1.0 - sv
+        np.subtract(1.0, y, out=y)
     rows, cols = screen.image.shape
-    x = su * cols - 0.5
-    y = (1.0 - sv) * rows - 0.5
+    x *= cols
+    x -= 0.5
+    np.subtract(1.0, y, out=y)
+    y *= rows
+    y -= 0.5
     x0 = np.floor(x)
     y0 = np.floor(y)
-    fx = x - x0
-    fy = y - y0
-    xa = x0.astype(np.int64)
-    ya = y0.astype(np.int64)
-    xb = xa + 1
-    yb = ya + 1
-    for i, last in ((xa, cols - 1), (xb, cols - 1), (ya, rows - 1), (yb, rows - 1)):
-        np.minimum(np.maximum(i, 0, out=i), last, out=i)
-    ya *= cols  # texel (y, x) is flat index y * cols + x
-    yb *= cols
-    img = screen.image.ravel()
-    gx = 1.0 - fx
-    top = img.take(ya + xa) * gx + img.take(ya + xb) * fx
-    bot = img.take(yb + xa) * gx + img.take(yb + xb) * fx
-    return top * (1.0 - fy) + bot * fy
+    x -= x0
+    y -= y0
+    # Texel (y, x) sits at (y + 1, x + 1) of the edge-padded buffer, so a
+    # corner clamped to [-1, last] reads the texels the border clamps to.
+    # fmax/fmin take a NaN corner to -1, whose fx or fy is NaN anyway.
+    np.fmin(np.fmax(x0, -1.0, out=x0), cols - 1, out=x0)
+    np.fmin(np.fmax(y0, -1.0, out=y0), rows - 1, out=y0)
+    y0 *= cols + 2
+    y0 += x0
+    i = y0.astype(np.intp)
+    i += cols + 3  # flat index of the corner's texel; its row is cols + 2 long
+    img = screen._texels.ravel()
+    g = np.subtract(1.0, x, out=x0)
+    top = img.take(i)
+    top *= g
+    right = img[1:].take(i)
+    right *= x
+    top += right
+    bot = img[cols + 2:].take(i)
+    bot *= g
+    right = img[cols + 3:].take(i)
+    right *= x
+    bot += right
+    top *= np.subtract(1.0, y, out=g)
+    bot *= y
+    top += bot
+    return top

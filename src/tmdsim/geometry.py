@@ -34,12 +34,25 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([float(x), float(y), float(z)], dtype=np.float64)
 
 
+def _length(v: np.ndarray) -> float:
+    """sqrt(v @ v); a square that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(v @ v))
+
+
 def normalize(v) -> np.ndarray:
     """Unit vector along v; raises ValueError on a zero or non-finite v."""
     v = np.asarray(v, dtype=np.float64)
-    n = math.sqrt(float(v @ v))
+    n = _length(v)
     if not 1e-300 <= n < math.inf:
-        raise ValueError("cannot normalize a zero or non-finite vector")
+        # A finite v whose square over- or underflows is taken at unit scale:
+        # times the power of two that puts its largest |component| in
+        # [0.5, 1), which changes only exponents.
+        m = float(np.abs(v).max())
+        if not 0.0 < m < math.inf:
+            raise ValueError("cannot normalize a zero or non-finite vector")
+        v = np.ldexp(v, -math.frexp(m)[1])
+        n = _length(v)
     return v / n
 
 
@@ -294,8 +307,9 @@ def orthonormal_frame(w, up=(0.0, 1.0, 0.0)) -> np.ndarray:
     """3x3 rotation whose columns are (u, v, w) for a given w axis and up hint."""
     w = normalize(w).tolist()
     u = np.array(_cross(np.asarray(up, dtype=np.float64).tolist(), w))
-    # np.linalg.norm(u) of a 3-vector is this same sqrt of u @ u.
-    if math.sqrt(float(u @ u)) < 1e-9:
+    # np.linalg.norm(u) of a 3-vector is this same sqrt of u @ u.  The bound
+    # is absolute: an up hint shorter than 1e-9 counts as parallel.
+    if _length(u) < 1e-9:
         raise InvalidGeometry("up direction is parallel to the surface normal")
     u = normalize(u).tolist()
     v = _cross(w, u)

@@ -103,7 +103,9 @@ def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
     that leave on each branch of the interaction table, plate branches
     split by weight and below-cutoff rows dropped."""
     if isinstance(el, Screen):
-        acc[bp] += bw * sample_screen(el, u, v)
+        radiance = sample_screen(el, u, v)
+        radiance *= bw
+        acc[bp] += radiance
         return
     # A ray may meet a curved cap again: only a flat element is left.
     left = -1 if curved_cap(el) else k

@@ -367,7 +367,7 @@ def _build_eye(ident, keys, line) -> EyeCamera:
 def parse_scene(text: str) -> Scene:
     """Parse scene text; raises ParseError (syntax) or ValidationError
     (structurally impossible scene)."""
-    blocks = []   # (kind, ident, {key: (tokens, line)}, header_line)
+    blocks = []   # (kind, ident, {key: (tokens, line)}, header_line, element)
     current = None
     name = "scene"
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -385,9 +385,9 @@ def parse_scene(text: str) -> Scene:
                 raise ParseError(lineno, "nested blocks are not allowed")
             head = line[:-1].split()
             if len(head) == 3 and head[0] == "element":
-                current = (head[1], head[2], {}, lineno)
+                current = (head[1], head[2], {}, lineno, True)
             elif len(head) == 2 and head[0] in ("eye", "background"):
-                current = (head[0], head[1], {}, lineno)
+                current = (head[0], head[1], {}, lineno, False)
             else:
                 raise ParseError(lineno, f"bad block header {line!r}")
             continue
@@ -412,14 +412,14 @@ def parse_scene(text: str) -> Scene:
     elements = []
     eyes = []
     backgrounds = []
-    for kind, ident, keys, line in blocks:
+    for kind, ident, keys, line, element in blocks:
         try:
-            if kind == "eye":
-                eyes.append(_build_eye(ident, keys, line))
-            elif kind == "background":
-                backgrounds.append(_build_screen(ident, keys, line))
-            else:
+            if element:
                 elements.append(_build_element(kind, ident, keys, line))
+            elif kind == "eye":
+                eyes.append(_build_eye(ident, keys, line))
+            else:
+                backgrounds.append(_build_screen(ident, keys, line))
         except InvalidGeometry as exc:
             raise ValidationError(f"{kind} {ident!r}: {exc}") from None
         if keys:

@@ -1,7 +1,7 @@
 """The benchmark's workloads still hash to the digests it pins.
 
-Runs one op of each workload in `perfbench/workloads.py` (the trace op at the
-size the benchmark measures, the two render ops at its smoke size) and
+Runs one op of each workload in `perfbench/workloads.py` (at the size the
+benchmark measures, and the two render ops also at its smoke size) and
 compares its output digest with `perfbench/expected.json`.  A speed-up that
 moves a bundle statistic, a spot point or a pixel fails here, in the test
 suite, and not only in a benchmark run.  Nothing under `perfbench/` is
@@ -38,7 +38,9 @@ def workloads():
 
 @pytest.mark.parametrize("workload,size", [("trace_bundles", "full"),
                                            ("render_plate", "smoke"),
-                                           ("sweep_defocus", "smoke")])
+                                           ("sweep_defocus", "smoke"),
+                                           ("render_plate", "full"),
+                                           ("sweep_defocus", "full")])
 def test_op_digest_matches_the_pinned_one(workloads, workload, size, tmp_path):
     op = workloads.WORKLOADS[workload](EXPECTED["seed"], size, tmp_path)
     result = op.op()

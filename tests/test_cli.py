@@ -119,6 +119,16 @@ class TestSceneLoading:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("header", ["element eye cam {",
+                                        "element background world {"])
+    def test_eye_or_background_as_element_kind_exit_2(self, header, tmp_path,
+                                                      capsys):
+        f = tmp_path / "kind.scene"
+        f.write_text(GOOD_SCENE.replace("eye cam {", header))
+        code, _, err = run(capsys, "trace", str(f), "--source", "0,0,-60")
+        assert code == 2
+        assert "line 3: unknown element kind" in err
+
     def test_validation_error_exit_3(self, tmp_path, capsys):
         f = tmp_path / "twoeyes.scene"
         f.write_text(GOOD_SCENE + "\neye spare {\n  position = 0 0 70\n}\n")

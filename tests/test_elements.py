@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -513,6 +514,85 @@ def test_sample_screen_keeps_the_indexed_bits(seed, n, flip, shape):
     u = rng.uniform(-1.5, 1.5, n) * extent[0]
     v = rng.uniform(-1.5, 1.5, n) * extent[1]
     assert sample_screen(s, u, v).tobytes() == _indexed_sample_screen(s, u, v).tobytes()
+
+
+def _screen_coords(rng, kind, n, side, texels):
+    """n local coordinates along a screen side of length `side` holding
+    `texels` texels: on either border, on texel centres (and the centres of
+    the two held texels past each border), or up to 1e6 sides off centre."""
+    if kind == "border":
+        return rng.choice((-0.5, 0.5), n) * side
+    if kind == "centre":
+        k = rng.integers(-2, texels + 2, n)
+        return ((k + 0.5) / texels - 0.5) * side
+    return rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 6.0, n) * side
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.tuples(st.booleans(), st.booleans()),
+       st.sampled_from(("any", "1x1", "1xn", "nx1")),
+       st.tuples(*[st.sampled_from(("border", "centre", "far", "inside"))] * 2))
+@settings(max_examples=150, deadline=None)
+def test_sample_screen_keeps_the_indexed_bits_on_borders_centres_and_far_off(
+        seed, n, flip, shape, kinds):
+    rng = np.random.default_rng(seed)
+    side = int(rng.integers(2, 9))
+    size = {"any": tuple(rng.integers(1, 9, 2)), "1x1": (1, 1),
+            "1xn": (1, side), "nx1": (side, 1)}[shape]
+    extent = tuple(rng.uniform(0.5, 300.0, 2))
+    s = Screen("S", facing_z(), extent, rng.uniform(0.0, 2.0, size), flip)
+    u, v = (rng.uniform(-0.5, 0.5, n) * extent[i] if kind == "inside"
+            else _screen_coords(rng, kind, n, extent[i], size[1 - i])
+            for i, kind in enumerate(kinds))
+    assert sample_screen(s, u, v).tobytes() == _indexed_sample_screen(s, u, v).tobytes()
+
+
+def test_sample_screen_far_past_a_border_holds_that_border():
+    # Beyond 2**63 texels an int64 cast of the corner would wrap to the
+    # other border; the clamped corner never leaves the padded buffer.
+    s = TestScreenEmit().screen([[6.0, 9.0], [6.0, 9.0]])
+    u = np.array([1e300, -1e300, 1e20, -1e20, 1e6, -1e6])
+    assert sample_screen(s, u, np.zeros(6)).tolist() == [9.0, 6.0] * 3
+    assert sample_screen(s, np.zeros(2), np.array([1e300, -1e300])).tolist() == [7.5, 7.5]
+
+
+def test_sample_screen_non_finite_rows_are_nan():
+    s = TestScreenEmit().screen(np.arange(12.0).reshape(3, 4))
+    bad = [np.nan, np.inf, -np.inf]
+    u = np.array(bad + [0.0] * 3 + [0.25])
+    v = np.array([0.0] * 3 + bad + [0.5])
+    # inf - floor(inf) sets the invalid flag, as x - x0 always has; only
+    # the flag is forgiven here, never an exception.
+    with np.errstate(invalid="ignore"):
+        out = sample_screen(s, u, v)
+    assert np.isnan(out[:6]).all()
+    assert out[6] == sample_screen(s, u[6:], v[6:])[0]
+    with np.errstate(all="raise"):  # a NaN row alone sets no flag at all
+        assert np.isnan(sample_screen(s, np.array([np.nan]), np.array([0.3]))).all()
+
+
+def test_replaced_screen_samples_its_new_image():
+    s = TestScreenEmit().screen(np.full((4, 4), 0.7))
+    other = replace(s, image=np.array([[1.0, 3.0]]))
+    uv = (np.array([-1.0, 0.0, 1.0]), np.zeros(3))
+    assert sample_screen(other, *uv).tolist() == [1.0, 2.0, 3.0]
+    assert sample_screen(s, *uv).tolist() == [0.7] * 3
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 7)])
+def test_screen_image_is_the_read_only_interior_of_its_padded_buffer(shape):
+    given_image = np.random.default_rng(5).uniform(0.0, 2.0, shape)
+    s = TestScreenEmit().screen(given_image)
+    rows, cols = shape
+    assert np.array_equal(s.image, given_image)
+    assert not s.image.flags.writeable
+    with pytest.raises(ValueError):
+        s.image[0, 0] = 1.0
+    buffer = s.image.base
+    assert buffer.size == (rows + 2) * (cols + 2)
+    assert np.shares_memory(s.image, buffer)
+    assert not np.shares_memory(s.image, given_image)
+
 
 class TestValidationMisc:
     def test_extent_positive(self):

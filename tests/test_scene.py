@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -147,6 +148,18 @@ class TestParse:
             parse_scene(MINIMAL.replace("element screen panel",
                                         "element prism panel"))
 
+    @pytest.mark.parametrize("header,block", [
+        ("element eye cam {", "eye cam {"),
+        ("element background world {", "background world {")])
+    def test_eye_and_background_are_not_element_kinds(self, header, block):
+        bg = ("background world {\n  position = 0 0 -500\n  normal = 0 0 1\n"
+              "  extent = 4000 4000\n  image = uniform 0.25\n}\n")
+        text = (MINIMAL + bg).replace(block, header)
+        with pytest.raises(ParseError, match="unknown element kind") as err:
+            parse_scene(text)
+        assert err.value.line == text.splitlines().index(header) + 1
+        assert parse_scene(MINIMAL + bg).background.ident == "world"
+
     def test_duplicate_key(self):
         bad = MINIMAL.replace("extent = 40 40",
                               "extent = 40 40\n  extent = 1 1")
@@ -289,6 +302,54 @@ element absorber stop {
         assert isinstance(lens, ThinLens)
         assert lens.housing_extent == (60.0, 60.0)
         assert _element(scene, "cm").curvature_radius == pytest.approx(1200.0)
+
+
+class TestPoseHintScale:
+    """A finite hint whose squared length over- or underflows is taken at
+    unit scale, without a numpy warning."""
+
+    @pytest.mark.parametrize("key,unit,scaled", [
+        ("normal", "1 2 3", "1e300 2e300 3e300"),
+        ("normal", "1 2 3", "1e-200 2e-200 3e-200"),
+        ("normal", "0 0 1", "0 0 1e300"),
+        ("normal", "0 0 1", "0 0 5e-324"),
+        ("normal", "-1 0.5 2", "-0.85e308 0.425e308 1.7e308"),
+        ("up", "0 1 0", "0 1e300 0"),
+        ("up", "1 1 0", "1.5e308 1.5e308 0"),
+    ])
+    def test_scaled_element_hint_parses_like_the_unit_one(self, key, unit, scaled):
+        def panel_rotation(value):
+            lines = {"normal": f"normal = {value}", "up": f"normal = 1 2 3\n  up = {value}"}
+            text = MINIMAL.replace("normal = 0 0 1", lines[key])
+            return _element(parse_scene(text), "panel").pose.rotation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = panel_rotation(scaled)
+        assert np.abs(got - panel_rotation(unit)).max() <= 1e-15
+
+    @pytest.mark.parametrize("look,up", [("0 0 -1e300", "0 1 0"),
+                                         ("0 0 -1e-200", "0 1 0"),
+                                         ("1e300 0 -1e300", "0 1e300 0")])
+    def test_scaled_eye_hints_parse_like_the_unit_ones(self, look, up):
+        def eye_rotation(look, up):
+            text = MINIMAL.replace("look = 0 0 -1", f"look = {look}\n  up = {up}")
+            return parse_scene(text).eye.pose.rotation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eye_rotation(look, up)
+        unit = tuple(" ".join("0" if float(t) == 0 else str(np.sign(float(t)))
+                              for t in hint.split()) for hint in (look, up))
+        assert np.abs(got - eye_rotation(*unit)).max() <= 1e-15
+
+    # The parallel bound on |up x normal| is absolute, so an up hint
+    # shorter than 1e-9 stays refused as parallel whatever its direction.
+    @pytest.mark.parametrize("line", ["normal = 0 0 0", "normal = 0 0 1\n  up = 0 0 1e-300",
+                                      "normal = 0 0 1\n  up = 0 0 0",
+                                      "normal = 0 0 1\n  up = 0 1e-200 0",
+                                      "normal = 1 0 0\n  up = 1e300 1e-12 0"])
+    def test_zero_parallel_or_tiny_up_hints_stay_refused(self, line):
+        with pytest.raises(ParseError, match="bad orientation"):
+            parse_scene(MINIMAL.replace("normal = 0 0 1", line))
 
 
 class TestRoundTrip:
