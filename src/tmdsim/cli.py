@@ -25,21 +25,19 @@ from .errors import (DegenerateBundle, EmptySpot, InvalidGeometry, IoError,
                      ParseError, UsageError, ValidationError)
 from .geometry import Pose, closest_point_to_rays, normalize, vec3
 from .presets import PRESET_BUILDERS, build_preset
-from .render import (best_offset, defocus_sweep, render_view, sharpness_metric,
-                     write_csv, write_ppm)
+from .render import (MAX_RPP, best_offset, defocus_sweep, render_view,
+                     sharpness_metric, write_csv, write_ppm)
 from .scene import HMD_PRESETS, parse_scene, serialize_scene
-from .tracer import Cone, spot_diagram, terminal_rays, trace_bundle
+from .tracer import MAX_RAYS, Cone, spot_diagram, terminal_rays, trace_bundle
 
 # The errors main() reports, each with its exit code (see the module
 # docstring); the first match wins.
 EXIT_CODES = {ParseError: 2, UsageError: 2, InvalidGeometry: 3,
               ValidationError: 3, EmptySpot: 4, DegenerateBundle: 4,
               IoError: 5, OSError: 5}
-# The largest `trace --rays` and `render`/`sweep --rpp`, refused before
-# anything is traced: a bundle logs about 120 bytes per ray and bounce, and
-# 10000 aperture samples put a 256 x 256 render at minutes.
-MAX_RAYS = 1_000_000
-MAX_RPP = 10_000
+# The count flags of `trace`, `render` and `sweep` (a command checks those
+# it takes, in this order), each with its upper limit or None.
+_COUNT_LIMITS = (("--rays", MAX_RAYS), ("--rpp", MAX_RPP), ("--max-bounces", None))
 
 
 def _parse_number(text: str) -> float:
@@ -100,6 +98,18 @@ def _load_scene(args, parser: argparse.ArgumentParser):
     except OSError as exc:
         raise IoError(f"cannot read {args.scene}: {exc}") from None
     return parse_scene(text)
+
+
+def _check_counts(args, parser: argparse.ArgumentParser) -> None:
+    """Exit 2 on a count argument below 1 or above its limit."""
+    for flag, limit in _COUNT_LIMITS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if value <= 0:
+            parser.error(f"{flag} must be positive")
+        if limit is not None and value > limit:
+            parser.error(f"{flag} must be at most {limit}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,12 +195,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_trace(args, parser) -> int:
     scene = _load_scene(args, parser)
-    if args.rays <= 0:
-        parser.error("--rays must be positive")
-    if args.rays > MAX_RAYS:
-        parser.error(f"--rays must be at most {MAX_RAYS}")
-    if args.max_bounces <= 0:
-        parser.error("--max-bounces must be positive")
+    _check_counts(args, parser)
     axis = args.axis
     if axis is None:
         axis = scene.eye.pose.position - args.source
@@ -242,12 +247,7 @@ def _cmd_trace(args, parser) -> int:
 
 def _cmd_render(args, parser) -> int:
     scene = _load_scene(args, parser)
-    if args.rpp <= 0:
-        parser.error("--rpp must be positive")
-    if args.rpp > MAX_RPP:
-        parser.error(f"--rpp must be at most {MAX_RPP}")
-    if args.max_bounces <= 0:
-        parser.error("--max-bounces must be positive")
+    _check_counts(args, parser)
     image = render_view(scene, rays_per_pixel=args.rpp, seed=args.seed,
                         max_bounces=args.max_bounces, workers=args.workers)
     write_ppm(image, args.out)
@@ -258,10 +258,7 @@ def _cmd_render(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     scene = _load_scene(args, parser)
-    if args.rpp <= 0:
-        parser.error("--rpp must be positive")
-    if args.rpp > MAX_RPP:
-        parser.error(f"--rpp must be at most {MAX_RPP}")
+    _check_counts(args, parser)
     keep = args.out_dir is not None
     names = [f"offset_{off:+g}mm.ppm" for off in args.offsets]
     if keep and len(set(names)) < len(names):

@@ -7,7 +7,7 @@ Inputs are millimeters; results are degrees at this boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvalidGeometry
 from .scene import HmdSpec
@@ -38,12 +38,6 @@ class LayoutParams:
     d4: float = 40.0
     a_mag: float = 1.5
     theta_device: float = 110.0
-
-    def scaled(self, k: float) -> "LayoutParams":
-        """All lengths multiplied by k; angles untouched."""
-        return LayoutParams(self.l1 * k, self.l2 * k, self.l3 * k,
-                            self.a * k, self.d * k, self.d2 * k, self.d4 * k,
-                            self.a_mag, self.theta_device)
 
 
 def subtended_angle_deg(size: float, distance: float) -> float:
@@ -171,9 +165,7 @@ def design_report(hmd: HmdSpec, params: LayoutParams,
     """
     theta1 = fov_half_mirror(params.l1, params.a, params.d)
     theta2, clamped = fov_convex_mirror(theta1, params.a_mag)
-    ame_params = LayoutParams(params.l1, params.l2, params.l3, params.a,
-                              params.d, params.d2, params.d4, params.a_mag,
-                              hmd.fov_deg)
+    ame_params = replace(params, theta_device=hmd.fov_deg)
     ame_deg, limiting = fov_ame(ame_params)
     effective, arcmin = resolution_estimate(hmd, ame_deg, pitch, params.d4)
     return DesignReport(hmd, ame_params, pitch, theta1, theta2, clamped,

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidGeometry, NoIntersection
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS,
                        Crossings, Pose, Ray, along_rows, dot_rows,
-                       facing_plane_hits, intersect_plane, normalize_rows,
+                       facing_plane_hits, normalize_rows,
                        plane_facing, reflect_rows, require_finite, subset,
                        sub_rows, take_rows)
 
@@ -511,27 +511,22 @@ def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
     raise TypeError(f"no interaction for element {type(el).__name__}")
 
 
-def _hit(ray: Ray, pose: Pose, extent, what: str):
-    hit = intersect_plane(ray, pose, extent)
-    if hit is None:
-        raise NoIntersection(f"ray misses {what}")
-    return hit
-
-
-def _uv_rows(hit):
-    """A PlaneHit's local u and v as the one-row arrays of the batch forms."""
-    return np.array(hit.uv)[:, None]
+def _hit(ray: Ray, el, what: str):
+    """The one-row (points, u, v) of a ray's hit on `el`, else NoIntersection."""
+    hits = nearest_hits((el,), ray.origin[None], ray.direction[None], -1)[2]
+    if hits[0] is None:
+        raise NoIntersection(f"ray misses {what} {el.ident!r}")
+    return hits[0].at(None)
 
 
 def thin_lens_transform(ray: Ray, lens: ThinLens) -> Ray:
     """Refract a ray through an ideal thin lens (see refract_thin_lens)."""
-    d = lens.aperture_diameter
-    hit = _hit(ray, lens.pose, (d, d), f"lens {lens.ident!r}")
-    _, out = refract_thin_lens(lens, *_uv_rows(hit), ray.direction[None])
+    point, u, v = _hit(ray, lens, "lens")
+    [(_, _, exits, out, _)] = leave(lens, point, u, v, ray.direction[None],
+                                    np.array([ray.weight]))
     if len(out) == 0:
         raise NoIntersection(f"ray misses the clear aperture of lens {lens.ident!r}")
-    return replace(ray, origin=hit.point,
-                   direction=lens.pose.to_world_dirs(normalize_rows(out))[0])
+    return replace(ray, origin=exits[0], direction=out[0])
 
 
 def half_mirror_interact(ray: Ray, mirror: HalfMirror):
@@ -539,27 +534,21 @@ def half_mirror_interact(ray: Ray, mirror: HalfMirror):
 
     The two branch weights sum to the incident weight exactly.
     """
-    hit = _hit(ray, mirror.pose, mirror.extent, f"half mirror {mirror.ident!r}")
-    (*_, out, w_r), (*_, w_t) = leave(mirror, hit.point[None], *_uv_rows(hit),
-                                      ray.direction[None], np.array([ray.weight]))
-    reflected = replace(ray, origin=hit.point, direction=out[0],
+    point, u, v = _hit(ray, mirror, "half mirror")
+    (*_, out, w_r), (*_, w_t) = leave(mirror, point, u, v, ray.direction[None],
+                                      np.array([ray.weight]))
+    reflected = replace(ray, origin=point[0], direction=out[0],
                         weight=float(w_r[0]))
-    transmitted = replace(ray, origin=hit.point, weight=float(w_t[0]))
+    transmitted = replace(ray, origin=point[0], weight=float(w_t[0]))
     return reflected, transmitted
 
 
 def convex_mirror_transform(ray: Ray, mirror: ConvexMirror) -> Ray:
     """Specular reflection off the combiner cap (flat when a_mag = 1)."""
-    what = f"mirror {mirror.ident!r}"
-    if mirror.flat:
-        point = _hit(ray, mirror.pose, mirror.extent, what).point
-    else:
-        hits = sphere_cap_hits(mirror, ray.origin[None], ray.direction[None])
-        if hits is None:
-            raise NoIntersection(f"ray misses {what}")
-        point = hits.points[0]
-    out = reflect_convex_mirror(mirror, point[None], ray.direction[None])
-    return replace(ray, origin=point, direction=out[0])
+    point, u, v = _hit(ray, mirror, "mirror")
+    [(_, _, exits, out, _)] = leave(mirror, point, u, v, ray.direction[None],
+                                    np.array([ray.weight]))
+    return replace(ray, origin=exits[0], direction=out[0])
 
 
 def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
@@ -567,11 +556,10 @@ def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:
     (see plate_exit)."""
     if mode not in BRANCHES[_PLATE:]:
         raise ValueError(f"unknown plate mode {mode!r}")
-    hit = _hit(ray, plate.pose, plate.extent, f"plate {plate.ident!r}")
+    point, u, v = _hit(ray, plate, "plate")
     local = plate.pose.to_local_dirs(ray.direction[None])
     code = BRANCHES.index(mode)
-    exits, out = plate_exit(plate, hit.point[None], *_uv_rows(hit), local,
-                            code - _PLATE)
+    exits, out = plate_exit(plate, point, u, v, local, code - _PLATE)
     return replace(ray, origin=exits[0], direction=out[0], mode=BRANCH_MODES[code])
 
 

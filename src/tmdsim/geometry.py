@@ -236,9 +236,6 @@ class Ray:
         object.__setattr__(ray, "mode", mode)
         return ray
 
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
-
 
 class RayRows(Sequence):
     """Read-only sequence of `Ray`s held as rows: (n, 3) origins, (n, 3)

@@ -10,18 +10,19 @@ and makes the polarizer identity exact — blocking the single band is
 bitwise identical to zeroing its weight.  Images are deterministic in
 (scene, camera, seed); the worker count only changes wall time because
 pixel blocks are fixed and disjoint.
-N workers are the calling process and N - 1 forked children, each taking
-the next whole block from a shared pipe, one at a time, and writing its
-rows into one shared map with the same code, so they overlap where
-threads would queue on the GIL.
+N workers are the calling process and N - 1 forked children (none for
+one), each taking the next whole block from a shared pipe, one at a time,
+and writing its rows into one shared map with the same code, so they
+overlap where threads would queue on the GIL.
 
 The camera never occludes itself: the scene's eye is the ray source, not
 a surface.
 
 The row arithmetic, the nearest-hit search (`elements.nearest_hits`) and
-the interaction table (`elements.leave`, which decides what leaves a hit)
-are the forward tracer's, under the layout rules stated once in
-geometry.py, so no rework of the batch loop can move a pixel.  The search
+the interaction table (`elements.leave`, which decides what leaves a hit,
+and gives a screen or an absorber no branch) are the forward tracer's,
+under the layout rules stated once in geometry.py, so no rework of the
+batch loop can move a pixel.  The search
 tests a plane only for the rays that would cross it nearer than their
 best hit so far, skips the flat element a batch just left, and takes the
 camera rays of one aperture sample with their shared origin as one
@@ -34,15 +35,15 @@ samples add into each pixel.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .elements import (Absorber, Screen, curved_cap, leave, nearest_hits,
-                       sample_screen)
+from .elements import Screen, curved_cap, leave, nearest_hits, sample_screen
 from .errors import IoError
 from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
                        nudged_rows, require_finite, sub_rows, take_rows)
@@ -86,7 +87,7 @@ def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
             continue
         near, _, hits = nearest_hits(surfaces, o, d, left)
         for k, record in enumerate(hits):
-            if record is None or isinstance(surfaces[k], Absorber):
+            if record is None:
                 continue
             rows = np.flatnonzero(near == k)
             if len(rows) == 0:
@@ -161,7 +162,9 @@ def _render_rows(surfaces, camera: EyeCamera, rows: slice, offsets: np.ndarray,
 
 def _pool_size(workers: int, n_blocks: int) -> int:
     """Processes worth rendering with for `workers` over `n_blocks` row
-    blocks: never more than there are blocks or usable cores."""
+    blocks: never more than there are blocks or usable cores; 1 without fork."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -200,7 +203,7 @@ def _failure_report(exc: BaseException) -> bytes:
         return pickle.dumps(RuntimeError(f"a render worker failed:\n{text}"))
 
 
-def _render_forked(render_block, n_blocks: int, nprocs: int, shape) -> np.ndarray:
+def _render_blocks(render_block, n_blocks: int, nprocs: int, shape) -> np.ndarray:
     """Render blocks 0..n_blocks-1 with this process and nprocs - 1 forked
     children; `render_block(acc, i)` writes block i's rows into `acc`.
 
@@ -211,8 +214,7 @@ def _render_forked(render_block, n_blocks: int, nprocs: int, shape) -> np.ndarra
     after reaping every child.  If the caller's own share fails, it stops
     and reaps the children before raising: no child outlives the call.
     """
-    # Imported here because only multi-worker renders use them.
-    import mmap
+    # Imported here because only a failing render uses them.
     import pickle
     import signal
 
@@ -279,6 +281,11 @@ def _render_forked(render_block, n_blocks: int, nprocs: int, shape) -> np.ndarra
     return acc
 
 
+# The most aperture samples `render_view` takes, refused before anything is
+# traced: 10000 of them put a 256 x 256 render at minutes.
+MAX_RPP = 10_000
+
+
 def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
                 rays_per_pixel: int = 16, seed: int = 42,
                 max_bounces: int = 12, workers: Optional[int] = None) -> Image:
@@ -288,14 +295,17 @@ def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
     processed in fixed blocks whatever the worker count.  N workers, capped
     at the usable cores and the block count, are this process and N - 1
     forked children: each takes the next block index from a shared pipe and
-    writes its rows into a shared map.  Where the platform cannot fork,
-    every block is rendered in this process.  Raises UsageError for a
-    worker count below 1 and ValueError when `rays_per_pixel` or
-    `max_bounces` is not a whole number of at least 1; a failure in a
-    child is raised here with its type and message.
+    writes its rows into a shared map.  Where the platform cannot fork, N
+    is 1.  Raises UsageError for a worker count below 1 and ValueError when
+    `rays_per_pixel` or `max_bounces` is not a whole number of at least 1,
+    or `rays_per_pixel` is above MAX_RPP; a failure in a child is raised
+    here with its type and message.
     """
     max_bounces = positive_count("max_bounces", max_bounces)
     rays_per_pixel = positive_count("rays_per_pixel", rays_per_pixel)
+    if rays_per_pixel > MAX_RPP:
+        raise ValueError(f"rays_per_pixel must be at most {MAX_RPP}, "
+                         f"got {rays_per_pixel}")
     camera = camera or scene.eye
     w_px, h_px, _ = camera.sensor
     offsets = _aperture_points(camera, rays_per_pixel, seed)
@@ -307,12 +317,7 @@ def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
                                  max_bounces).reshape(-1, w_px)
 
     nprocs = _pool_size(resolve_workers(workers), n_blocks)
-    if nprocs > 1 and hasattr(os, "fork"):
-        acc = _render_forked(render_block, n_blocks, nprocs, (h_px, w_px))
-    else:
-        acc = np.zeros((h_px, w_px))
-        for i in range(n_blocks):
-            render_block(acc, i)
+    acc = _render_blocks(render_block, n_blocks, nprocs, (h_px, w_px))
     pixels = np.repeat(acc[:, :, None], 3, axis=2)
     return Image(w_px, h_px, pixels)
 
@@ -351,11 +356,9 @@ def defocus_sweep(scene: Scene, camera: Optional[EyeCamera] = None,
     sharp = []
     images = [] if keep_images else None
     for off in offsets:
-        moved = EyeCamera(camera.ident,
-                          Pose(camera.pose.position + float(off) * camera.pose.normal,
-                               camera.pose.rotation),
-                          camera.focal_length, camera.aperture_diameter,
-                          camera.sensor)
+        moved = replace(camera, pose=Pose(
+            camera.pose.position + float(off) * camera.pose.normal,
+            camera.pose.rotation))
         img = render_view(scene, moved, rays_per_pixel, seed, workers=workers)
         sharp.append(sharpness_metric(img))
         if keep_images:

@@ -46,9 +46,10 @@ from .geometry import Pose, normalize, orthonormal_frame, require_finite
 DEFAULT_SENSOR = (256, 256, 0.5)
 DEFAULT_IMAGE_RES = 64
 # The largest screen image side (`image_res`, `image_data` rows and columns)
-# and eye sensor a scene file may ask for.  The parser refuses more before
-# anything is allocated: a 4096-texel side is a 128 MiB grid, and a render
-# holds about 60 bytes per sensor pixel.
+# a scene file may ask for, and the largest eye sensor.  The parser refuses
+# more before anything is allocated, and `EyeCamera` a larger sensor: a
+# 4096-texel side is a 128 MiB grid, and a render holds about 60 bytes per
+# sensor pixel.
 MAX_IMAGE_SIDE = 4096
 MAX_SENSOR_PIXELS = 4096 * 4096
 
@@ -109,6 +110,9 @@ class EyeCamera:
                                   f"pixel counts, got {w} x {h}")
         if int(w) <= 0 or int(h) <= 0 or float(p) <= 0:
             raise InvalidGeometry("camera sensor must be positive (w, h, pitch)")
+        if int(w) * int(h) > MAX_SENSOR_PIXELS:
+            raise InvalidGeometry(f"camera sensor must have at most "
+                                  f"{MAX_SENSOR_PIXELS} pixels, got {w} x {h}")
         object.__setattr__(self, "sensor", (int(w), int(h), float(p)))
 
     @property

@@ -483,6 +483,11 @@ def _bundle_stats(bundle: BundleResult) -> dict:
             "terminals": terminals, "mode_weight": mode_weight}
 
 
+# The most rays `trace_bundle` takes, refused before anything is traced: a
+# bundle logs about 120 bytes per ray and bounce.
+MAX_RAYS = 1_000_000
+
+
 def trace_bundle(scene: Scene, source_point, n_rays: int, cone: Cone,
                  seed: int = 42, max_bounces: int = 16,
                  workers: Optional[int] = None) -> BundleResult:
@@ -492,9 +497,11 @@ def trace_bundle(scene: Scene, source_point, n_rays: int, cone: Cone,
     (seed, i), so the result is identical for any worker count (`workers`
     is validated and otherwise unused: the batch runs in one thread).
     Raises ValueError when `n_rays` or `max_bounces` is not a whole number
-    of at least 1.
+    of at least 1, or `n_rays` is above MAX_RAYS.
     """
     n_rays = positive_count("n_rays", n_rays)
+    if n_rays > MAX_RAYS:
+        raise ValueError(f"n_rays must be at most {MAX_RAYS}, got {n_rays}")
     max_bounces = positive_count("max_bounces", max_bounces)
     resolve_workers(workers)
     source = np.asarray(source_point, dtype=np.float64)

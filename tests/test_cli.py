@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tmdsim
-from tmdsim import cli
+from tmdsim import cli, render, tracer
 from tmdsim.cli import main
 from tmdsim.scene import parse_scene
 
@@ -464,6 +464,9 @@ class TestLimits:
         self.assert_refused(_run_module("render", str(scene), "--out", str(out)),
                             "at most")
         assert not out.exists()
+
+    def test_the_flags_take_the_library_limits(self):
+        assert (cli.MAX_RAYS, cli.MAX_RPP) == (tracer.MAX_RAYS, render.MAX_RPP)
 
     # The commands of TestCountsBelowOne; a flag given again overrides it.
     COUNTS = list(zip(TestCountsBelowOne.COMMANDS, ("--rays", "--rpp", "--rpp"),

@@ -115,7 +115,9 @@ class TestAmeFov:
     def test_scale_invariance(self, l3, d4, l2, d2, k):
         p = self.params(l3=l3, d4=d4, l2=l2, d2=d2)
         deg, limit = fov_ame(p)
-        deg_k, limit_k = fov_ame(p.scaled(k))
+        deg_k, limit_k = fov_ame(LayoutParams(
+            p.l1 * k, p.l2 * k, p.l3 * k, p.a * k, p.d * k, p.d2 * k,
+            p.d4 * k, p.a_mag, p.theta_device))
         assert deg_k == pytest.approx(deg, abs=1e-9)
         assert limit_k == limit
 

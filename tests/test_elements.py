@@ -116,6 +116,16 @@ class TestThinLens:
         with pytest.raises(NoIntersection):
             thin_lens_transform(Ray(vec3(8.0, 0.0, 5.0), vec3(0, 0, -1.0)), lens)
 
+    def test_mount_ring_outside_the_aperture_square(self):
+        # A 30 mm housing round a 10 mm aperture: a ray at (8, 8) lands on
+        # the mount, outside the 10 x 10 square that holds the aperture, and
+        # is stopped there; a ray past the housing misses the lens.
+        lens = self.lens(aperture=10.0, housing=(30.0, 30.0))
+        with pytest.raises(NoIntersection, match="clear aperture of lens 'L'"):
+            thin_lens_transform(Ray(vec3(8.0, 8.0, 5.0), vec3(0, 0, -1.0)), lens)
+        with pytest.raises(NoIntersection, match="ray misses lens 'L'"):
+            thin_lens_transform(Ray(vec3(16.0, 0.0, 5.0), vec3(0, 0, -1.0)), lens)
+
     def test_housing_validation(self):
         with pytest.raises(InvalidGeometry):
             ThinLens("L", facing_z(), 50.0, 40.0, housing_extent=(30.0, 60.0))
@@ -332,9 +342,10 @@ class TestTmdTransform:
         for out in outs:
             # crossing the mirrored-source plane z=+30 at u = source u
             t = (30.0 - out.origin[2]) / out.direction[2]
-            hit = out.at(t)
+            hit = out.origin + t * out.direction
             assert abs(hit[0] - 6.0) < 1e-9
-        ys = [out.at((30.0 - out.origin[2]) / out.direction[2])[1] for out in outs]
+        ys = [(out.origin + (30.0 - out.origin[2]) / out.direction[2]
+               * out.direction)[1] for out in outs]
         assert max(ys) - min(ys) > 1.0
 
     def test_pitch_quantizes_reflected_exit_only(self):
@@ -592,6 +603,25 @@ def test_screen_image_is_the_read_only_interior_of_its_padded_buffer(shape):
     assert buffer.size == (rows + 2) * (cols + 2)
     assert np.shares_memory(s.image, buffer)
     assert not np.shares_memory(s.image, given_image)
+
+
+@pytest.mark.parametrize("transform,element,what", [
+    (thin_lens_transform, ThinLens("E", facing_z(), 50.0, 10.0), "lens"),
+    (half_mirror_interact, HalfMirror("E", facing_z(), (10.0, 10.0)),
+     "half mirror"),
+    (convex_mirror_transform,
+     ConvexMirror("E", facing_z(), 1.0, (10.0, 10.0), 100.0), "mirror"),
+    (convex_mirror_transform,
+     ConvexMirror("E", facing_z(), 1.5, (10.0, 10.0), 100.0), "mirror"),
+    (lambda ray, plate: tmd_transform(ray, plate, INTERACT_PASS),
+     TmdPlate("E", facing_z(), (10.0, 10.0)), "plate"),
+])
+def test_per_ray_miss_names_the_element(transform, element, what):
+    # Past the rectangle, and heading away from the element.
+    for ray in (Ray(vec3(20.0, 0.0, 5.0), vec3(0, 0, -1.0)),
+                Ray(vec3(0.0, 0.0, 5.0), vec3(0, 0, 1.0))):
+        with pytest.raises(NoIntersection, match=f"^ray misses {what} 'E'$"):
+            transform(ray, element)
 
 
 class TestValidationMisc:

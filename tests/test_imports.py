@@ -18,8 +18,10 @@ read somewhere in the package outside its own definition: called, looked
 up as an attribute, or imported (a re-export counts).  A definition that
 only tests read is dead code.  The few that only callers outside the
 package read are listed, each with its reason, and the list must match
-what the check finds, so it cannot go stale.  The check goes by name, so
-a method counts as read wherever any attribute of its name is read.
+what the check finds, so it cannot go stale.  The check goes by name.  A
+method counts as read only by an attribute or an import of its name, so a
+local variable of that name does not hide it, but it counts as read
+wherever any attribute of its name is read.
 
 Importing the command line and the renderer loads neither multiprocessing
 nor concurrent.futures: together they add about 20 ms to every start-up.
@@ -147,42 +149,46 @@ OUTSIDE_CALLERS = {
 }
 
 
-def _reads(tree):
-    """Every name the tree reads: loaded names and attributes, and the
-    names an import takes from another module."""
+def _reads(tree, method=False):
+    """Every name the tree reads: loaded names (unless `method`) and
+    attributes, and the names an import takes from another module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            if not method:
+                yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
 
 
-def _definitions(body, prefix):
-    """(qualified name, node) of the functions and classes of a module or
-    class body, and of the non-dunder methods of each class."""
+def _definitions(body, prefix, in_class=False):
+    """(qualified name, node, whether it is a method) of the functions and
+    classes of a module or class body, and of the non-dunder methods of
+    each class."""
     for node in body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
             continue
         name = f"{prefix}.{node.name}"
         if not (node.name.startswith("__") and node.name.endswith("__")):
-            yield name, node
+            yield name, node, in_class
         if isinstance(node, ast.ClassDef):
-            yield from _definitions(node.body, name)
+            yield from _definitions(node.body, name, True)
 
 
 def unread_definitions(sources: dict) -> list:
     """Qualified names of the definitions in `sources` (module name ->
     source text) that no code outside their own definition reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    reads = {method: Counter(name for tree in trees.values()
+                             for name in _reads(tree, method))
+             for method in (False, True)}
     unread = []
     for module, tree in trees.items():
-        for qualified, node in _definitions(tree.body, module):
-            own = Counter(_reads(node))[node.name]  # recursion, self.name
-            if reads[node.name] == own:
+        for qualified, node, method in _definitions(tree.body, module):
+            own = Counter(_reads(node, method))[node.name]  # recursion, self.name
+            if reads[method][node.name] == own:
                 unread.append(qualified)
     return sorted(unread)
 
@@ -201,10 +207,14 @@ def test_the_check_sees_an_unread_definition():
               "    def __len__(self):\n        return 0\n"
               "    def shown(self):\n        return self.hidden\n"
               "    @property\n    def hidden(self):\n        return 2\n"
-              "    def lonely(self):\n        return 3\n"),
-        "b": "from a import used, Box\n",
+              "    def lonely(self):\n        return 3\n"
+              "    def hidden_by_a_local(self):\n        return 4\n"
+              "def shadow(x):\n"
+              "    hidden_by_a_local = x\n    return hidden_by_a_local\n"),
+        "b": "from a import used, Box, shadow\n",
     }
-    assert unread_definitions(sources) == ["a.Box.lonely", "a.Box.shown",
+    assert unread_definitions(sources) == ["a.Box.hidden_by_a_local",
+                                           "a.Box.lonely", "a.Box.shown",
                                            "a.recursive"]
 
 

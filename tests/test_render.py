@@ -16,7 +16,7 @@ from tmdsim.elements import Screen, TmdPlate
 from tmdsim.errors import InvalidGeometry, IoError
 from tmdsim.geometry import Pose, linalg_normalize_rows, normalize, vec3
 from tmdsim.presets import build_preset, defocus_scene, tmd_see_through_preset
-from tmdsim.render import (ROW_BLOCK, Image, SweepResult, _pool_size,
+from tmdsim.render import (MAX_RPP, ROW_BLOCK, Image, SweepResult, _pool_size,
                            best_offset, defocus_sweep, read_ppm, render_view,
                            sharpness_metric, tone_map, write_csv, write_ppm)
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
@@ -282,6 +282,21 @@ class TestBounceBudget:
             render_view(build_preset("defocus_flat"), rays_per_pixel=1,
                         max_bounces=budget)
 
+    def test_rays_per_pixel_above_the_limit_is_refused_first(self, monkeypatch):
+        # Refused before the aperture samples are made; MAX_RPP itself gets
+        # that far.
+        def reached(*args):
+            raise LookupError("the count was accepted")
+
+        monkeypatch.setattr(render, "_aperture_points", reached)
+        scene = build_preset("defocus_flat")
+        with pytest.raises(LookupError):
+            render_view(scene, rays_per_pixel=MAX_RPP)
+        for rpp in (MAX_RPP + 1, 10**12):
+            with pytest.raises(ValueError,
+                               match=f"rays_per_pixel must be at most {MAX_RPP}"):
+                render_view(scene, rays_per_pixel=rpp)
+
     @pytest.mark.parametrize("counts", [{"rays_per_pixel": 2.5},
                                         {"rays_per_pixel": "4"},
                                         {"max_bounces": 2.5},
@@ -359,6 +374,24 @@ class TestWorkerPool:
         assert _pool_size(3, 1) == 1
         assert _pool_size(1, 8) == 1
         assert _pool_size(2, 8) == min(2, cores)
+
+    def test_pool_size_is_one_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert _pool_size(3, 8) == 1
+
+    def test_one_worker_forks_nothing(self, monkeypatch):
+        # One process renders every block through the shared scheduler
+        # without forking; a second worker would fork.
+        want = _four_block_render(workers=1).pixels
+
+        def no_fork():
+            raise AssertionError("a one-worker render forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert np.array_equal(_four_block_render(workers=1).pixels, want)
+        monkeypatch.setattr(render, "_pool_size", min)
+        with pytest.raises(AssertionError, match="forked"):
+            _four_block_render(workers=2)
 
     def test_error_in_a_worker_reaches_the_caller(self, monkeypatch, forking):
         # Every process, the caller first among them, fails on its first

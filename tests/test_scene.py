@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tmdsim import elements
 from tmdsim.elements import HalfMirror, Screen, ThinLens, TmdPlate
-from tmdsim.errors import ParseError, ValidationError
+from tmdsim.errors import InvalidGeometry, ParseError, ValidationError
 from tmdsim.presets import (PRESET_BUILDERS, ame_lens_focal_length,
                             build_preset)
 from tmdsim.scene import (ELEMENT_KEYS, EYE_KEYS, EyeCamera, HMD_PRESETS,
@@ -91,6 +91,15 @@ class TestCameraPose:
         assert np.allclose(pose.normal, [0, 0, 1.0])
         eye = EyeCamera("e", pose)
         assert np.allclose(eye.look, [0, 0, -1.0])
+
+    def test_sensor_pixel_limit(self):
+        pose = camera_pose((0.0, 0.0, 10.0), (0.0, 0.0, -1.0))
+        side = math.isqrt(MAX_SENSOR_PIXELS)
+        assert EyeCamera("e", pose, sensor=(side, side, 0.2)).sensor[:2] == (side, side)
+        for w, h in ((side + 1, side), (1e8, 1e8), (10**12, 1)):
+            with pytest.raises(InvalidGeometry,
+                               match=f"at most {MAX_SENSOR_PIXELS} pixels"):
+                EyeCamera("e", pose, sensor=(w, h, 0.2))
 
 
 class TestParse:

@@ -10,10 +10,11 @@ from tmdsim.errors import EmptySpot, UsageError
 from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
                              vec3)
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
-from tmdsim.tracer import (Cone, cone_directions, dfs_order, r2_sequence,
-                           resolve_workers, spot_diagram, terminal_rays,
-                           trace_bundle, trace_ray, uniform_draw,
-                           uniform_draws)
+from tmdsim import tracer
+from tmdsim.tracer import (MAX_RAYS, Cone, cone_directions, dfs_order,
+                           r2_sequence, resolve_workers, spot_diagram,
+                           terminal_rays, trace_bundle, trace_ray,
+                           uniform_draw, uniform_draws)
 
 Z_PLUS = vec3(0.0, 0.0, 1.0)
 
@@ -344,6 +345,19 @@ class TestBundle:
     def test_non_integral_counts_are_rejected(self, counts):
         with pytest.raises(ValueError, match="must be a whole number"):
             self.bundle(plate_scene(), **counts)
+
+    def test_ray_count_above_the_limit_is_refused_first(self, monkeypatch):
+        # Refused before the cone's directions are made; MAX_RAYS itself
+        # gets that far.
+        def reached(*args):
+            raise LookupError("the count was accepted")
+
+        monkeypatch.setattr(tracer, "cone_directions", reached)
+        with pytest.raises(LookupError):
+            self.bundle(plate_scene(), n=MAX_RAYS)
+        for n in (MAX_RAYS + 1, 10**12, float(10**12)):
+            with pytest.raises(ValueError, match=f"n_rays must be at most {MAX_RAYS}"):
+                self.bundle(plate_scene(), n=n)
 
     def test_whole_float_counts_act_as_integers(self):
         want = self.bundle(plate_scene(), n=40, max_bounces=3).stats
