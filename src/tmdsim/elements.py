@@ -18,9 +18,8 @@ import numpy as np
 from .errors import InvalidGeometry, NoIntersection
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS,
                        Crossings, Pose, Ray, along_rows, dot_rows,
-                       facing_plane_hits, normalize_rows,
-                       plane_facing, reflect_rows, require_finite, subset,
-                       sub_rows, take_rows)
+                       normalize_rows, plane_facing, plane_hits, reflect_rows,
+                       require_finite, subset, sub_rows, take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -337,10 +336,12 @@ def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
     distance or inf, each element's Crossings, None for an element not
     tested or hit by no ray).
 
-    `origins` are rows, or one 3-vector that every ray starts from.  Each
-    plane is tested only for the rays it could still win, those whose
-    crossing lies nearer than their best hit so far, so an earlier element
-    wins a tie.  A plane that no ray can reach within its bound is dropped
+    A surface is a curved cap or has a `pose` and an `extent`, a rectangle
+    or a disk (geometry.plane_hits): the eye, which the forward tracer
+    lists last, is the disk of its pupil.  `origins` are rows, or one
+    3-vector that every ray starts from.  Each plane is tested only for the
+    rays it could still win, those whose crossing lies nearer than their
+    best hit so far, so an earlier element wins a tie.  A plane that no ray can reach within its bound is dropped
     before any crossing point is built, and d.n is computed once per
     distinct normal (compared as bytes, so each ray keeps the bits of its
     own d.n).  A ray is not tested against the flat element it just left:
@@ -362,13 +363,27 @@ def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
             if key not in facings:
                 facings[key] = plane_facing(directions, normal)
             bound = np.where(left == k, -np.inf, tmin) if per_ray else tmin
-            hits[k] = facing_plane_hits(origins, directions, el.pose,
-                                        el.extent, bound, facings[key])
+            hits[k] = plane_hits(origins, directions, el.pose, el.extent,
+                                 bound, facings[key])
         if hits[k] is not None:
             closer = hits[k].t < tmin
             np.copyto(near, k, where=closer)
             np.copyto(tmin, hits[k].t, where=closer)
     return near, tmin, hits
+
+
+def hit_groups(near: np.ndarray, hits: list):
+    """The rays of a `nearest_hits` result grouped by the element they hit,
+    as (k, rows, points, u, v) in ascending k: `rows` are the rays' indices
+    (None when every ray hit k) and points, u, v their hit record."""
+    for k, record in enumerate(hits):
+        if record is None:
+            continue
+        rows = np.flatnonzero(near == k)
+        if len(rows) == 0:
+            continue
+        rows = None if len(rows) == len(near) else rows
+        yield (k, rows, *record.at(rows))
 
 
 def double_band(plate: TmdPlate, incidence: np.ndarray):

@@ -301,12 +301,19 @@ def _cross(a, b) -> tuple:
 
 
 def orthonormal_frame(w, up=(0.0, 1.0, 0.0)) -> np.ndarray:
-    """3x3 rotation whose columns are (u, v, w) for a given w axis and up hint."""
+    """3x3 rotation whose columns are (u, v, w) for a given w axis and up
+    hint.  Raises InvalidGeometry when the hint is zero or parallel to w,
+    |up x w| < 1e-9 |up|, whatever its length."""
     w = normalize(w).tolist()
-    u = np.array(_cross(np.asarray(up, dtype=np.float64).tolist(), w))
-    # np.linalg.norm(u) of a 3-vector is this same sqrt of u @ u.  The bound
-    # is absolute: an up hint shorter than 1e-9 counts as parallel.
-    if _length(u) < 1e-9:
+    up = np.asarray(up, dtype=np.float64)
+    u = np.array(_cross(up.tolist(), w))
+    # Both lengths are taken at the hint's unit scale (times the power of two
+    # that `normalize` uses), so neither square under- or overflows and a
+    # zero cross product is refused.  np.linalg.norm(u) of a 3-vector is
+    # this same sqrt of u @ u.
+    scale = -math.frexp(float(np.abs(up).max()))[1]
+    length = _length(np.ldexp(u, scale))
+    if length < 1e-9 * _length(np.ldexp(up, scale)) or length == 0.0:
         raise InvalidGeometry("up direction is parallel to the surface normal")
     u = normalize(u).tolist()
     v = _cross(w, u)
@@ -386,10 +393,10 @@ class Crossings(NamedTuple):
     plane_crossings) or a curved cap (elements.sphere_cap_hits).
 
     t is each ray's hit distance, inf for a ray that does not count: on a
-    plane, one parallel to it, crossing it no farther than PLANE_EPS ahead
-    or no nearer than its bound (and, from plane_hits, one that misses the
-    rectangle); on a cap, one that misses it.  `rows` indexes the rays that
-    have a crossing point (None when every ray has one): those ahead of a
+    plane, one parallel to it or crossing it no farther than PLANE_EPS ahead
+    (and, from plane_hits, one no nearer than its bound or off the shape);
+    on a cap, one that misses it.  `rows` indexes the rays that have a
+    crossing point (None when every ray has one): those ahead of a
     plane, or those that hit a cap.  `points` are their crossings and u, v
     their local coordinates, in the order of `rows`.
     """
@@ -422,11 +429,11 @@ def plane_facing(directions: np.ndarray, normal: np.ndarray):
 
 
 def plane_distances(origins: np.ndarray, pose: Pose, facing, bound):
-    """The distance stage of plane_crossings: (t, ahead) of rays whose
+    """The distance stage of a plane test: (t, ahead) of rays whose
     directions gave `facing` (see plane_facing) on the plane of `pose`.
 
     t is each ray's distance to the plane (meaningless for a parallel ray);
-    `ahead` marks the rays that count as ahead of it.
+    `ahead` marks the rays ahead of it (and nearer than a given `bound`).
     """
     dots, parallel = facing
     # One row, (position - origin).n, when the rays share their origin.
@@ -442,7 +449,7 @@ def plane_distances(origins: np.ndarray, pose: Pose, facing, bound):
 
 def crossing_points(origins: np.ndarray, directions: np.ndarray, pose: Pose,
                     t: np.ndarray, ahead: np.ndarray) -> Crossings:
-    """The point stage of plane_crossings: the Crossings of the rays that
+    """The point stage of a plane test: the Crossings of the rays that
     plane_distances gave (t, ahead).  Writes inf into t off `ahead`."""
     rows = subset(ahead)
     if rows is not None:
@@ -457,48 +464,38 @@ def crossing_points(origins: np.ndarray, directions: np.ndarray, pose: Pose,
 
 
 def plane_crossings(origins: np.ndarray, directions: np.ndarray,
-                    pose: Pose, bound=None) -> Crossings:
+                    pose: Pose) -> Crossings:
     """Where each ray meets the unbounded plane of `pose`, as a Crossings.
 
-    `origins` are rows, or one 3-vector that every ray starts from.  With a
-    `bound` (one distance per ray), a ray counts as ahead of the plane only
-    if it crosses it nearer than its bound: the others get t = inf and no
-    crossing point.  A bound of -inf rules a ray out.
+    `origins` are rows, or one 3-vector that every ray starts from.
     """
     facing = plane_facing(directions, pose.normal)
-    t, ahead = plane_distances(origins, pose, facing, bound)
+    t, ahead = plane_distances(origins, pose, facing, None)
     return crossing_points(origins, directions, pose, t, ahead)
 
 
 def _inside(u, v, extent):
+    if np.ndim(extent) == 0:
+        return u * u + v * v <= (0.5 * extent) ** 2
     return (np.abs(u) <= 0.5 * extent[0]) & (np.abs(v) <= 0.5 * extent[1])
 
 
-def mark_misses(t: np.ndarray, rows: Optional[np.ndarray], out: np.ndarray) -> None:
-    """Set t to inf at the rays of `rows` (see plane_crossings) that `out`
-    marks."""
-    t[out if rows is None else rows[out]] = np.inf
-
-
 def plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
-               extent, bound=None) -> Optional[Crossings]:
-    """The rays' Crossings with a bounded rectangle, t inf where a ray
-    misses it, or None when every ray misses.
+               extent, bound=None, facing=None) -> Optional[Crossings]:
+    """The rays' Crossings with a shape centred on the pose, t inf where a
+    ray misses it, or None when every ray misses.
 
-    `extent` is the full (width, height) of the rectangle centred on the
-    pose; hits farther than PLANE_EPS along the ray, and nearer than its
-    `bound` if one is given (see plane_crossings), are accepted.
+    `extent` is a rectangle's full (width, height), or one number, a disk's
+    diameter.  `origins` are rows, or one 3-vector that every ray starts
+    from.  Hits farther than PLANE_EPS along the ray, and nearer than its
+    `bound` if one is given (one distance per ray; -inf rules a ray out),
+    are accepted.  `facing` is plane_facing of the directions on the
+    pose's normal, if already computed.  When no ray is ahead of the plane
+    within its bound, it returns None before building any crossing point;
+    the shape's edges are tested only on the rays ahead of the plane.
     """
-    return facing_plane_hits(origins, directions, pose, extent, bound,
-                             plane_facing(directions, pose.normal))
-
-
-def facing_plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
-                      extent, bound, facing) -> Optional[Crossings]:
-    """plane_hits for rays whose directions gave `facing` (see plane_facing)
-    on the pose's normal.  When no ray is ahead of the plane within its
-    bound, it returns None before building any crossing point; the
-    rectangle's edges are tested only on the rays ahead of the plane."""
+    if facing is None:
+        facing = plane_facing(directions, pose.normal)
     t, ahead = plane_distances(origins, pose, facing, bound)
     if not ahead.any():
         return None
@@ -506,7 +503,8 @@ def facing_plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
     inside = _inside(hits.u, hits.v, extent)
     if not inside.any():
         return None
-    mark_misses(hits.t, hits.rows, ~inside)
+    out = ~inside
+    hits.t[out if hits.rows is None else hits.rows[out]] = np.inf
     return hits
 
 

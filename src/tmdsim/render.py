@@ -43,7 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import Screen, curved_cap, leave, nearest_hits, sample_screen
+from .elements import (Screen, curved_cap, hit_groups, leave, nearest_hits,
+                       sample_screen)
 from .errors import IoError
 from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
                        nudged_rows, require_finite, sub_rows, take_rows)
@@ -86,16 +87,10 @@ def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
         if len(d) == 0 or bounce >= max_bounces:
             continue
         near, _, hits = nearest_hits(surfaces, o, d, left)
-        for k, record in enumerate(hits):
-            if record is None:
-                continue
-            rows = np.flatnonzero(near == k)
-            if len(rows) == 0:
-                continue
-            rows = None if len(rows) == len(d) else rows
+        for k, rows, point, u, v in hit_groups(near, hits):
             bd, bw, bp = (take_rows(a, rows) for a in (d, w, pix))
-            _interact(surfaces[k], k, *record.at(rows), bd, bw, bp, acc,
-                      queue, bounce + 1)
+            _interact(surfaces[k], k, point, u, v, bd, bw, bp, acc, queue,
+                      bounce + 1)
 
 
 def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
@@ -348,9 +343,11 @@ def defocus_sweep(scene: Scene, camera: Optional[EyeCamera] = None,
 
     Positive offsets move the camera backwards along its own axis (away
     from the scene), so the camera-to-target distance becomes the base
-    distance plus the offset.  Raises InvalidGeometry for a non-finite
-    offset.
+    distance plus the offset.  Raises ValueError when `offsets` is empty
+    and InvalidGeometry for a non-finite offset.
     """
+    if len(offsets) == 0:
+        raise ValueError("a defocus sweep needs at least one offset")
     require_finite("sweep offsets", offsets)
     camera = camera or scene.eye
     sharp = []
@@ -395,7 +392,12 @@ def write_ppm(image: Image, path) -> None:
 
 
 def read_ppm(path) -> Image:
-    """Read back a P6 file written by write_ppm (byte values as floats)."""
+    """Read back a P6 file written by write_ppm (byte values as floats).
+
+    Raises IoError when the file cannot be read, when its header is not
+    `P6`, a positive width and height in decimal digits and `255` on three
+    lines, or when it holds fewer pixel bytes than the header says.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -404,7 +406,18 @@ def read_ppm(path) -> Image:
     parts = blob.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P6" or parts[2] != b"255":
         raise IoError(f"{path} is not a P6/255 image")
-    w, h = (int(x) for x in parts[1].split())
+    sizes = parts[1].split()
+    try:
+        if len(sizes) != 2 or not all(s.isdigit() for s in sizes):
+            raise ValueError(sizes)
+        w, h = (int(s) for s in sizes)  # ValueError past int()'s digit limit
+    except ValueError:
+        raise IoError(f"{path} has no width and height in its header") from None
+    if w == 0 or h == 0:
+        raise IoError(f"{path} has a size of {w} x {h}; both must be positive")
+    if len(parts[3]) < w * h * 3:
+        raise IoError(f"{path} holds {len(parts[3])} pixel bytes, "
+                      f"fewer than its {w} x {h} size needs")
     pixels = np.frombuffer(parts[3], dtype=np.uint8, count=w * h * 3)
     return Image(w, h, pixels.reshape(h, w, 3).astype(np.float64))
 

@@ -119,6 +119,11 @@ class EyeCamera:
     def look(self) -> np.ndarray:
         return -self.pose.normal
 
+    @property
+    def extent(self) -> float:
+        """The pupil as a plane_hits extent: a disk of the aperture diameter."""
+        return self.aperture_diameter
+
 
 @dataclass(frozen=True)
 class Scene:

@@ -3,10 +3,11 @@
 Rays walk the scene by nearest intersection.  The kernel holds every live
 ray of a bundle as rows of arrays (origin, direction, weight, mode, ray id,
 path id) and advances all of them one bounce per pass: the nearest-hit
-search the renderer shares (`elements.nearest_hits`) over the surfaces,
-then the eye, in which each plane is tested only for the rays that would
-cross it nearer than their best hit so far (so an earlier surface wins a
-tie and the eye must be strictly nearer), then per element the one
+search the renderer shares (`elements.nearest_hits`) over the surfaces
+and then the eye's round pupil, in which each plane is tested only for
+the rays that would cross it nearer than their best hit so far (so an
+earlier surface wins a tie and the eye must be strictly nearer), then,
+per element group of the renderer's `elements.hit_groups`, the one
 interaction table both tracers read, `elements.leave`, which decides what
 leaves the hits from the points and (u, v) of their hit record, a plane's
 or a curved cap's.  A ray is never tested against the flat element it
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .elements import (BRANCH_MODES, BRANCHES, HalfMirror, Screen, TmdPlate,
-                       curved_cap, leave, nearest_hits)
+                       curved_cap, hit_groups, leave, nearest_hits)
 # Re-exported per-ray forms: profilers that wrap names in this module
 # (perfbench/tracing.py) look them up here.  The kernel calls the batch forms.
 from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
@@ -45,7 +46,7 @@ from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
 from .errors import EmptySpot, InvalidGeometry, UsageError
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
                        WEIGHT_CUTOFF, Pose, Ray, RayRows,
-                       advanced_rows, mark_misses, normalize_rows,
+                       advanced_rows, normalize_rows,
                        orthonormal_frame, pick_rows, plane_crossings,
                        sequential_sum, take_rows)
 from .geometry import advanced, intersect_plane  # noqa: F401
@@ -262,26 +263,6 @@ class BundleResult:
         return ends[keep]
 
 
-def _eye_crossings(eye, origins, directions, bound):
-    hits = plane_crossings(origins, directions, eye.pose, bound)
-    u, v = hits.u, hits.v
-    mark_misses(hits.t, hits.rows, u * u + v * v > (0.5 * eye.aperture_diameter) ** 2)
-    return hits
-
-
-def _nearest(scene: Scene, o, d, left):
-    """`nearest_hits` of the rays (rows) on the surfaces, then the eye
-    (index len(surfaces)), tested last with the best distance so far as
-    its bound, so it must be strictly nearer; the eye's Crossings ends the
-    list of records."""
-    near, tmin, hits = nearest_hits(scene.surfaces, o, d, left)
-    hits.append(_eye_crossings(scene.eye, o, d, tmin))
-    closer = hits[-1].t < tmin
-    np.copyto(near, len(scene.surfaces), where=closer)
-    np.copyto(tmin, hits[-1].t, where=closer)
-    return near, tmin, hits
-
-
 def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """a[rows] for sorted distinct indices `rows`: `a` itself, uncopied,
     when they are all of its rows."""
@@ -302,6 +283,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     """Trace rays (rows) to their terminals, all live rays one bounce per
     pass.  Every ray alive at pass k has made k interactions."""
     surfaces = scene.surfaces
+    searched = surfaces + (scene.eye,)  # the eye last: it must be strictly nearer
     eye_k = len(surfaces)
     flat = np.array([not curved_cap(s) for s in surfaces], dtype=bool)
     modes = list(_MODES) if mode in _MODES else list(_MODES) + [mode]
@@ -328,17 +310,12 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         if step >= max_bounces:
             label[live] = _MAX_BOUNCES
         elif len(live):
-            near, t, hits = _nearest(scene, _rows(O, live), _rows(D, live),
-                                     _rows(left, live))
-            hit = np.isfinite(t)
-            label[live[~hit]] = _ESCAPED
-            cols = np.flatnonzero(hit)  # the hit rays' places among the live
-            live, near = _rows(live, cols), _rows(near, cols)
+            near, _, hits = nearest_hits(searched, _rows(O, live),
+                                         _rows(D, live), _rows(left, live))
+            label[live[near < 0]] = _ESCAPED
             elem[live] = near
-            for k in np.flatnonzero(np.bincount(near)).tolist():
-                at = np.flatnonzero(near == k)
-                rows, at = _rows(live, at), _rows(cols, at)
-                p, u, v = hits[k].at(None if len(at) == len(t) else at)
+            for k, at, p, u, v in hit_groups(near, hits):
+                rows = take_rows(live, at)
                 _put(point, rows, p)
                 if k == eye_k:
                     label[rows] = _REACHED_EYE
@@ -389,7 +366,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         rid = rid[src]
         pid = np.concatenate([pid[go], np.arange(first, first + n_new)])
         step += 1
-    idents = [s.ident for s in surfaces] + [scene.eye.ident]
+    idents = [s.ident for s in searched]
     return BundleResult(log, parents, idents, modes, seed)
 
 

@@ -144,11 +144,16 @@ class TestFrameAndPose:
 
 def _np_cross_frame(w, up=(0.0, 1.0, 0.0)):
     """orthonormal_frame through np.cross, np.linalg.norm and
-    np.column_stack: the reference for its bits and its rejections."""
+    np.column_stack: the reference for its bits and its rejections.  The
+    hint is parallel when |up x w| < 1e-9 |up|, both lengths taken with the
+    hint scaled to put its largest |component| in [0.5, 1), and a zero
+    hint always is."""
     w = normalize(w)
     up = np.asarray(up, dtype=np.float64)
     u = np.cross(up, w)
-    if np.linalg.norm(u) < 1e-9:
+    scale = -math.frexp(np.abs(up).max())[1]
+    if (np.linalg.norm(np.ldexp(u, scale))
+            < 1e-9 * np.linalg.norm(np.ldexp(up, scale)) or not u.any()):
         raise InvalidGeometry("up direction is parallel to the surface normal")
     u = normalize(u)
     v = np.cross(w, u)
@@ -206,6 +211,17 @@ class TestFrameBits:
             assert got == _outcome(_np_cross_frame, w, w + tilt * perp)
             seen.add(got is InvalidGeometry)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, -40, 0, 600])
+    def test_hint_length_does_not_decide_parallel(self, exponent):
+        # A hint scaled by a power of two gives the same frame, bit for bit,
+        # and one along w is refused, however long or short it is.
+        w = normalize(vec3(0.3, -0.5, 0.8))
+        frame = orthonormal_frame(w).tobytes()
+        assert orthonormal_frame(w, np.ldexp(vec3(0.0, 1.0, 0.0),
+                                             exponent)).tobytes() == frame
+        with pytest.raises(InvalidGeometry):
+            orthonormal_frame(w, np.ldexp(w, exponent))
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     @pytest.mark.parametrize("diagonal", [0, 1, 2])
@@ -437,7 +453,12 @@ class TestBatchInvariance:
         for origins in (o, o[0]):
             assert (_crossings(origins, d, pose).tobytes()
                     == _crossings(o, d, pose).tobytes())
-            got = plane_crossings(origins, d, pose, bound)
+            # The bound lives in plane_hits; an unbounded rectangle keeps
+            # every crossing of the plane.
+            got = plane_hits(origins, d, pose, (np.inf, np.inf), bound)
+            if got is None:
+                assert len(rows) == 0
+                continue
             assert got.t.tobytes() == np.where(keep, full.t, np.inf).tobytes()
             assert np.array_equal(np.arange(n) if got.rows is None else got.rows,
                                   rows)

@@ -8,7 +8,10 @@ in the module's `__all__`.  An import kept only for other modules to find
 The two tracers, tracer.py and render.py, reach the hit tests and the
 per-row dots and norms only through geometry.py and elements.py (the
 shared nearest-hit search and the row normalizations): neither module may
-use np.einsum, np.vecdot, np.linalg.norm, plane_hits or sphere_cap_hits.
+use np.einsum, np.vecdot, np.linalg.norm, plane_hits or sphere_cap_hits,
+nor the stages a plane test is built from (plane_facing, plane_distances,
+crossing_points).  plane_crossings stays allowed: the spot diagram's plane
+is unbounded and no surface.
 They reach an element's physics only through the interaction table
 (`elements.leave`): neither may use refract_thin_lens,
 reflect_convex_mirror, plate_exit, classify_plate_modes or double_band.
@@ -102,7 +105,8 @@ def _dotted(node):
 def _forbidden(name):
     return (name in ("np.einsum", "np.vecdot", "np.linalg.norm")
             or name.rsplit(".", 1)[-1] in (
-                "plane_hits", "sphere_cap_hits", "refract_thin_lens",
+                "plane_hits", "sphere_cap_hits", "plane_facing",
+                "plane_distances", "crossing_points", "refract_thin_lens",
                 "reflect_convex_mirror", "plate_exit", "classify_plate_modes",
                 "double_band"))
 
@@ -133,10 +137,16 @@ def test_the_check_sees_a_forbidden_use():
               "dot = np.einsum\n"
               "hits = geometry.plane_hits(o, d, pose, extent)\n"
               "y = np.dot(x, x) + np.linalg.det(m)\n"
-              "out = elements.plate_exit(plate, p, u, v, local, 0)\n")
+              "out = elements.plate_exit(plate, p, u, v, local, 0)\n"
+              "from .geometry import plane_crossings, plane_facing\n"
+              "t, ahead = geometry.plane_distances(o, pose, facing, t)\n"
+              "spot = plane_crossings(o, d, pose)\n"
+              "hits = crossing_points(o, d, pose, t, ahead)\n")
     assert forbidden_uses(source) == [
         ("sphere_cap_hits", 2), ("np.linalg.norm", 3), ("np.einsum", 4),
-        ("geometry.plane_hits", 5), ("elements.plate_exit", 7)]
+        ("geometry.plane_hits", 5), ("elements.plate_exit", 7),
+        ("plane_facing", 8), ("geometry.plane_distances", 9),
+        ("crossing_points", 11)]
 
 
 # Definitions that nothing in the package reads, kept for callers outside it.

@@ -7,7 +7,10 @@ whose planes coincide so that rays tie exactly, the search must give the
 element, the distance bits and the hit-record bits of a scan that tests
 every element for every ray, rules out the flat element a ray just left
 and keeps the first of equal distances, so that an earlier element wins a
-tie and the forward tracer's eye, tested last, must be strictly nearer.
+tie.  The forward tracer lists the eye last in its search, so the eye must
+be strictly nearer than every surface; the scan tests the eye's pupil as
+the forward tracer once did beside the search, on the unbounded plane's
+crossings.
 """
 import math
 
@@ -19,10 +22,11 @@ from hypothesis import strategies as st
 import test_left_element
 import test_render_golden as render_golden
 import test_trace_golden as trace_golden
-from tmdsim import elements, render, tracer
+from tmdsim import render, tracer
 from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
-                            sphere_cap_hits)
-from tmdsim.geometry import Pose, normalize, plane_hits, vec3
+                            hit_groups, nearest_hits, sphere_cap_hits)
+from tmdsim.geometry import (Pose, normalize, normalize_rows, plane_crossings,
+                             plane_hits, vec3)
 from tmdsim.render import render_view
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
 from tmdsim.tracer import Cone, trace_bundle
@@ -30,22 +34,31 @@ from tmdsim.tracer import Cone, trace_bundle
 TURN, SHIFT = trace_golden.TURN, trace_golden.SHIFT
 
 
-def _scan(surfaces, o, d, left, eye=None):
+def _pupil_crossings(pose, diameter, o, d):
+    """The eye test as the forward tracer wrote it beside the search: the
+    crossings of the unbounded plane, t set to inf off the disk."""
+    hits = plane_crossings(o, d, pose)
+    u, v = hits.u, hits.v
+    out = u * u + v * v > (0.5 * diameter) ** 2
+    hits.t[out if hits.rows is None else hits.rows[out]] = np.inf
+    return hits
+
+
+def _scan(surfaces, o, d, left):
     """(element or -1, distance or inf, records by element, exact ties) of
-    every element tested for every ray, then the eye if given."""
+    every element tested for every ray."""
     o = np.broadcast_to(o, d.shape).copy()
     left = np.broadcast_to(left, len(d))
     ts, records = [], {}
     for k, el in enumerate(surfaces):
         if isinstance(el, ConvexMirror) and not el.flat:
             records[k] = sphere_cap_hits(el, o, d)
+        elif isinstance(el, EyeCamera):
+            records[k] = _pupil_crossings(el.pose, el.aperture_diameter, o, d)
         else:
             records[k] = plane_hits(o, d, el.pose, el.extent)
         ts.append(np.full(len(d), np.inf) if records[k] is None
                   else records[k].t)
-    if eye is not None:
-        records[len(surfaces)] = tracer._eye_crossings(eye, o, d, None)
-        ts.append(records[len(surfaces)].t)
     T = np.array(ts)
     rays = np.flatnonzero(left >= 0)
     T[left[rays], rays] = np.inf
@@ -61,40 +74,29 @@ def _assert_same(near, t, records, want):
     assert np.array_equal(near, want_near)
     assert t.tobytes() == want_t.tobytes()
     for k in np.unique(near[near >= 0]).tolist():
-        if k in want_records:
-            rays = np.flatnonzero(near == k)
-            for a, b in zip(records[k].at(rays), want_records[k].at(rays)):
-                assert a.tobytes() == b.tobytes()
+        rays = np.flatnonzero(near == k)
+        for a, b in zip(records[k].at(rays), want_records[k].at(rays)):
+            assert a.tobytes() == b.tobytes()
 
 
 class Checked:
-    """The shared search, as both tracers call it, and the forward tracer's
-    search with its eye, wrapped with the scan; counts calls and ties."""
+    """The shared search, as both tracers call it, wrapped with the scan;
+    counts calls, calls whose last surface is an eye, and ties."""
 
     def __init__(self, mp):
-        self.calls = self.ties = 0
-        search, forward = elements.nearest_hits, tracer._nearest
+        self.calls = self.eyes = self.ties = 0
 
         def checked_search(surfaces, o, d, left):
-            near, t, hits = search(surfaces, o, d, left)
-            self._check(near, t, dict(enumerate(hits)),
-                        _scan(surfaces, o, d, left))
-            return near, t, hits
-
-        def checked_forward(scene, o, d, left):
-            near, t, hits = forward(scene, o, d, left)
-            self._check(near, t, dict(enumerate(hits)),
-                        _scan(scene.surfaces, o, d, left, scene.eye))
+            near, t, hits = nearest_hits(surfaces, o, d, left)
+            want = _scan(surfaces, o, d, left)
+            _assert_same(near, t, hits, want)
+            self.calls += 1
+            self.eyes += isinstance(surfaces[-1], EyeCamera)
+            self.ties += want[3]
             return near, t, hits
 
         mp.setattr(tracer, "nearest_hits", checked_search)
         mp.setattr(render, "nearest_hits", checked_search)
-        mp.setattr(tracer, "_nearest", checked_forward)
-
-    def _check(self, near, t, records, want):
-        _assert_same(near, t, records, want)
-        self.calls += 1
-        self.ties += want[3]
 
 
 _SCENES: dict = {}
@@ -108,7 +110,7 @@ def test_forward_search_matches_the_scan(name, seed, n):
     with pytest.MonkeyPatch.context() as mp:
         checked = Checked(mp)
         trace_bundle(scene, source, n, cone, seed=seed)
-    assert checked.calls > 0
+    assert checked.calls > 0 and checked.eyes == checked.calls
 
 
 @given(st.sampled_from(sorted(render_golden.CASES)), st.integers(0, 2 ** 32 - 1),
@@ -123,7 +125,7 @@ def test_backward_search_matches_the_scan(name, seed, rpp):
         render_view(scene, camera, rays_per_pixel=rpp, seed=seed,
                     max_bounces=render_golden.MAX_BOUNCES.get(name, 12),
                     workers=1)
-    assert checked.calls > 0
+    assert checked.calls > 0 and checked.eyes == 0
 
 
 def _turned(position, normal=(0.0, 0.0, 1.0)):
@@ -226,3 +228,87 @@ def test_planes_sharing_a_normal_match_the_scan():
     assert checked.calls > 0
     hit = set(bundle.idents[k] for k in bundle.elem[bundle.elem >= 0].tolist())
     assert hit == {"split", "stop", "tilted", "panel", "wall"}
+
+
+def _at_the_eye(surfaces, n=32):
+    """An eye and a scene of `surfaces`, and n rays from 50 mm in front of
+    the eye aimed inside its pupil."""
+    eye = EyeCamera("eye", camera_pose(TURN @ vec3(0.0, 0.0, 100.0) + SHIFT,
+                                       TURN @ vec3(0.0, 0.0, -1.0)),
+                    sensor=(16, 16, 2.0))
+    source = TURN @ vec3(0.3, -0.2, 50.0) + SHIFT
+    axis = normalize(eye.pose.position - source)
+    return Scene(surfaces(eye), eye), source, Cone(axis, math.radians(1.5)), n
+
+
+def test_a_surface_on_the_eye_plane_wins_the_tie():
+    # A rim on the eye's own plane, wider than the pupil: every ray meets
+    # the rim and the eye at the same distance, bit for bit, and the rim,
+    # listed before the eye, wins.  Without the rim every ray reaches the eye.
+    scene, source, cone, n = _at_the_eye(
+        lambda eye: (Absorber("rim", eye.pose, (10.0, 10.0)),))
+    d = normalize_rows(tracer.cone_directions(cone, n))
+    rim, eye = scene.surfaces[0], scene.eye
+    t_rim = plane_hits(source, d, rim.pose, rim.extent).t
+    t_eye = plane_hits(source, d, eye.pose, eye.extent).t
+    assert np.isfinite(t_eye).all() and t_rim.tobytes() == t_eye.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        checked = Checked(mp)
+        bundle = trace_bundle(scene, source, n, cone)
+    assert checked.ties == n
+    assert bundle.stats["terminals"] == {"absorbed": n}
+    open_scene = Scene((), scene.eye)
+    assert (trace_bundle(open_scene, source, n, cone).stats["terminals"]
+            == {"reached_eye": n})
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.floats(1e-3, 60.0), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_disk_plane_hits_match_the_pupil_test(seed, n, diameter, shared):
+    # One number as the extent is a disk of that diameter: the same
+    # distances and hit records as the unbounded plane's crossings with t
+    # set to inf off the disk, on rows that straddle its rim, some aimed
+    # at the rim itself.
+    rng = np.random.default_rng(seed)
+    pose = Pose.facing(rng.uniform(-50.0, 50.0, 3), rng.standard_normal(3),
+                       rng.standard_normal(3))
+    o = pose.position + 80.0 * normalize_rows(rng.standard_normal((n, 3)))
+    if shared:
+        o = o[0]
+    radius = 0.5 * diameter * rng.uniform(0.0, 1.5, (n, 1))
+    radius[1::3] = 0.5 * diameter
+    phi = rng.uniform(0.0, 2.0 * math.pi, (n, 1))
+    aim = (pose.position + radius * np.cos(phi) * pose.u_axis
+           + radius * np.sin(phi) * pose.v_axis)
+    d = normalize_rows(aim - o)
+    d[::7] = normalize_rows(rng.standard_normal((len(d[::7]), 3)))
+    want = _pupil_crossings(pose, diameter, o, d)
+    got = plane_hits(o, d, pose, diameter)
+    if got is None:
+        assert not np.isfinite(want.t).any()
+        return
+    assert got.t.tobytes() == want.t.tobytes()
+    rows = np.flatnonzero(np.isfinite(want.t))
+    for a, b in zip(got.at(rows), want.at(rows)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_hit_groups_follow_the_nearest_element():
+    # Every ray the search gives an element is in that element's one group,
+    # in ascending element order, with its hit record; a group that holds
+    # every ray has rows None.  The rays have just left the splitter.
+    scene, origins, directions = _shared_normals()
+    surfaces = scene.surfaces + (scene.eye,)
+    near, _, hits = nearest_hits(surfaces, origins, directions, 0)
+    groups = list(hit_groups(near, hits))
+    assert [k for k, *_ in groups] == sorted(set(near[near >= 0].tolist()))
+    assert len(groups) > 2
+    for k, rows, points, u, v in groups:
+        assert np.array_equal(rows, np.flatnonzero(near == k))
+        for a, b in zip((points, u, v), hits[k].at(rows)):
+            assert a.tobytes() == b.tobytes()
+    k, rows = groups[0][:2]
+    near, _, hits = nearest_hits(surfaces, origins[rows], directions[rows], 0)
+    [(k_all, rows_all, *_)] = hit_groups(near, hits)
+    assert k_all == k and rows_all is None

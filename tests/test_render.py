@@ -109,6 +109,30 @@ class TestPpm:
         with pytest.raises(IoError):
             read_ppm(bad)
 
+    @pytest.mark.parametrize("blob", [
+        b"P6\nabc\n255\n\x00\x00\x00",  # a size that is not a number
+        b"P6\n1\n255\n\x00\x00\x00",  # one size
+        b"P6\n1 1 1\n255\n\x00\x00\x00",  # three sizes
+        b"P6\n1.5 1\n255\n\x00\x00\x00",  # a fractional size
+        b"P6\n1_0 +1\n255\n" + b"\x00" * 30,  # what int() reads, not digits
+        b"P6\n" + b"9" * 5000 + b" 1\n255\n",  # past int()'s digit limit
+        b"P6\n-1 2\n255\n",  # a negative width
+        b"P6\n2 0\n255\n",  # a zero height
+        b"P6\n2 2\n255\n" + b"\x00" * 11,  # 11 of 12 pixel bytes
+        b"P6\n2 2\n255\n",  # no pixel data
+    ], ids=["word", "one_size", "three_sizes", "fraction", "int_syntax",
+            "huge", "negative", "zero", "short_data", "no_data"])
+    def test_malformed_file_raises_io_error(self, tmp_path, blob):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(blob)
+        with pytest.raises(IoError, match="bad.ppm"):
+            read_ppm(bad)
+
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        path = tmp_path / "long.ppm"
+        path.write_bytes(b"P6\n1 1\n255\n\x01\x02\x03\x04")
+        assert read_ppm(path).pixels.tolist() == [[[1.0, 2.0, 3.0]]]
+
 
 class TestCsv:
     def test_format(self, tmp_path):
@@ -508,6 +532,12 @@ class TestSweep:
                            match="rays_per_pixel must be a whole number"):
             defocus_sweep(build_preset("defocus_flat"), offsets=(0.0,),
                           rays_per_pixel=rpp)
+
+    @pytest.mark.parametrize("offsets", [(), [], np.array([])])
+    def test_empty_offsets_are_rejected(self, offsets):
+        with pytest.raises(ValueError, match="at least one offset"):
+            defocus_sweep(build_preset("defocus_flat"), offsets=offsets,
+                          rays_per_pixel=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_offset_is_rejected(self, bad):

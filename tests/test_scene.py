@@ -324,6 +324,7 @@ class TestPoseHintScale:
         ("normal", "0 0 1", "0 0 5e-324"),
         ("normal", "-1 0.5 2", "-0.85e308 0.425e308 1.7e308"),
         ("up", "0 1 0", "0 1e300 0"),
+        ("up", "0 1 0", "0 1e-200 0"),
         ("up", "1 1 0", "1.5e308 1.5e308 0"),
     ])
     def test_scaled_element_hint_parses_like_the_unit_one(self, key, unit, scaled):
@@ -350,11 +351,11 @@ class TestPoseHintScale:
                               for t in hint.split()) for hint in (look, up))
         assert np.abs(got - eye_rotation(*unit)).max() <= 1e-15
 
-    # The parallel bound on |up x normal| is absolute, so an up hint
-    # shorter than 1e-9 stays refused as parallel whatever its direction.
+    # The parallel bound is relative, |up x normal| < 1e-9 |up|: a short
+    # hint counts as parallel only when its direction is.
     @pytest.mark.parametrize("line", ["normal = 0 0 0", "normal = 0 0 1\n  up = 0 0 1e-300",
                                       "normal = 0 0 1\n  up = 0 0 0",
-                                      "normal = 0 0 1\n  up = 0 1e-200 0",
+                                      "normal = 0 0 1\n  up = 1e-210 0 1e-200",
                                       "normal = 1 0 0\n  up = 1e300 1e-12 0"])
     def test_zero_parallel_or_tiny_up_hints_stay_refused(self, line):
         with pytest.raises(ParseError, match="bad orientation"):
