@@ -193,9 +193,7 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def _cmd_trace(args, parser) -> int:
-    scene = _load_scene(args, parser)
-    _check_counts(args, parser)
+def _cmd_trace(args, scene) -> int:
     axis = args.axis
     if axis is None:
         axis = scene.eye.pose.position - args.source
@@ -245,9 +243,7 @@ def _cmd_trace(args, parser) -> int:
     return 0
 
 
-def _cmd_render(args, parser) -> int:
-    scene = _load_scene(args, parser)
-    _check_counts(args, parser)
+def _cmd_render(args, scene) -> int:
     image = render_view(scene, rays_per_pixel=args.rpp, seed=args.seed,
                         max_bounces=args.max_bounces, workers=args.workers)
     write_ppm(image, args.out)
@@ -256,9 +252,7 @@ def _cmd_render(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
-    scene = _load_scene(args, parser)
-    _check_counts(args, parser)
+def _cmd_sweep(args, scene) -> int:
     keep = args.out_dir is not None
     names = [f"offset_{off:+g}mm.ppm" for off in args.offsets]
     if keep and len(set(names)) < len(names):
@@ -299,18 +293,21 @@ def _cmd_presets(args, parser) -> int:
     return 0
 
 
+# The commands that run on a scene: main loads it and checks the counts
+# first, so a scene error comes before a count error.
+_RUNS = {"trace": _cmd_trace, "render": _cmd_render, "sweep": _cmd_sweep}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in _RUNS:
+            scene = _load_scene(args, parser)
+            _check_counts(args, parser)
+            return _RUNS[args.command](args, scene)
         if args.command == "design":
             return _cmd_design(args)
-        if args.command == "trace":
-            return _cmd_trace(args, parser)
-        if args.command == "render":
-            return _cmd_render(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
         return _cmd_presets(args, parser)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -326,11 +326,6 @@ def reflect_convex_mirror(mirror: ConvexMirror, points: np.ndarray,
     return reflect_rows(directions, normals, np.vecdot(directions, normals))
 
 
-def curved_cap(el) -> bool:
-    """A curved cap is hit-tested as a sphere and may be met again at once."""
-    return isinstance(el, ConvexMirror) and not el.flat
-
-
 def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
     """Nearest hit of each ray on `surfaces`: (element index or -1,
     distance or inf, each element's Crossings, None for an element not
@@ -341,13 +336,18 @@ def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
     lists last, is the disk of its pupil.  `origins` are rows, or one
     3-vector that every ray starts from.  Each plane is tested only for the
     rays it could still win, those whose crossing lies nearer than their
-    best hit so far, so an earlier element wins a tie.  A plane that no ray can reach within its bound is dropped
-    before any crossing point is built, and d.n is computed once per
-    distinct normal (compared as bytes, so each ray keeps the bits of its
-    own d.n).  A ray is not tested against the flat element it just left:
-    `left` is that element's index (-1 for none), one for the whole batch,
-    whose test is then skipped, or one per ray, whose rows get a bound of
-    -inf.
+    best hit so far.  A plane that no ray can reach within its bound is
+    dropped before any crossing point is built, and d.n is computed once
+    per distinct normal (compared as bytes, so each ray keeps the bits of
+    its own d.n).
+
+    What a ray may hit next is decided here, for both tracers.  `left` is
+    the element the rays just left, of any kind (-1 for none): one index
+    for the batch, or one per ray.  A flat `left` is not tested (its rows get
+    a bound of -inf): a ray leaves it on its plane nudged 1e-6 mm, which at
+    grazing incidence is less than the exit point's rounding.  A curved
+    cap is tested again, as a ray may meet it again.  Of equal distances
+    the element listed first wins, so the eye must be strictly nearer.
     """
     tmin = np.full(len(directions), np.inf)
     near = np.full(len(directions), -1)
@@ -355,7 +355,7 @@ def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
     facings = {}  # normal bytes -> plane_facing of the batch
     per_ray = np.ndim(left) > 0
     for k, el in enumerate(surfaces):
-        if curved_cap(el):
+        if isinstance(el, ConvexMirror) and not el.flat:
             hits[k] = sphere_cap_hits(el, origins, directions)
         elif per_ray or k != left:
             normal = el.pose.normal

@@ -22,15 +22,13 @@ The row arithmetic, the nearest-hit search (`elements.nearest_hits`) and
 the interaction table (`elements.leave`, which decides what leaves a hit,
 and gives a screen or an absorber no branch) are the forward tracer's,
 under the layout rules stated once in geometry.py, so no rework of the
-batch loop can move a pixel.  The search
-tests a plane only for the rays that would cross it nearer than their
-best hit so far, skips the flat element a batch just left, and takes the
-camera rays of one aperture sample with their shared origin as one
-3-vector.  The one rounding of its own that the goldens pin is the row
-normalization of its camera rays and lens exits (the table's `normalize`
-argument), `geometry.linalg_normalize_rows`.  ROW_BLOCK and the one batch
-per aperture sample fix which batches exist and the order in which
-samples add into each pixel.
+batch loop can move a pixel.  The search is given the element a batch
+just left, and takes the camera rays of one aperture sample with their
+shared origin as one 3-vector.  The one rounding of its own that the
+goldens pin is the row normalization of its camera rays and lens exits
+(the table's `normalize` argument), `geometry.linalg_normalize_rows`.
+ROW_BLOCK and the one batch per aperture sample fix which batches exist
+and the order in which samples add into each pixel.
 """
 from __future__ import annotations
 
@@ -43,8 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import (Screen, curved_cap, hit_groups, leave, nearest_hits,
-                       sample_screen)
+from .elements import Screen, hit_groups, leave, nearest_hits, sample_screen
 from .errors import IoError
 from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
                        nudged_rows, require_finite, sub_rows, take_rows)
@@ -78,8 +75,8 @@ class SweepResult:
 def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
     if not surfaces:
         return
-    # Each batch carries the index of the flat element its rays just left
-    # (-1 for camera rays and curved caps): a ray never hits it again.
+    # Each batch carries the index of the element its rays just left (-1
+    # for camera rays); the search decides what that rules out.
     # Camera rays share one origin, a 3-vector; every other batch has rows.
     queue = deque([(o, d, w, pix, -1, 0)])
     while queue:
@@ -103,13 +100,11 @@ def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
         radiance *= bw
         acc[bp] += radiance
         return
-    # A ray may meet a curved cap again: only a flat element is left.
-    left = -1 if curved_cap(el) else k
     for _, rows, exits, nd, nw in leave(el, point, u, v, bd, bw,
                                         normalize=linalg_normalize_rows,
                                         cutoff=WEIGHT_CUTOFF):
         queue.append((nudged_rows(exits, nd), nd, nw, take_rows(bp, rows),
-                      left, bounce))
+                      k, bounce))
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +389,11 @@ def write_ppm(image: Image, path) -> None:
 def read_ppm(path) -> Image:
     """Read back a P6 file written by write_ppm (byte values as floats).
 
-    Raises IoError when the file cannot be read, when its header is not
-    `P6`, a positive width and height in decimal digits and `255` on three
-    lines, or when it holds fewer pixel bytes than the header says.
+    It reads only write_ppm's header: `P6`, a positive width and height in
+    decimal digits, and `255`, on three newline-ended lines.  Other netpbm
+    headers (all on one line, with `# comment` lines, other whitespace or
+    another maxval) raise IoError, as do a file that cannot be read and
+    one that holds fewer pixel bytes than its header says.
     """
     try:
         with open(path, "rb") as fh:

@@ -4,17 +4,14 @@ Rays walk the scene by nearest intersection.  The kernel holds every live
 ray of a bundle as rows of arrays (origin, direction, weight, mode, ray id,
 path id) and advances all of them one bounce per pass: the nearest-hit
 search the renderer shares (`elements.nearest_hits`) over the surfaces
-and then the eye's round pupil, in which each plane is tested only for
-the rays that would cross it nearer than their best hit so far (so an
-earlier surface wins a tie and the eye must be strictly nearer), then,
-per element group of the renderer's `elements.hit_groups`, the one
+and then the eye's round pupil, given the element each ray just left,
+then, per element group of the renderer's `elements.hit_groups`, the one
 interaction table both tracers read, `elements.leave`, which decides what
 leaves the hits from the points and (u, v) of their hit record, a plane's
-or a curved cap's.  A ray is never tested against the flat element it
-just left (see README).  The cap test and the curved-mirror reflection
-are the renderer's, with the same rounding.  Each row goes through the
-same floating-point operations as a ray traced on its own, so a bundle is
-bit for bit independent of how its rays are batched.
+or a curved cap's.  The cap test and the curved-mirror reflection are the
+renderer's, with the same rounding.  Each row goes through the same
+floating-point operations as a ray traced on its own, so a bundle is bit
+for bit independent of how its rays are batched.
 
 Half mirrors branch into a path tree: the stronger branch continues the
 parent path, the weaker one becomes a child path.  Plate interactions are
@@ -38,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .elements import (BRANCH_MODES, BRANCHES, HalfMirror, Screen, TmdPlate,
-                       curved_cap, hit_groups, leave, nearest_hits)
+                       hit_groups, leave, nearest_hits)
 # Re-exported per-ray forms: profilers that wrap names in this module
 # (perfbench/tracing.py) look them up here.  The kernel calls the batch forms.
 from .elements import (classify_tmd_mode, convex_mirror_transform,  # noqa: F401
@@ -285,7 +282,6 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     surfaces = scene.surfaces
     searched = surfaces + (scene.eye,)  # the eye last: it must be strictly nearer
     eye_k = len(surfaces)
-    flat = np.array([not curved_cap(s) for s in surfaces], dtype=bool)
     modes = list(_MODES) if mode in _MODES else list(_MODES) + [mode]
     n = len(origins)
     O, D, W = origins, directions, weights
@@ -295,7 +291,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     parents = [np.full(n, -1)]
     log = []
     step = 0
-    left = np.full(n, -1)  # the flat element each ray just left, or -1
+    left = np.full(n, -1)  # the element each ray just left, or -1
     while len(pid):
         n = len(pid)
         label = np.full(n, _FADED)
@@ -360,7 +356,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                                   + [dirs for _, dirs, _ in spawned])
         start = take_rows(point, src) if spawned else _rows(point, go)
         O, D = advanced_rows(start, normalize_rows(exit_dir))
-        left = np.where(flat[elem[src]], elem[src], -1)
+        left = elem[src]
         W = np.concatenate([out_w[go]] + [w for _, _, w in spawned])
         M = out_m[src]
         rid = rid[src]

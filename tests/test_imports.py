@@ -15,6 +15,9 @@ is unbounded and no surface.
 They reach an element's physics only through the interaction table
 (`elements.leave`): neither may use refract_thin_lens,
 reflect_convex_mirror, plate_exit, classify_plate_modes or double_band.
+Neither may name ConvexMirror or curved_cap either: the search alone
+decides which element a ray may hit next, a curved cap included, so the
+walkers hand it the element just left whatever its kind.
 
 Every function, class and method (dunder methods aside) of the package is
 read somewhere in the package outside its own definition: called, looked
@@ -108,7 +111,7 @@ def _forbidden(name):
                 "plane_hits", "sphere_cap_hits", "plane_facing",
                 "plane_distances", "crossing_points", "refract_thin_lens",
                 "reflect_convex_mirror", "plate_exit", "classify_plate_modes",
-                "double_band"))
+                "double_band", "ConvexMirror", "curved_cap"))
 
 
 def forbidden_uses(source: str) -> list:
@@ -141,12 +144,15 @@ def test_the_check_sees_a_forbidden_use():
               "from .geometry import plane_crossings, plane_facing\n"
               "t, ahead = geometry.plane_distances(o, pose, facing, t)\n"
               "spot = plane_crossings(o, d, pose)\n"
-              "hits = crossing_points(o, d, pose, t, ahead)\n")
+              "hits = crossing_points(o, d, pose, t, ahead)\n"
+              "from .elements import ConvexMirror, Screen\n"
+              "left = -1 if elements.curved_cap(el) else k\n")
     assert forbidden_uses(source) == [
         ("sphere_cap_hits", 2), ("np.linalg.norm", 3), ("np.einsum", 4),
         ("geometry.plane_hits", 5), ("elements.plate_exit", 7),
         ("plane_facing", 8), ("geometry.plane_distances", 9),
-        ("crossing_points", 11)]
+        ("crossing_points", 11), ("ConvexMirror", 12),
+        ("elements.curved_cap", 13)]
 
 
 # Definitions that nothing in the package reads, kept for callers outside it.

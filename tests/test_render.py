@@ -120,8 +120,11 @@ class TestPpm:
         b"P6\n2 0\n255\n",  # a zero height
         b"P6\n2 2\n255\n" + b"\x00" * 11,  # 11 of 12 pixel bytes
         b"P6\n2 2\n255\n",  # no pixel data
+        b"P6 1 1 255\n\x00\x00\x00",  # netpbm's one-line header
+        b"P6\n# made elsewhere\n1 1\n255\n\x00\x00\x00",  # a comment line
     ], ids=["word", "one_size", "three_sizes", "fraction", "int_syntax",
-            "huge", "negative", "zero", "short_data", "no_data"])
+            "huge", "negative", "zero", "short_data", "no_data", "one_line",
+            "comment"])
     def test_malformed_file_raises_io_error(self, tmp_path, blob):
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(blob)

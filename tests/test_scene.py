@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass
 
@@ -547,6 +548,58 @@ class TestRoundTripProperty:
         assert (scene.background is None) == (again.background is None)
         if scene.background is not None:
             _assert_same(scene.background, again.background)
+
+
+# Tokens that stand in for one value of a saved preset.
+POOL = ("nan", "inf", "-1", "0", "1e308", "99999999", "true", "x")
+PRESET_TEXTS = {name: serialize_scene(build_preset(name)) for name in PRESET_BUILDERS}
+# A preset parses in under 0.3 MiB of traced memory; one screen image at its
+# side limit would take 128 MiB.
+PARSE_BUDGET = 16 * 2 ** 20
+
+
+@st.composite
+def mutated_texts(draw):
+    """A saved preset with one line dropped or repeated, or one value token
+    replaced by a token of POOL."""
+    text = PRESET_TEXTS[draw(st.sampled_from(sorted(PRESET_TEXTS)))]
+    lines = text.splitlines(keepends=True)
+    how = draw(st.sampled_from(("drop", "repeat", "replace")))
+    if how == "drop":
+        i = draw(st.integers(0, len(lines) - 1))
+        return "".join(lines[:i] + lines[i + 1:])
+    if how == "repeat":
+        i = draw(st.integers(0, len(lines) - 1))
+        return "".join(lines[:i + 1] + lines[i:])
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
+    key, value = lines[i].split("=", 1)
+    tokens = value.split()
+    tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(POOL))
+    return "".join(lines[:i] + [f"{key}= {' '.join(tokens)}\n"] + lines[i + 1:])
+
+
+class TestMutatedTextProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_texts())
+    def test_one_mutation_gives_a_scene_or_a_documented_error(self, text):
+        """A mutated preset parses to a scene inside the count limits, or
+        raises ParseError or ValidationError, and the parse never allocates
+        past PARSE_BUDGET."""
+        tracemalloc.start()
+        try:
+            scene = parse_scene(text)
+        except (ParseError, ValidationError):
+            scene = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < PARSE_BUDGET
+        if scene is not None:
+            for screen in scene.surfaces:
+                if isinstance(screen, Screen):
+                    assert max(screen.image.shape) <= MAX_IMAGE_SIDE
+            w, h, _ = scene.eye.sensor
+            assert w * h <= MAX_SENSOR_PIXELS
 
 
 class TestAmeFocal:
