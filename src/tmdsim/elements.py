@@ -18,8 +18,9 @@ import numpy as np
 from .errors import InvalidGeometry, NoIntersection
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS,
                        Crossings, Pose, Ray, along_rows, dot_rows,
-                       normalize_rows, plane_facing, plane_hits, reflect_rows,
-                       require_finite, subset, sub_rows, take_rows)
+                       inside_extent, normalize_rows, plane_facing, plane_hits,
+                       reflect_rows, require_finite, subset, sub_rows,
+                       take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -254,7 +255,7 @@ def refract_thin_lens(lens: ThinLens, u: np.ndarray, v: np.ndarray,
     distance s_o images exactly at 1/s_i = 1/f - 1/s_o.  Rays through the
     centre are unchanged.
     """
-    rows = subset(u * u + v * v <= (0.5 * lens.aperture_diameter) ** 2)
+    rows = subset(inside_extent(u, v, lens.aperture_diameter))
     local = lens.pose.to_local_dirs(take_rows(directions, rows))
     aw = np.abs(local[:, 2])
     fine = aw > 1e-12
@@ -300,9 +301,8 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
         rel = sub_rows(p, pose.position)
         pu, pv = dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
         wl = np.abs(dot_rows(rel, pose.normal))
-        ok = ((t > PLANE_EPS) & (np.abs(pu) <= 0.5 * mirror.extent[0])
-              & (np.abs(pv) <= 0.5 * mirror.extent[1]) & (wl <= abs(R))
-              & (wl < best_wl))
+        ok = ((t > PLANE_EPS) & inside_extent(pu, pv, mirror.extent)
+              & (wl <= abs(R)) & (wl < best_wl))
         for out, new in ((best, t), (best_wl, wl), (u, pu), (v, pv)):
             np.copyto(out, new, where=ok)
         np.copyto(points, p, where=ok[:, None])

@@ -80,7 +80,7 @@ def normalize(v) -> np.ndarray:
 #   or a stride-0 broadcast gives Fortran order, on which the next gemv
 #   rounds differently.  `dot_rows` makes its rows C-contiguous itself.
 # - Rays that share their origin (a camera's rays for one aperture sample)
-#   may hand it over as one 3-vector: `plane_distances` computes
+#   may hand it over as one 3-vector: `plane_hits` computes
 #   (position - origin).n once, as a one-row `dot_rows`, and `along_rows`
 #   broadcasts the origin.  Each ray gets the bits of its origin copied to
 #   every row.
@@ -208,7 +208,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ray:
-    """A directed half-line carrying a weight and an interaction-mode tag."""
+    """A directed half-line carrying a weight and an interaction-mode tag.
+    A non-finite origin raises InvalidGeometry."""
 
     origin: np.ndarray
     direction: np.ndarray
@@ -216,6 +217,7 @@ class Ray:
     mode: str = MODE_PRIMARY
 
     def __post_init__(self):
+        require_finite("ray origin", self.origin)
         object.__setattr__(self, "origin", _frozen(self.origin))
         object.__setattr__(self, "direction", _frozen(normalize(self.direction)))
         w = float(self.weight)
@@ -389,16 +391,17 @@ class PlaneHit(NamedTuple):
 
 
 class Crossings(NamedTuple):
-    """Where rays meet a surface: the unbounded plane of a pose (see
-    plane_crossings) or a curved cap (elements.sphere_cap_hits).
+    """Where rays meet a surface: a shape on the plane of a pose (see
+    plane_hits; plane_crossings is the unbounded plane) or a curved cap
+    (elements.sphere_cap_hits).
 
     t is each ray's hit distance, inf for a ray that does not count: on a
-    plane, one parallel to it or crossing it no farther than PLANE_EPS ahead
-    (and, from plane_hits, one no nearer than its bound or off the shape);
-    on a cap, one that misses it.  `rows` indexes the rays that have a
-    crossing point (None when every ray has one): those ahead of a
-    plane, or those that hit a cap.  `points` are their crossings and u, v
-    their local coordinates, in the order of `rows`.
+    plane, one parallel to it, crossing it no farther than PLANE_EPS ahead,
+    no nearer than its bound or off the shape; on a cap, one that misses
+    it.  `rows` indexes the rays that have a crossing point (None when every
+    ray has one): those ahead of a plane within their bound, or those that
+    hit a cap.  `points` are their crossings and u, v their local
+    coordinates, in the order of `rows`.
     """
     t: np.ndarray
     rows: Optional[np.ndarray]
@@ -428,53 +431,10 @@ def plane_facing(directions: np.ndarray, normal: np.ndarray):
     return np.where(parallel, 1.0, dots), parallel
 
 
-def plane_distances(origins: np.ndarray, pose: Pose, facing, bound):
-    """The distance stage of a plane test: (t, ahead) of rays whose
-    directions gave `facing` (see plane_facing) on the plane of `pose`.
-
-    t is each ray's distance to the plane (meaningless for a parallel ray);
-    `ahead` marks the rays ahead of it (and nearer than a given `bound`).
-    """
-    dots, parallel = facing
-    # One row, (position - origin).n, when the rays share their origin.
-    t = dot_rows(sub_rows(pose.position, np.atleast_2d(origins)),
-                 pose.normal) / dots
-    ahead = t > PLANE_EPS
-    if parallel is not None:
-        ahead &= ~parallel
-    if bound is not None:
-        ahead &= t < bound
-    return t, ahead
-
-
-def crossing_points(origins: np.ndarray, directions: np.ndarray, pose: Pose,
-                    t: np.ndarray, ahead: np.ndarray) -> Crossings:
-    """The point stage of a plane test: the Crossings of the rays that
-    plane_distances gave (t, ahead).  Writes inf into t off `ahead`."""
-    rows = subset(ahead)
-    if rows is not None:
-        t[~ahead] = np.inf
-    if origins.ndim == 2:
-        origins = take_rows(origins, rows)
-    points = along_rows(origins, take_rows(t, rows),
-                        take_rows(directions, rows))
-    rel = sub_rows(points, pose.position)
-    return Crossings(t, rows, points, dot_rows(rel, pose.u_axis),
-                     dot_rows(rel, pose.v_axis))
-
-
-def plane_crossings(origins: np.ndarray, directions: np.ndarray,
-                    pose: Pose) -> Crossings:
-    """Where each ray meets the unbounded plane of `pose`, as a Crossings.
-
-    `origins` are rows, or one 3-vector that every ray starts from.
-    """
-    facing = plane_facing(directions, pose.normal)
-    t, ahead = plane_distances(origins, pose, facing, None)
-    return crossing_points(origins, directions, pose, t, ahead)
-
-
-def _inside(u, v, extent):
+def inside_extent(u, v, extent):
+    """Mask of the local (u, v) points on a shape centred on the origin: a
+    rectangle of full (width, height) `extent`, or a disk whose diameter is
+    the one number `extent`.  The edge counts as inside."""
     if np.ndim(extent) == 0:
         return u * u + v * v <= (0.5 * extent) ** 2
     return (np.abs(u) <= 0.5 * extent[0]) & (np.abs(v) <= 0.5 * extent[1])
@@ -486,26 +446,49 @@ def plane_hits(origins: np.ndarray, directions: np.ndarray, pose: Pose,
     ray misses it, or None when every ray misses.
 
     `extent` is a rectangle's full (width, height), or one number, a disk's
-    diameter.  `origins` are rows, or one 3-vector that every ray starts
-    from.  Hits farther than PLANE_EPS along the ray, and nearer than its
-    `bound` if one is given (one distance per ray; -inf rules a ray out),
-    are accepted.  `facing` is plane_facing of the directions on the
-    pose's normal, if already computed.  When no ray is ahead of the plane
-    within its bound, it returns None before building any crossing point;
-    the shape's edges are tested only on the rays ahead of the plane.
+    diameter (see inside_extent).  `origins` are rows, or one 3-vector that
+    every ray starts from.  Hits farther than PLANE_EPS along the ray, and
+    nearer than its `bound` if one is given (one distance per ray; -inf
+    rules a ray out), are accepted.  `facing` is plane_facing of the
+    directions on the pose's normal, if already computed.  When no ray is
+    ahead of the plane within its bound, it returns None before building
+    any crossing point; the shape's edges are tested only on the rays ahead
+    of the plane, whose points, u and v are kept even off the shape.
     """
-    if facing is None:
-        facing = plane_facing(directions, pose.normal)
-    t, ahead = plane_distances(origins, pose, facing, bound)
+    dots, parallel = (plane_facing(directions, pose.normal) if facing is None
+                      else facing)
+    # One row, (position - origin).n, when the rays share their origin.
+    t = dot_rows(sub_rows(pose.position, np.atleast_2d(origins)),
+                 pose.normal) / dots
+    ahead = t > PLANE_EPS
+    if parallel is not None:
+        ahead &= ~parallel
+    if bound is not None:
+        ahead &= t < bound
     if not ahead.any():
         return None
-    hits = crossing_points(origins, directions, pose, t, ahead)
-    inside = _inside(hits.u, hits.v, extent)
+    rows = subset(ahead)
+    if rows is not None:
+        t[~ahead] = np.inf
+    if origins.ndim == 2:
+        origins = take_rows(origins, rows)
+    points = along_rows(origins, take_rows(t, rows),
+                        take_rows(directions, rows))
+    rel = sub_rows(points, pose.position)
+    u, v = dot_rows(rel, pose.u_axis), dot_rows(rel, pose.v_axis)
+    inside = inside_extent(u, v, extent)
     if not inside.any():
         return None
     out = ~inside
-    hits.t[out if hits.rows is None else hits.rows[out]] = np.inf
-    return hits
+    t[out if rows is None else rows[out]] = np.inf
+    return Crossings(t, rows, points, u, v)
+
+
+def plane_crossings(origins: np.ndarray, directions: np.ndarray,
+                    pose: Pose) -> Optional[Crossings]:
+    """Where each ray meets the unbounded plane of `pose`: plane_hits on a
+    rectangle of infinite extent, None when no ray crosses it ahead."""
+    return plane_hits(origins, directions, pose, (math.inf, math.inf))
 
 
 def intersect_plane(ray: Ray, pose: Pose, extent) -> Optional[PlaneHit]:
@@ -524,7 +507,7 @@ def closest_point_to_rays(rays: Sequence[Ray]):
     direction arrays as they are, any other sequence is packed into rows.
     Returns (point, rms_residual).  Raises DegenerateBundle when the normal
     equations are ill-conditioned (fewer than two rays, or a near-parallel
-    bundle).
+    bundle) or not finite (a NaN direction or origin).
     """
     if len(rays) < 2:
         raise DegenerateBundle("need at least two rays")
@@ -537,7 +520,9 @@ def closest_point_to_rays(rays: Sequence[Ray]):
     np.subtract(_EYE, P, out=P)
     A = sequential_sum(P)
     b = sequential_sum(np.matmul(P, o[:, :, None])[:, :, 0])
-    if np.linalg.cond(A) > 1e12:
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise DegenerateBundle("bundle has a non-finite ray; no convergence point")
+    if not np.linalg.cond(A) <= 1e12:
         raise DegenerateBundle("bundle is (near-)parallel; no convergence point")
     point = np.linalg.solve(A, b)
     e = np.matmul(P, (point - o)[:, :, None])[:, :, 0]

@@ -45,7 +45,7 @@ from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
                        WEIGHT_CUTOFF, Pose, Ray, RayRows,
                        advanced_rows, normalize_rows,
                        orthonormal_frame, pick_rows, plane_crossings,
-                       sequential_sum, take_rows)
+                       require_finite, sequential_sum, take_rows)
 from .geometry import advanced, intersect_plane  # noqa: F401
 from .scene import Scene
 
@@ -384,16 +384,22 @@ def trace_ray(scene: Scene, ray: Ray, max_bounces: int = 16, seed: int = 0,
                   max_bounces).paths[0]
 
 
-def positive_count(what: str, value) -> int:
-    """`value` as an int of at least 1: an integer, or a float such as 4.0
-    that holds one.  Raises ValueError for any other value."""
+def _whole(what: str, value, error=ValueError) -> int:
+    """`value` as an int: an integer, or a float such as 4.0 that holds one.
+    Raises `error` for any other value."""
     try:
-        count = operator.index(value)
+        return operator.index(value)
     except TypeError:
         if not (isinstance(value, float) and value.is_integer()):
-            raise ValueError(f"{what} must be a whole number, "
-                             f"got {value!r}") from None
-        count = int(value)
+            raise error(f"{what} must be a whole number, "
+                        f"got {value!r}") from None
+        return int(value)
+
+
+def positive_count(what: str, value) -> int:
+    """`value` as an int of at least 1 (see _whole).  Raises ValueError for
+    any other value."""
+    count = _whole(what, value)
     if count < 1:
         raise ValueError(f"{what} must be >= 1")
     return count
@@ -402,7 +408,8 @@ def positive_count(what: str, value) -> int:
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: explicit argument, else the TMDSIM_WORKERS variable,
     else 1.  Outputs never depend on it; only wall time does.  Raises
-    UsageError when the variable is not an integer or the count is below 1."""
+    UsageError when the variable is not an integer, or the count is not a
+    whole number (as positive_count reads one) of at least 1."""
     if workers is None:
         text = os.environ.get(WORKERS_ENV, "1") or "1"
         try:
@@ -410,7 +417,7 @@ def resolve_workers(workers: Optional[int] = None) -> int:
         except ValueError:
             raise UsageError(f"{WORKERS_ENV} must be an integer, "
                              f"got {text!r}") from None
-    workers = int(workers)
+    workers = _whole("the worker count", workers, UsageError)
     if workers < 1:
         raise UsageError(f"the worker count must be at least 1, got {workers}")
     return workers
@@ -470,13 +477,15 @@ def trace_bundle(scene: Scene, source_point, n_rays: int, cone: Cone,
     (seed, i), so the result is identical for any worker count (`workers`
     is validated and otherwise unused: the batch runs in one thread).
     Raises ValueError when `n_rays` or `max_bounces` is not a whole number
-    of at least 1, or `n_rays` is above MAX_RAYS.
+    of at least 1, or `n_rays` is above MAX_RAYS, and InvalidGeometry when
+    the source point is not finite.
     """
     n_rays = positive_count("n_rays", n_rays)
     if n_rays > MAX_RAYS:
         raise ValueError(f"n_rays must be at most {MAX_RAYS}, got {n_rays}")
     max_bounces = positive_count("max_bounces", max_bounces)
     resolve_workers(workers)
+    require_finite("source point", source_point)
     source = np.asarray(source_point, dtype=np.float64)
     directions = normalize_rows(cone_directions(cone, n_rays))
     origins = np.broadcast_to(source, (n_rays, 3)).copy()
@@ -511,7 +520,7 @@ def spot_diagram(bundle: BundleResult, plane: Pose,
     rows = bundle.propagating(mode)
     hits = plane_crossings(take_rows(bundle.origin, rows),
                            take_rows(bundle.direction, rows), plane)
-    if len(hits.u) == 0:
+    if hits is None:
         raise EmptySpot("no terminal ray crosses the spot plane")
     pts = np.stack([hits.u, hits.v], axis=1)
     centred = pts - pts.mean(axis=0)

@@ -328,9 +328,11 @@ class TestPlaneIntersection:
 
 def _crossings(o, d, pose):
     # plane_crossings with points, u and v spread over every row (nan off
-    # the plane).
+    # the plane; t inf on every row when no ray crosses it).
     hits = plane_crossings(o, d, pose)
-    spread = np.full((len(hits.t), 5), np.nan)
+    spread = np.full((len(d), 5), np.nan)
+    if hits is None:
+        return np.column_stack([np.full(len(d), np.inf), spread])
     spread[slice(None) if hits.rows is None else hits.rows] = np.column_stack(
         [hits.points, hits.u, hits.v])
     return np.column_stack([hits.t, spread])
@@ -443,6 +445,9 @@ class TestBatchInvariance:
         pose, o, d = _random_rows(seed, n)
         o = np.repeat(o[:1], n, axis=0)
         full = plane_crossings(o, d, pose)
+        if full is None:  # no ray crosses the plane ahead
+            assert plane_crossings(o[0], d, pose) is None
+            return
         rng = np.random.default_rng(seed)
         bound = rng.uniform(-50.0, 300.0, n)
         for value in (np.inf, -np.inf, full.t):  # full.t: a tie is not nearer

@@ -9,9 +9,10 @@ The two tracers, tracer.py and render.py, reach the hit tests and the
 per-row dots and norms only through geometry.py and elements.py (the
 shared nearest-hit search and the row normalizations): neither module may
 use np.einsum, np.vecdot, np.linalg.norm, plane_hits or sphere_cap_hits,
-nor the stages a plane test is built from (plane_facing, plane_distances,
-crossing_points).  plane_crossings stays allowed: the spot diagram's plane
-is unbounded and no surface.
+nor plane_facing.  The plane test's former stages, plane_distances and
+crossing_points, are folded into plane_hits and gone, but their names stay
+forbidden.  plane_crossings stays allowed: it is plane_hits on an unbounded
+plane, and the spot diagram's plane is no surface.
 They reach an element's physics only through the interaction table
 (`elements.leave`): neither may use refract_thin_lens,
 reflect_convex_mirror, plate_exit, classify_plate_modes or double_band.

@@ -7,7 +7,9 @@ non-finite number on the command line (`trace --source`, `--axis` or
 `--spot-plane`, a `design` length, a `sweep` offset) is a usage error
 (code 2); only `design --l2 inf`, the unbounded eyepiece, is accepted.
 A sensor's width and height in pixels must also be whole numbers (256.0
-is one): a fractional count is invalid geometry, not truncated.
+is one): a fractional count is invalid geometry, not truncated.  Called
+directly, the tracer refuses a non-finite source point or ray origin, and
+the focus fit a bundle whose normal equations are not finite.
 """
 import math
 
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 from tmdsim.cli import main
 from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
                              ThinLens, TmdPlate)
-from tmdsim.errors import InvalidGeometry
-from tmdsim.geometry import Pose
+from tmdsim.errors import DegenerateBundle, InvalidGeometry
+from tmdsim.geometry import Pose, Ray, RayRows, closest_point_to_rays, vec3
+from tmdsim.presets import build_preset
 from tmdsim.scene import EyeCamera
+from tmdsim.tracer import Cone, trace_bundle
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -202,6 +206,30 @@ def test_cli_rejects_a_non_finite_trace_vector(flag, value, capsys):
         main(argv)
     assert err.value.code == 2
     assert "finite" in capsys.readouterr().err
+
+
+def _focus(origin, direction):
+    # Two rays as rows, which closest_point_to_rays takes unchecked; the
+    # first carries the given origin and direction.
+    origins = np.array([origin, (0.0, 1.0, 0.0)])
+    directions = np.array([direction, (0.0, 0.6, 0.8)])
+    return lambda: closest_point_to_rays(
+        RayRows(origins, directions, np.ones(2), ["primary"] * 2))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: trace_bundle(build_preset("half_mirror"), (math.nan, 20.0, 21.0),
+                          8, Cone(vec3(0.0, 0.0, -1.0), 0.1)), InvalidGeometry),
+    (lambda: Ray(vec3(math.nan, 0.0, 0.0), vec3(0.0, 0.0, 1.0)),
+     InvalidGeometry),
+    (_focus((math.nan, 20.0, 21.0), (0.0, 0.0, 1.0)), DegenerateBundle),
+    (_focus((1.0, 20.0, 21.0), (0.0, math.nan, 1.0)), DegenerateBundle),
+], ids=["trace_bundle_source", "ray_origin", "focus_origin", "focus_direction"])
+def test_a_direct_call_refuses_a_non_finite_ray(call, error):
+    # Each would otherwise give a plausible-looking result: a bundle of
+    # escaped rays, or a NaN focus.
+    with pytest.raises(error):
+        call()
 
 
 DESIGN_FLAGS = ["--l1", "--l2", "--l3", "--a", "--d", "--d2", "--d4", "--a-mag",

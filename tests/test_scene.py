@@ -558,21 +558,43 @@ PRESET_TEXTS = {name: serialize_scene(build_preset(name)) for name in PRESET_BUI
 PARSE_BUDGET = 16 * 2 ** 20
 
 
+# Every key some block takes (the pose's, the eye's `look` and the screen
+# block's included), and every block header kind.
+KEY_POOL = sorted({key for _, entries in ELEMENT_KEYS.values()
+                   for key, *_ in entries}
+                  | {key for key, *_ in EYE_KEYS}
+                  | {"position", "normal", "up", "look", "extent", "flip",
+                     "image", "image_res", "image_data", "brightness"})
+HEADER_POOL = (*(f"element {kind}" for kind in (*ELEMENT_KEYS, "screen")),
+               "eye", "background")
+
+
 @st.composite
 def mutated_texts(draw):
-    """A saved preset with one line dropped or repeated, or one value token
-    replaced by a token of POOL."""
+    """A saved preset with one line dropped or repeated, one value token
+    replaced by a token of POOL, one key replaced by a key of KEY_POOL, or
+    one block header's kind replaced by a kind of HEADER_POOL."""
     text = PRESET_TEXTS[draw(st.sampled_from(sorted(PRESET_TEXTS)))]
     lines = text.splitlines(keepends=True)
-    how = draw(st.sampled_from(("drop", "repeat", "replace")))
+    how = draw(st.sampled_from(("drop", "repeat", "replace", "rekey",
+                                "rehead")))
     if how == "drop":
         i = draw(st.integers(0, len(lines) - 1))
         return "".join(lines[:i] + lines[i + 1:])
     if how == "repeat":
         i = draw(st.integers(0, len(lines) - 1))
         return "".join(lines[:i + 1] + lines[i:])
+    if how == "rehead":
+        i = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                  if line.endswith("{\n")]))
+        ident = lines[i].split()[-2]
+        line = f"{draw(st.sampled_from(HEADER_POOL))} {ident} {{\n"
+        return "".join(lines[:i] + [line] + lines[i + 1:])
     i = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
     key, value = lines[i].split("=", 1)
+    if how == "rekey":
+        line = f"  {draw(st.sampled_from(KEY_POOL))} ={value}"
+        return "".join(lines[:i] + [line] + lines[i + 1:])
     tokens = value.split()
     tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(POOL))
     return "".join(lines[:i] + [f"{key}= {' '.join(tokens)}\n"] + lines[i + 1:])

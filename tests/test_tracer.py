@@ -328,6 +328,14 @@ class TestBundle:
         with pytest.raises(UsageError, match="at least 1"):
             self.bundle(plate_scene(), workers=workers)
 
+    @pytest.mark.parametrize("workers", [2.5, "3"])
+    def test_worker_count_must_be_a_whole_number(self, workers):
+        # The whole-number rule of every other count, as a usage error.
+        with pytest.raises(UsageError, match="whole number"):
+            resolve_workers(workers)
+        with pytest.raises(UsageError, match="whole number"):
+            self.bundle(plate_scene(), workers=workers)
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_bounce_budget_below_one(self, budget):
         with pytest.raises(ValueError, match="max_bounces"):
