@@ -22,7 +22,8 @@ import numpy as np
 
 from .design import LayoutParams, design_report
 from .errors import (DegenerateBundle, EmptySpot, InvalidGeometry, IoError,
-                     ParseError, UsageError, ValidationError)
+                     ParseError, UsageError, ValidationError, read_bytes,
+                     write_bytes)
 from .geometry import Pose, closest_point_to_rays, normalize, vec3
 from .presets import PRESET_BUILDERS, build_preset
 from .render import (MAX_RPP, best_offset, defocus_sweep, render_view,
@@ -92,11 +93,12 @@ def _load_scene(args, parser: argparse.ArgumentParser):
             return build_preset(args.preset)
         except KeyError as exc:
             parser.error(str(exc.args[0]))
+    blob = read_bytes(args.scene)
     try:
-        with open(args.scene, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {args.scene}: {exc}") from None
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(blob.count(b"\n", 0, exc.start) + 1,
+                         f"byte {blob[exc.start]:#04x} is not UTF-8 text") from None
     return parse_scene(text)
 
 
@@ -188,8 +190,7 @@ def _cmd_design(args) -> int:
     for key, value in report.lines():
         print(f"{key},{value}")
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(report.to_csv())
+        write_bytes(args.csv, report.to_csv().encode("ascii"))
     return 0
 
 
@@ -238,8 +239,7 @@ def _cmd_trace(args, scene) -> int:
         rows = ["u_mm,v_mm"]
         if spot is not None:
             rows += [f"{u:.9g},{v:.9g}" for u, v in spot.points]
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_bytes(args.csv, ("\n".join(rows) + "\n").encode("ascii"))
     return 0
 
 
@@ -264,7 +264,10 @@ def _cmd_sweep(args, scene) -> int:
         print(f"{off:.9g},{s:.9g}")
     print(f"best_offset_mm,{best_offset(sweep):.9g}")
     if keep:
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot write {args.out_dir}: {exc}") from None
         for name, img in zip(names, sweep.images):
             write_ppm(img, os.path.join(args.out_dir, name))
         write_csv(sweep, os.path.join(args.out_dir, "sweep.csv"))
@@ -282,11 +285,7 @@ def _cmd_presets(args, parser) -> int:
         parser.error(str(exc.args[0]))
     text = serialize_scene(scene)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}") from None
+        write_bytes(args.out, text.encode("utf-8"))
         print(f"wrote,{args.out}")
     else:
         sys.stdout.write(text)

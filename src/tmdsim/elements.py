@@ -471,8 +471,11 @@ def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
 
     A branch is (code, rows, exit_points, exit_directions, weights): `code`
     indexes BRANCHES (one per row for a sampled plate), `rows` are its
-    places among the hit rays (None for all).  Rays on no branch are
-    absorbed; a screen or an absorber gives none, an unknown element raises
+    places among the hit rays (None for all).  Every reader takes a branch
+    one way: a ray on it leaves from its exit point, along its exit
+    direction, with its weight, and takes the tag BRANCH_MODES gives its
+    code (None: it keeps its own).  A ray on no branch ends on the element
+    it hit; a screen or an absorber gives none, an unknown element raises
     TypeError.  Only a lens normalizes its exits, by `normalize`, the one
     rounding the tracers pin apart (geometry.py).  A half mirror's two
     weights sum to the incident one exactly.  A plate given `draws` sends
@@ -534,14 +537,22 @@ def _hit(ray: Ray, el, what: str):
     return hits[0].at(None)
 
 
+def _leaving(ray: Ray, el, what: str) -> list:
+    """The rays leaving `el` where `ray` hits it, one per branch taking it."""
+    point, u, v = _hit(ray, el, what)
+    return [replace(ray, origin=exits[0], direction=out[0], weight=float(w[0]),
+                    mode=BRANCH_MODES[code] or ray.mode)
+            for code, _, exits, out, w in leave(el, point, u, v, ray.direction[None],
+                                                np.array([ray.weight]))
+            if len(w)]
+
+
 def thin_lens_transform(ray: Ray, lens: ThinLens) -> Ray:
     """Refract a ray through an ideal thin lens (see refract_thin_lens)."""
-    point, u, v = _hit(ray, lens, "lens")
-    [(_, _, exits, out, _)] = leave(lens, point, u, v, ray.direction[None],
-                                    np.array([ray.weight]))
-    if len(out) == 0:
+    passed = _leaving(ray, lens, "lens")
+    if not passed:
         raise NoIntersection(f"ray misses the clear aperture of lens {lens.ident!r}")
-    return replace(ray, origin=exits[0], direction=out[0])
+    return passed[0]
 
 
 def half_mirror_interact(ray: Ray, mirror: HalfMirror):
@@ -549,21 +560,12 @@ def half_mirror_interact(ray: Ray, mirror: HalfMirror):
 
     The two branch weights sum to the incident weight exactly.
     """
-    point, u, v = _hit(ray, mirror, "half mirror")
-    (*_, out, w_r), (*_, w_t) = leave(mirror, point, u, v, ray.direction[None],
-                                      np.array([ray.weight]))
-    reflected = replace(ray, origin=point[0], direction=out[0],
-                        weight=float(w_r[0]))
-    transmitted = replace(ray, origin=point[0], weight=float(w_t[0]))
-    return reflected, transmitted
+    return tuple(_leaving(ray, mirror, "half mirror"))
 
 
 def convex_mirror_transform(ray: Ray, mirror: ConvexMirror) -> Ray:
     """Specular reflection off the combiner cap (flat when a_mag = 1)."""
-    point, u, v = _hit(ray, mirror, "mirror")
-    [(_, _, exits, out, _)] = leave(mirror, point, u, v, ray.direction[None],
-                                    np.array([ray.weight]))
-    return replace(ray, origin=exits[0], direction=out[0])
+    return _leaving(ray, mirror, "mirror")[0]
 
 
 def tmd_transform(ray: Ray, plate: TmdPlate, mode: str) -> Ray:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one file reader and
+writer, which report a failure as IoError."""
 
 
 class TmdSimError(Exception):
@@ -40,3 +41,23 @@ class EmptySpot(TmdSimError):
 
 class IoError(TmdSimError):
     """File could not be read or written."""
+
+
+def read_bytes(path) -> bytes:
+    """The contents of the file at `path`.  Raises IoError when it cannot
+    be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Write `data` as the file at `path`.  Raises IoError when it cannot
+    be written."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None

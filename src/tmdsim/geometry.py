@@ -209,7 +209,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Ray:
     """A directed half-line carrying a weight and an interaction-mode tag.
-    A non-finite origin raises InvalidGeometry."""
+    A non-finite origin or direction raises InvalidGeometry, a zero
+    direction ValueError."""
 
     origin: np.ndarray
     direction: np.ndarray
@@ -218,6 +219,7 @@ class Ray:
 
     def __post_init__(self):
         require_finite("ray origin", self.origin)
+        require_finite("ray direction", self.direction)
         object.__setattr__(self, "origin", _frozen(self.origin))
         object.__setattr__(self, "direction", _frozen(normalize(self.direction)))
         w = float(self.weight)

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .elements import Screen, hit_groups, leave, nearest_hits, sample_screen
-from .errors import IoError
+from .errors import IoError, read_bytes, write_bytes
 from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
                        nudged_rows, require_finite, sub_rows, take_rows)
 from .scene import EyeCamera, Scene
@@ -379,11 +379,7 @@ def write_ppm(image: Image, path) -> None:
     """Binary PPM (P6, maxval 255)."""
     data = tone_map(image)
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header + data.tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+    write_bytes(path, header + data.tobytes())
 
 
 def read_ppm(path) -> Image:
@@ -395,12 +391,7 @@ def read_ppm(path) -> Image:
     another maxval) raise IoError, as do a file that cannot be read and
     one that holds fewer pixel bytes than its header says.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from None
-    parts = blob.split(b"\n", 3)
+    parts = read_bytes(path).split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P6" or parts[2] != b"255":
         raise IoError(f"{path} is not a P6/255 image")
     sizes = parts[1].split()
@@ -424,8 +415,4 @@ def write_csv(sweep: SweepResult, path) -> None:
     rows = ["offset_mm,sharpness"]
     for off, s in zip(sweep.offsets, sweep.sharpness):
         rows.append(f"{off:.9g},{s:.9g}")
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(rows) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from None
+    write_bytes(path, ("\n".join(rows) + "\n").encode("ascii"))

@@ -13,10 +13,11 @@ renderer's, with the same rounding.  Each row goes through the same
 floating-point operations as a ray traced on its own, so a bundle is bit
 for bit independent of how its rays are batched.
 
-Half mirrors branch into a path tree: the stronger branch continues the
-parent path, the weaker one becomes a child path.  Plate interactions are
-chosen per ray from a counter-based random stream keyed by (seed, ray
-index, bounce index).  Bundle directions come from a fixed low-discrepancy
+A ray takes its branch as `leave` states, with two rules of the kernel's:
+half mirrors branch into a path tree (the stronger branch continues the
+parent path, the weaker one a child path), and plate branches are drawn
+per ray from a counter-based random stream keyed by (seed, ray index,
+bounce index).  Bundle directions come from a fixed low-discrepancy
 sequence over the emission cone, so results never depend on scheduling;
 `workers` is still accepted and validated but starts no pool.
 
@@ -104,7 +105,11 @@ class Cone:
 
 def cone_directions(cone: Cone, n: int) -> np.ndarray:
     """n unit directions filling the cone, uniform in solid angle, from the
-    fixed low-discrepancy sequence (ray i always gets the same direction)."""
+    fixed low-discrepancy sequence (ray i always gets the same direction).
+    Raises InvalidGeometry for a non-finite axis or half angle, ValueError
+    for a half angle outside (0, pi]."""
+    require_finite("cone axis", cone.axis)
+    require_finite("cone half angle", cone.half_angle)
     if not 0 < cone.half_angle <= math.pi:
         raise ValueError("cone half angle must lie in (0, pi]")
     try:
@@ -158,8 +163,10 @@ _TERMINAL_OF = np.array([0, 1, 2, 3, 0, 0] + [-1] * (len(_LABELS) - 6))
 # flight: escaped, at the eye or at the bounce budget.
 _PROPAGATES = np.isin(_TERMINAL_OF, (1, 2, 3))
 _MODES = (MODE_PRIMARY, MODE_DOUBLE, MODE_SINGLE, MODE_PASS)
-# Mode index per branch code (-1 where a ray keeps its own).
-_BRANCH_MODE = np.array([_MODES.index(m) if m else -1 for m in BRANCH_MODES])
+# _RETAG[c, m]: the mode index of a ray carrying index m (of _MODES and at
+# most one more) that leaves on branch c; m where BRANCH_MODES gives None.
+_RETAG = np.array([[_MODES.index(tag) if tag else m for m in range(len(_MODES) + 1)]
+                   for tag in BRANCH_MODES])
 
 
 def dfs_order(parents: np.ndarray, n_roots: int) -> np.ndarray:
@@ -281,7 +288,9 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     pass.  Every ray alive at pass k has made k interactions."""
     surfaces = scene.surfaces
     searched = surfaces + (scene.eye,)  # the eye last: it must be strictly nearer
-    eye_k = len(surfaces)
+    # The label of a ray that hits each searched element and takes no branch.
+    stops = [_SCREEN if isinstance(s, Screen) else _ABSORBED
+             for s in surfaces] + [_REACHED_EYE]
     modes = list(_MODES) if mode in _MODES else list(_MODES) + [mode]
     n = len(origins)
     O, D, W = origins, directions, weights
@@ -298,11 +307,10 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         elem = np.full(n, -1)
         point = np.full((n, 3), np.nan)
         live = np.flatnonzero(W >= WEIGHT_CUTOFF)
-        cont = np.zeros(n, dtype=bool)
         out_dir = np.empty((n, 3))
-        out_w = W.copy()
-        out_m = M.copy()
-        spawned = []
+        out_w = np.empty(n)
+        out_m = np.empty_like(M)
+        spawned = []  # (rows, exit points, directions, weights, tags)
         if step >= max_bounces:
             label[live] = _MAX_BOUNCES
         elif len(live):
@@ -313,52 +321,46 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
             for k, at, p, u, v in hit_groups(near, hits):
                 rows = take_rows(live, at)
                 _put(point, rows, p)
-                if k == eye_k:
-                    label[rows] = _REACHED_EYE
+                label[rows] = stops[k]  # unless a branch leaves
+                if k == len(surfaces):  # the eye
                     continue
                 surface = surfaces[k]
-                if isinstance(surface, Screen):
-                    label[rows] = _SCREEN
-                    continue
-                label[rows] = _ABSORBED  # unless a branch leaves
-                plate = isinstance(surface, TmdPlate)
-                draws = uniform_draws(seed, rid[rows], step) if plate else None
+                draws = (uniform_draws(seed, rid[rows], step)
+                         if isinstance(surface, TmdPlate) else None)
                 branches = leave(surface, p, u, v, _rows(D, rows),
                                  _rows(W, rows), draws)
                 if isinstance(surface, HalfMirror):
                     # The stronger branch continues the path, the weaker spawns a child.
-                    (c_r, _, _, d_r, w_r), (c_t, _, _, d_t, w_t) = branches
-                    keep = w_r >= w_t
-                    out_w[rows] = np.where(keep, w_r, w_t)
-                    child_w = np.where(keep, w_t, w_r)
-                    spawn = np.flatnonzero(child_w >= WEIGHT_CUTOFF)
-                    spawned.append((rows[spawn], _rows(pick_rows(keep, d_t, d_r), spawn),
-                                    child_w[spawn]))
-                    branches = [(np.where(keep, c_r, c_t), None, p,
-                                 pick_rows(keep, d_r, d_t), None)]
-                for code, sub, exits, exit_dirs, _ in branches:
+                    (c_r, _, e_r, d_r, w_r), (c_t, _, e_t, d_t, w_t) = branches
+                    strong, (code, _, *weak) = (
+                        (np.where(keep, c_r, c_t), None, pick_rows(keep, e_r, e_t),
+                         pick_rows(keep, d_r, d_t), np.where(keep, w_r, w_t))
+                        for keep in (w_r >= w_t, w_r < w_t))
+                    spawn = np.flatnonzero(weak[2] >= WEIGHT_CUTOFF)
+                    sub = rows[spawn]
+                    spawned.append((sub, *(_rows(a, spawn) for a in weak),
+                                    _RETAG[code[spawn], M[sub]]))
+                    branches = [strong]
+                for code, sub, exits, exit_dirs, w in branches:
                     sub = take_rows(rows, sub)
                     label[sub] = _BRANCH + code
-                    cont[sub] = True
+                    _put(point, sub, exits)
                     _put(out_dir, sub, exit_dirs)
-                    if plate:  # only a plate moves the exit point or the tag
-                        _put(point, sub, exits)
-                        out_m[sub] = _BRANCH_MODE[code]
+                    out_w[sub] = w
+                    out_m[sub] = _RETAG[code, M[sub]]
         log.append((pid, np.full(n, step), label, elem, O, D, W, M, point))
 
-        # Survivors continue their paths; spawned branches start new ones.
-        go = np.flatnonzero(cont)
-        src = np.concatenate([go] + [rows for rows, _, _ in spawned])
+        # Rays on a branch continue their paths; spawned branches start new ones.
+        go = np.flatnonzero(label >= _BRANCH)
+        legs = (go, _rows(point, go), _rows(out_dir, go), out_w[go], out_m[go])
+        if spawned:
+            legs = [np.concatenate(column) for column in zip(legs, *spawned)]
+        src, start, exit_dir, W, M = legs
         n_new = len(src) - len(go)
         first = sum(len(p) for p in parents)
         parents.append(pid[src[len(go):]])
-        exit_dir = np.concatenate([_rows(out_dir, go)]
-                                  + [dirs for _, dirs, _ in spawned])
-        start = take_rows(point, src) if spawned else _rows(point, go)
         O, D = advanced_rows(start, normalize_rows(exit_dir))
         left = elem[src]
-        W = np.concatenate([out_w[go]] + [w for _, _, w in spawned])
-        M = out_m[src]
         rid = rid[src]
         pid = np.concatenate([pid[go], np.arange(first, first + n_new)])
         step += 1

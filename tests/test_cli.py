@@ -141,6 +141,15 @@ class TestSceneLoading:
                            "--source", "0,0,-60")
         assert code == 5
 
+    def test_non_utf8_scene_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "bad.scene"
+        f.write_bytes(b"scene x\n\xff\xfe\n")
+        code, out, err = run(capsys, "render", str(f),
+                             "--out", str(tmp_path / "o.ppm"))
+        assert code == 2
+        assert err == "error: line 2: byte 0xff is not UTF-8 text\n"
+        assert out == ""
+
 
 class TestTrace:
     def test_plate_scene_focus(self, tmp_path, capsys):
@@ -402,6 +411,32 @@ class TestPresets:
         with pytest.raises(SystemExit) as err:
             main(["presets", "warp"])
         assert err.value.code == 2
+
+
+# Each file a command reads or writes: BAD stands for a path under a
+# regular file, which no command can open.
+BAD = "<bad>"
+
+
+@pytest.mark.parametrize("verb,argv", [
+    ("read", ["trace", BAD, "--source", "0,0,-60"]),
+    ("write", ["design", "--csv", BAD]),
+    ("write", ["trace", "--preset", "ame_dk2", *TRACE_RUNS["ame_dk2"],
+               "--rays", "8", "--csv", BAD]),
+    ("write", ["render", "--preset", "defocus_flat", "--rpp", "1", "--out", BAD]),
+    ("write", ["sweep", "--preset", "defocus_flat", "--rpp", "1",
+               "--offsets", "0", "--out-dir", BAD]),
+    ("write", ["presets", "half_mirror", "--out", BAD]),
+], ids=["scene", "design_csv", "trace_csv", "render_out", "sweep_out_dir",
+        "presets_out"])
+def test_a_failed_read_or_write_is_reported_one_way(verb, argv, tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    bad = str(plain / "x")
+    code, _, err = run(capsys, *(bad if a == BAD else a for a in argv))
+    assert code == 5
+    assert err.startswith(f"error: cannot {verb} {bad}: ")
+    assert err.count("\n") == 1
 
 
 def _run_python(*args):

@@ -25,7 +25,7 @@ from tmdsim.errors import DegenerateBundle, InvalidGeometry
 from tmdsim.geometry import Pose, Ray, RayRows, closest_point_to_rays, vec3
 from tmdsim.presets import build_preset
 from tmdsim.scene import EyeCamera
-from tmdsim.tracer import Cone, trace_bundle
+from tmdsim.tracer import Cone, cone_directions, trace_bundle
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -222,13 +222,29 @@ def _focus(origin, direction):
                           8, Cone(vec3(0.0, 0.0, -1.0), 0.1)), InvalidGeometry),
     (lambda: Ray(vec3(math.nan, 0.0, 0.0), vec3(0.0, 0.0, 1.0)),
      InvalidGeometry),
+    (lambda: Ray(vec3(0.0, 0.0, 0.0), vec3(0.0, math.nan, 1.0)),
+     InvalidGeometry),
+    (lambda: cone_directions(Cone(vec3(0.0, 0.0, math.inf), 0.1), 8),
+     InvalidGeometry),
+    (lambda: cone_directions(Cone(vec3(0.0, 0.0, 1.0), math.nan), 8),
+     InvalidGeometry),
     (_focus((math.nan, 20.0, 21.0), (0.0, 0.0, 1.0)), DegenerateBundle),
     (_focus((1.0, 20.0, 21.0), (0.0, math.nan, 1.0)), DegenerateBundle),
-], ids=["trace_bundle_source", "ray_origin", "focus_origin", "focus_direction"])
+], ids=["trace_bundle_source", "ray_origin", "ray_direction", "cone_axis",
+        "cone_half_angle", "focus_origin", "focus_direction"])
 def test_a_direct_call_refuses_a_non_finite_ray(call, error):
     # Each would otherwise give a plausible-looking result: a bundle of
     # escaped rays, or a NaN focus.
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Ray(vec3(0.0, 0.0, 0.0), vec3(0.0, 0.0, 0.0)),
+    lambda: cone_directions(Cone(vec3(0.0, 0.0, 1.0), 4.0), 8),
+], ids=["ray_zero_direction", "cone_wide_half_angle"])
+def test_a_finite_but_unusable_ray_input_is_a_value_error(call):
+    with pytest.raises(ValueError):
         call()
 
 
