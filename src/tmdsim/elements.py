@@ -72,6 +72,8 @@ class ThinLens:
             raise InvalidGeometry("lens focal length must be nonzero")
         if self.aperture_diameter <= 0:
             raise InvalidGeometry("lens aperture must be positive")
+        if not math.isfinite(0.5 * self.aperture_diameter / abs(self.focal_length)):
+            raise InvalidGeometry("lens focal length too short for its aperture")
         d = float(self.aperture_diameter)
         housing = self.housing_extent or (d, d)
         housing = _positive_extent(housing)
@@ -124,6 +126,9 @@ class ConvexMirror:
             raise InvalidGeometry("mirror magnification must be positive")
         if self.eye_distance <= 0:
             raise InvalidGeometry("mirror eye_distance must be positive")
+        if not (self.flat or math.isfinite(self.curvature_radius)
+                and np.isfinite(self.centre).all()):
+            raise InvalidGeometry("mirror curvature radius or centre not finite")
 
     @property
     def flat(self) -> bool:
@@ -169,6 +174,8 @@ class TmdPlate:
         require_finite("plate mode weights", self.mode_weights)
         if self.pitch < 0:
             raise InvalidGeometry("plate pitch cannot be negative")
+        if self.pitch and not math.isfinite(0.5 * max(self.extent) / self.pitch):
+            raise InvalidGeometry("plate pitch too small for its extent")
         if self.mirror_ratio <= 0:
             raise InvalidGeometry("plate mirror_ratio must be positive")
         w = tuple(float(x) for x in self.mode_weights)

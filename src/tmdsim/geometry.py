@@ -73,8 +73,8 @@ def normalize(v) -> np.ndarray:
 #   differently from its batch.
 # - A per-row scalar or a fixed 3-vector broadcast over rows is computed one
 #   column at a time (`along_rows`, `sub_rows`, `normalize_rows`,
-#   `reflect_rows`, `pick_rows`): the same IEEE operation on every element,
-#   with long inner loops instead of 3-long ones.
+#   `reflect_rows`): the same IEEE operation on every element, with long
+#   inner loops instead of 3-long ones.
 # - Every form writes its rows into a fresh C-ordered (n, 3) array, never
 #   one laid out like its input: np.empty_like of a Fortran-ordered array
 #   or a stride-0 broadcast gives Fortran order, on which the next gemv
@@ -162,14 +162,6 @@ def linalg_normalize_rows(v: np.ndarray) -> np.ndarray:
     for j in range(3):
         v[:, j] /= n
     return v
-
-
-def pick_rows(keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row i of `a` where keep[i], else row i of `b`."""
-    out = np.empty((len(a), 3))
-    for j in range(3):
-        out[:, j] = np.where(keep, a[:, j], b[:, j])
-    return out
 
 
 def reflect_rows(directions: np.ndarray, normals: np.ndarray,

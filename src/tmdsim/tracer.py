@@ -13,13 +13,14 @@ renderer's, with the same rounding.  Each row goes through the same
 floating-point operations as a ray traced on its own, so a bundle is bit
 for bit independent of how its rays are batched.
 
-A ray takes its branch as `leave` states, with two rules of the kernel's:
-half mirrors branch into a path tree (the stronger branch continues the
-parent path, the weaker one a child path), and plate branches are drawn
-per ray from a counter-based random stream keyed by (seed, ray index,
-bounce index).  Bundle directions come from a fixed low-discrepancy
-sequence over the emission cone, so results never depend on scheduling;
-`workers` is still accepted and validated but starts no pool.
+A ray takes its branch as `leave` states; each branch taken is a leg, and
+the next pass concatenates the legs.  Two rules are the kernel's own: half
+mirrors branch into a path tree (the stronger branch continues the parent
+path, the weaker one a child path), and plate branches are drawn per ray
+from a counter-based random stream keyed by (seed, ray index, bounce
+index).  Bundle directions come from a fixed low-discrepancy sequence over
+the emission cone, so results never depend on scheduling; `workers` is
+still accepted and validated but starts no pool.
 
 A bundle's statistics and terminal rays are computed with the trace; the
 `TracePath` trees of `BundleResult.paths` are built from the per-bounce
@@ -45,7 +46,7 @@ from .errors import EmptySpot, InvalidGeometry, UsageError
 from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
                        WEIGHT_CUTOFF, Pose, Ray, RayRows,
                        advanced_rows, normalize_rows,
-                       orthonormal_frame, pick_rows, plane_crossings,
+                       orthonormal_frame, plane_crossings,
                        require_finite, sequential_sum, take_rows)
 from .geometry import advanced, intersect_plane  # noqa: F401
 from .scene import Scene
@@ -292,7 +293,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
     stops = [_SCREEN if isinstance(s, Screen) else _ABSORBED
              for s in surfaces] + [_REACHED_EYE]
     modes = list(_MODES) if mode in _MODES else list(_MODES) + [mode]
-    n = len(origins)
+    n_paths = n = len(origins)
     O, D, W = origins, directions, weights
     M = np.full(n, modes.index(mode))
     rid = ray_ids
@@ -307,10 +308,7 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
         elem = np.full(n, -1)
         point = np.full((n, 3), np.nan)
         live = np.flatnonzero(W >= WEIGHT_CUTOFF)
-        out_dir = np.empty((n, 3))
-        out_w = np.empty(n)
-        out_m = np.empty_like(M)
-        spawned = []  # (rows, exit points, directions, weights, tags)
+        legs = []  # per branch taken: (path ids, rows, exits, directions, weights, tags)
         if step >= max_bounces:
             label[live] = _MAX_BOUNCES
         elif len(live):
@@ -330,39 +328,31 @@ def _trace(scene: Scene, origins, directions, weights, mode: str, ray_ids,
                 branches = leave(surface, p, u, v, _rows(D, rows),
                                  _rows(W, rows), draws)
                 if isinstance(surface, HalfMirror):
-                    # The stronger branch continues the path, the weaker spawns a child.
-                    (c_r, _, e_r, d_r, w_r), (c_t, _, e_t, d_t, w_t) = branches
-                    strong, (code, _, *weak) = (
-                        (np.where(keep, c_r, c_t), None, pick_rows(keep, e_r, e_t),
-                         pick_rows(keep, d_r, d_t), np.where(keep, w_r, w_t))
-                        for keep in (w_r >= w_t, w_r < w_t))
+                    # The stronger branch (the same on every row, by split_weights;
+                    # reflect on a tie) continues each path, the weaker a child.
+                    strong, (code, _, *weak) = sorted(
+                        branches, key=lambda b: b[4][0], reverse=True)
                     spawn = np.flatnonzero(weak[2] >= WEIGHT_CUTOFF)
                     sub = rows[spawn]
-                    spawned.append((sub, *(_rows(a, spawn) for a in weak),
-                                    _RETAG[code[spawn], M[sub]]))
+                    parents.append(pid[sub])
+                    legs.append((np.arange(n_paths, n_paths + len(sub)), sub,
+                                 *(_rows(a, spawn) for a in weak),
+                                 _RETAG[code, M[sub]]))
+                    n_paths += len(sub)
                     branches = [strong]
                 for code, sub, exits, exit_dirs, w in branches:
                     sub = take_rows(rows, sub)
                     label[sub] = _BRANCH + code
                     _put(point, sub, exits)
-                    _put(out_dir, sub, exit_dirs)
-                    out_w[sub] = w
-                    out_m[sub] = _RETAG[code, M[sub]]
+                    legs.append((pid[sub], sub, exits, exit_dirs, w,
+                                 _RETAG[code, M[sub]]))
         log.append((pid, np.full(n, step), label, elem, O, D, W, M, point))
-
-        # Rays on a branch continue their paths; spawned branches start new ones.
-        go = np.flatnonzero(label >= _BRANCH)
-        legs = (go, _rows(point, go), _rows(out_dir, go), out_w[go], out_m[go])
-        if spawned:
-            legs = [np.concatenate(column) for column in zip(legs, *spawned)]
-        src, start, exit_dir, W, M = legs
-        n_new = len(src) - len(go)
-        first = sum(len(p) for p in parents)
-        parents.append(pid[src[len(go):]])
+        if not legs:
+            break
+        pid, src, start, exit_dir, W, M = (np.concatenate(c) for c in zip(*legs))
         O, D = advanced_rows(start, normalize_rows(exit_dir))
         left = elem[src]
         rid = rid[src]
-        pid = np.concatenate([pid[go], np.arange(first, first + n_new)])
         step += 1
     idents = [s.ident for s in searched]
     return BundleResult(log, parents, idents, modes, seed)

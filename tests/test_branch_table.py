@@ -12,17 +12,21 @@ meaning:
   the split keeps that row;
 - under the polarizer neither mode has a single-reflection branch.
 
-The half mirror's two weights sum to the incident weight exactly, and a
-lens passes no ray outside its clear aperture.
+The half mirror's two weights sum to the incident weight exactly, and the
+same one of them is the larger on every row (the forward tracer reads
+which branch continues a path off the first row).  A lens passes no ray
+outside its clear aperture.
 """
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmdsim.elements import (BRANCHES, Absorber, HalfMirror, PLATE_INTERACTIONS,
                              Screen, ThinLens, TmdPlate, classify_plate_modes,
-                             leave)
+                             leave, split_weights)
 from tmdsim.geometry import (WEIGHT_CUTOFF, Pose, along_rows, normalize_rows,
                              orthonormal_frame, vec3)
 
@@ -139,6 +143,24 @@ def test_half_mirror_weights_sum_to_the_input(reflectance, seed, n):
     assert rows_r is None and rows_t is None
     assert ((w_r + w_t) == weights).all()
     assert at_r is points and at_t is points and d_t is directions
+
+
+# Weights a live ray can carry, from the cutoff to the emitted weight.
+SPREAD = [WEIGHT_CUTOFF, math.nextafter(WEIGHT_CUTOFF, 1.0), 1e-3, 0.1, 1.0 / 3.0,
+          0.5, 0.7, math.nextafter(1.0, 0.0), 1.0]
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.lists(st.floats(WEIGHT_CUTOFF, 1.0), min_size=1, max_size=60))
+@example(0.5, SPREAD)
+@example(0.5 - 2.0 ** -54, SPREAD)  # 1 - R rounds to 0.5: a tie on every row
+@example(0.5 - 2.0 ** -53, SPREAD)
+@example(math.nextafter(0.5, 1.0), SPREAD)
+@settings(max_examples=300, deadline=None)
+def test_one_half_mirror_share_is_the_larger_on_every_row(reflectance, weights):
+    reflected, transmitted = split_weights(np.array(weights), reflectance)
+    larger = reflected >= transmitted
+    assert larger.all() or not larger.any()
 
 
 @given(st.floats(2.0, 39.0), st.integers(0, 2 ** 32 - 1), st.integers(1, 40))

@@ -136,8 +136,10 @@ class TestSceneLoading:
         assert code == 3
         assert "exactly one eye" in err
 
-    def test_missing_file_exit_5(self, capsys):
-        code, _, err = run(capsys, "trace", "/no/such/file.scene",
+    def test_missing_file_exit_5(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        code, _, err = run(capsys, "trace", str(plain / "file.scene"),
                            "--source", "0,0,-60")
         assert code == 5
 
@@ -312,9 +314,11 @@ class TestRender:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unwritable_path_exit_5(self, capsys):
+    def test_unwritable_path_exit_5(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
         code, _, err = run(capsys, "render", "--preset", "defocus_flat",
-                           "--rpp", "1", "--out", "/no/such/dir/x.ppm")
+                           "--rpp", "1", "--out", str(plain / "x.ppm"))
         assert code == 5
 
 

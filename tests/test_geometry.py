@@ -12,7 +12,7 @@ from tmdsim.geometry import (PLANE_EPS, RAY_ADVANCE, Pose, Ray, RayRows,
                              advanced, along_rows, closest_point_to_rays,
                              dot_rows, intersect_plane,
                              normalize, normalize_rows, orthonormal_frame,
-                             pick_rows, plane_crossings, plane_hits, reflect,
+                             plane_crossings, plane_hits, reflect,
                              reflect_rows, sub_rows, vec3)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -381,7 +381,6 @@ LAYOUT_FORMS = dict(ROW_FORMS, **{
     "sub_rows": lambda o, d, pose: sub_rows(pose.position, o),
     "along_rows": lambda o, d, pose: along_rows(o, dot_rows(d, pose.normal), d),
     "normalize_rows": lambda o, d, pose: normalize_rows(o),
-    "pick_rows": lambda o, d, pose: pick_rows(o[:, 0] > 0.0, o, d),
     "refract_thin_lens": _refracted,
     "plate_exit": _plate_exit,
 })

@@ -9,7 +9,10 @@ non-finite number on the command line (`trace --source`, `--axis` or
 A sensor's width and height in pixels must also be whole numbers (256.0
 is one): a fractional count is invalid geometry, not truncated.  Called
 directly, the tracer refuses a non-finite source point or ray origin, and
-the focus fit a bundle whose normal equations are not finite.
+the focus fit a bundle whose normal equations are not finite.  Finite
+element numbers whose arithmetic overflows (a plate pitch or a lens focal
+length near zero, a curved cap with an infinite radius) are invalid
+geometry too, in a constructor and in a scene file alike.
 """
 import math
 
@@ -24,7 +27,7 @@ from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
 from tmdsim.errors import DegenerateBundle, InvalidGeometry
 from tmdsim.geometry import Pose, Ray, RayRows, closest_point_to_rays, vec3
 from tmdsim.presets import build_preset
-from tmdsim.scene import EyeCamera
+from tmdsim.scene import EyeCamera, serialize_scene
 from tmdsim.tracer import Cone, cone_directions, trace_bundle
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -194,6 +197,59 @@ def test_cli_exits_3_on_a_non_finite_scene_number(tmp_path_factory, spot, bad):
     assert main(["render", str(path), "--out", str(folder / "bad.ppm"),
                  "--rpp", "1"]) == 3
     assert not (folder / "bad.ppm").exists()
+
+
+# (preset, element block, key, value): a finite number whose arithmetic
+# overflows.  Each rendered a plausible image (the real image gone, or a
+# black view) and exited 0.
+OVERFLOWS = [
+    ("tmd_see_through", "element tmd", "pitch", "1e-320"),
+    ("ame_dk2", "element lens", "focal_length", "1e-320"),
+    ("convex_mirror", "element convex_mirror", "eye_distance", "1e308"),
+]
+OVERFLOW_IDS = ["plate_pitch", "lens_focal_length", "cap_eye_distance"]
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (TmdPlate, "pitch", 1e-320),
+    (ThinLens, "focal_length", 1e-320),
+    (ThinLens, "focal_length", -1e-320),
+    (ConvexMirror, "eye_distance", 1e308),
+], ids=["plate_pitch", "lens_focal_length", "lens_negative_focal_length",
+        "cap_eye_distance"])
+def test_an_element_whose_arithmetic_overflows_is_invalid(cls, field, value):
+    with pytest.raises(InvalidGeometry):
+        cls(**dict(VALID[cls], **{field: value}))
+
+
+def test_a_flat_cap_takes_any_finite_eye_distance():
+    ConvexMirror(**dict(VALID[ConvexMirror], a_mag=1.0, eye_distance=1e308))
+
+
+def _with_value(text, block, key, value):
+    """`text` with `key` set to `value` in the first block opened by `block`."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(block))
+    at = next(i for i in range(start, len(lines))
+              if lines[i].strip().startswith(f"{key} = "))
+    lines[at] = f"  {key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("preset,block,key,value", OVERFLOWS, ids=OVERFLOW_IDS)
+@pytest.mark.parametrize("argv", [["render", "--rpp", "1"],
+                                  ["trace", "--source", "0,0,-60", "--rays", "8"]],
+                         ids=["render", "trace"])
+def test_cli_exits_3_on_a_scene_whose_arithmetic_overflows(
+        tmp_path, capsys, preset, block, key, value, argv):
+    path = tmp_path / "overflow.scene"
+    path.write_text(_with_value(serialize_scene(build_preset(preset)), block,
+                                key, value))
+    out = tmp_path / "view.ppm"
+    extra = ["--out", str(out)] if argv[0] == "render" else []
+    assert main([argv[0], str(path), *argv[1:], *extra]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--source", "nan,20,21"),
