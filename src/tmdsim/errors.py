@@ -53,11 +53,13 @@ def read_bytes(path) -> bytes:
         raise IoError(f"cannot read {path}: {exc}") from None
 
 
-def write_bytes(path, data: bytes) -> None:
-    """Write `data` as the file at `path`.  Raises IoError when it cannot
-    be written."""
+def write_bytes(path, *chunks) -> None:
+    """Write the chunks, one after another, as the file at `path`.  A chunk
+    is `bytes` or a C-contiguous buffer (such as a uint8 array), written
+    without a copy.  Raises IoError when the file cannot be written."""
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from None

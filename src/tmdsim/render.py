@@ -355,6 +355,7 @@ def defocus_sweep(scene: Scene, camera: Optional[EyeCamera] = None,
         sharp.append(sharpness_metric(img))
         if keep_images:
             images.append(img)
+        del img  # an image not kept is gone before the next render
     return SweepResult(tuple(float(o) for o in offsets), tuple(sharp), images)
 
 
@@ -367,19 +368,23 @@ def best_offset(sweep: SweepResult) -> float:
 # Output formats
 
 def tone_map(image: Image) -> np.ndarray:
-    """Linear radiance to bytes: clamp(x / max * 255), no gamma."""
+    """Linear radiance to bytes, no gamma: x * (255 / max), rounded half to
+    even and clipped to [0, 255]; all zeros when max is not positive.  It
+    rounds and clips in place, so it holds one float copy of the image."""
     m = float(image.pixels.max())
     if m <= 0.0:
         return np.zeros(image.pixels.shape, dtype=np.uint8)
     scaled = image.pixels * (255.0 / m)
-    return np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
+    return scaled.astype(np.uint8)
 
 
 def write_ppm(image: Image, path) -> None:
     """Binary PPM (P6, maxval 255)."""
-    data = tone_map(image)
+    data = np.ascontiguousarray(tone_map(image))
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    write_bytes(path, header + data.tobytes())
+    write_bytes(path, header, data)
 
 
 def read_ppm(path) -> Image:

@@ -295,6 +295,45 @@ def test_trace_stdout_and_csv_match_golden(preset, mode, tmp_path, capsys):
     assert (_sha256(out.encode()), csv_digest, code) == TRACE_GOLDEN[preset, mode]
 
 
+# The files `tmdsim render` and `tmdsim sweep --out-dir` write, byte for
+# byte: sha256 of each PPM (header and tone-mapped pixels) and of sweep.csv.
+RENDER_FILE_GOLDEN = {
+    "ame_dk2": "87ac4c5cabb84e8def6d94cf61f85cd42796b6fe4dd4dca8f3ce91c6e212aee8",
+    "tmd_see_through":
+        "3aa53171362957fc1b7bf4f58ee7fbc5ddfda06f353b952e0bc01e6d9c66d845",
+}
+SWEEP_FILE_GOLDEN = {
+    "offset_+10mm.ppm":
+        "8a30fd12425ebcaa474e17bdbd2aa4b6c49dbc9e54b8e72bed48aa3e2fd12652",
+    "offset_+0mm.ppm":
+        "379297b4c3d356effe799d9f80c8ee45e15ce2e900b7f43b25de77194bf3bf97",
+    "offset_-10mm.ppm":
+        "ef8baa8f7fd5a8f22ea7cb33932e0c8041329049a314e892518f983f4ea3d5dc",
+    "offset_-20mm.ppm":
+        "a488aa0e4ea66d22f244086dfe30b41cf7c58d65a17917d8fb9304967bde7c9e",
+    "sweep.csv":
+        "31c1e10f91fa4cc5aabebf598d936cc1550ab20a318aa2ba7f52c792685fe382",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(RENDER_FILE_GOLDEN))
+def test_render_ppm_matches_golden(preset, tmp_path, capsys):
+    out = tmp_path / "view.ppm"
+    code, _, _ = run(capsys, "render", "--preset", preset, "--rpp", "2",
+                     "--out", str(out))
+    assert code == 0
+    assert _sha256(out.read_bytes()) == RENDER_FILE_GOLDEN[preset]
+
+
+def test_sweep_files_match_golden(tmp_path, capsys):
+    outdir = tmp_path / "series"
+    code, _, _ = run(capsys, "sweep", "--preset", "defocus_flat", "--rpp", "1",
+                     "--out-dir", str(outdir))
+    assert code == 0
+    written = {p.name: _sha256(p.read_bytes()) for p in outdir.iterdir()}
+    assert written == SWEEP_FILE_GOLDEN
+
+
 class TestRender:
     def test_writes_ppm_deterministically(self, tmp_path, capsys):
         a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"

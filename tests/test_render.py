@@ -4,7 +4,9 @@ import math
 import os
 import signal
 import time
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from tmdsim import render
 from tmdsim.elements import Screen, TmdPlate
-from tmdsim.errors import InvalidGeometry, IoError
+from tmdsim.errors import InvalidGeometry, IoError, write_bytes
 from tmdsim.geometry import Pose, linalg_normalize_rows, normalize, vec3
 from tmdsim.presets import build_preset, defocus_scene, tmd_see_through_preset
 from tmdsim.render import (MAX_RPP, ROW_BLOCK, Image, SweepResult, _pool_size,
@@ -81,6 +83,42 @@ class TestToneMap:
         assert np.array_equal(tone_map(grey_image(base)),
                               tone_map(grey_image(base * 7.3)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_plain_formula_and_leaves_pixels_alone(self, data):
+        # With a peak of 255 * 2**j the scale is exactly 2**-j, so the
+        # (k + 0.5) * 2**j values land on .5 and round half to even.
+        j = data.draw(st.integers(-40, 40))
+        peak = data.draw(st.one_of(st.just(255.0 * 2.0 ** j),
+                                   st.floats(1e-300, 1e300)))
+        h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        values = data.draw(st.lists(st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 2.2e-308),  # zero and subnormals
+            st.integers(0, 254).map(lambda k: (k + 0.5) * 2.0 ** j),
+            st.floats(0.0, 1.0).map(lambda f: f * peak)),
+            min_size=h * w * 3, max_size=h * w * 3))
+        values[data.draw(st.integers(0, h * w * 3 - 1))] = peak
+        pixels = np.array(values).reshape(h, w, 3)
+        before = pixels.tobytes()
+        m = pixels.max()
+        expected = np.clip(np.rint(pixels * (255.0 / m)), 0, 255).astype(np.uint8)
+        got = tone_map(Image(w, h, pixels))
+        assert got.dtype == np.uint8 and got.shape == pixels.shape
+        assert got.tobytes() == expected.tobytes()
+        assert pixels.tobytes() == before
+
+    def test_holds_one_float_copy_of_the_image(self):
+        pixels = np.random.default_rng(4).uniform(0, 2, (256, 256, 3))
+        image = Image(256, 256, pixels)
+        tracemalloc.start()
+        try:
+            tone_map(image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * pixels.nbytes
+
 
 class TestPpm:
     def test_exact_bytes_single_black_pixel(self, tmp_path):
@@ -96,6 +134,14 @@ class TestPpm:
         back = read_ppm(path)
         assert back.width == 9 and back.height == 6
         assert np.array_equal(back.pixels.astype(np.uint8), tone_map(img))
+
+    def test_non_contiguous_pixels_are_written_in_row_order(self, tmp_path):
+        pixels = np.random.default_rng(5).uniform(0, 1, (7, 4, 3))
+        img = Image(4, 7, pixels.transpose(1, 0, 2).copy().transpose(1, 0, 2))
+        assert not img.pixels.flags.c_contiguous
+        path = tmp_path / "img.ppm"
+        write_ppm(img, path)
+        assert path.read_bytes() == b"P6\n4 7\n255\n" + tone_map(img).tobytes()
 
     def test_write_failure(self):
         with pytest.raises(IoError):
@@ -135,6 +181,25 @@ class TestPpm:
         path = tmp_path / "long.ppm"
         path.write_bytes(b"P6\n1 1\n255\n\x01\x02\x03\x04")
         assert read_ppm(path).pixels.tolist() == [[[1.0, 2.0, 3.0]]]
+
+
+class TestWriteBytes:
+    def test_chunks_are_written_as_their_concatenation(self, tmp_path):
+        array = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+        path = tmp_path / "out.bin"
+        write_bytes(path, b"head\n", array, b"", b"tail")
+        assert path.read_bytes() == b"head\n" + array.tobytes() + b"tail"
+
+    @pytest.mark.parametrize("where", ["missing_dir", "under_a_file"])
+    def test_failed_open_raises_io_error_and_leaves_no_file(self, tmp_path,
+                                                            where):
+        parent = tmp_path / "parent"
+        if where == "under_a_file":
+            parent.write_text("")
+        path = parent / "x.ppm"
+        with pytest.raises(IoError, match="cannot write"):
+            write_bytes(path, b"P6\n", np.zeros(3, dtype=np.uint8))
+        assert not os.path.lexists(path)
 
 
 class TestCsv:
@@ -528,6 +593,23 @@ class TestSweep:
                               rays_per_pixel=1, keep_images=True)
         assert len(sweep.images) == 1
         assert sweep.images[0].width == 256
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_only_kept_images_outlive_their_render(self, monkeypatch, keep):
+        # Which images are still alive when each render starts.
+        real, refs, alive = render.render_view, [], []
+
+        def watched(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            image = real(*args, **kwargs)
+            refs.append(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(render, "render_view", watched)
+        defocus_sweep(build_preset("defocus_flat"),
+                      offsets=(0.0, -10.0, -20.0), rays_per_pixel=1,
+                      keep_images=keep)
+        assert alive == [[], [keep], [keep, keep]]
 
     @pytest.mark.parametrize("rpp", [2.5, math.inf])
     def test_non_integral_rays_per_pixel_is_rejected(self, rpp):
