@@ -24,7 +24,8 @@ from .design import LayoutParams, design_report
 from .errors import (DegenerateBundle, EmptySpot, InvalidGeometry, IoError,
                      ParseError, UsageError, ValidationError, read_bytes,
                      write_bytes)
-from .geometry import Pose, closest_point_to_rays, normalize, vec3
+from .geometry import (Pose, closest_point_to_rays, normalize,
+                       require_magnitude, vec3)
 from .presets import PRESET_BUILDERS, build_preset
 from .render import (MAX_RPP, best_offset, defocus_sweep, render_view,
                      sharpness_metric, write_csv, write_ppm)
@@ -195,6 +196,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_trace(args, scene) -> int:
+    if args.spot_plane is not None:
+        require_magnitude("spot plane z", args.spot_plane)
     axis = args.axis
     if axis is None:
         axis = scene.eye.pose.position - args.source

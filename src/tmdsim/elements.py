@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidGeometry, NoIntersection
-from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_SINGLE, PLANE_EPS,
-                       Crossings, Pose, Ray, along_rows, dot_rows,
-                       inside_extent, normalize_rows, plane_facing, plane_hits,
-                       reflect_rows, require_finite, subset, sub_rows,
-                       take_rows)
+from .geometry import (MAX_LENGTH, MAX_RADIANCE, MIN_LENGTH, MODE_DOUBLE,
+                       MODE_PASS, MODE_SINGLE, PLANE_EPS, Crossings, Pose, Ray,
+                       along_rows, dot_rows, inside_extent, normalize_rows,
+                       plane_facing, plane_hits, reflect_rows, require_finite,
+                       require_magnitude, subset, sub_rows, take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -47,12 +47,9 @@ _LENS, _REFLECT, _TRANSMIT, _MIRROR, _PLATE = range(5)
 BRANCH_MODES = (None,) * 4 + (MODE_DOUBLE, MODE_SINGLE, MODE_SINGLE, MODE_PASS)
 
 
-def _positive_extent(extent) -> tuple:
-    require_finite("extent", extent)
-    w, h = float(extent[0]), float(extent[1])
-    if w <= 0 or h <= 0:
-        raise InvalidGeometry(f"extent must be positive, got {(w, h)}")
-    return (w, h)
+def _extent(what: str, extent) -> tuple:
+    require_finite(what, extent, MIN_LENGTH, MAX_LENGTH)
+    return (float(extent[0]), float(extent[1]))
 
 
 @dataclass(frozen=True)
@@ -66,17 +63,10 @@ class ThinLens:
     housing_extent: Optional[tuple] = None
 
     def __post_init__(self):
-        require_finite("lens focal length", self.focal_length)
-        require_finite("lens aperture", self.aperture_diameter)
-        if self.focal_length == 0:
-            raise InvalidGeometry("lens focal length must be nonzero")
-        if self.aperture_diameter <= 0:
-            raise InvalidGeometry("lens aperture must be positive")
-        if not math.isfinite(0.5 * self.aperture_diameter / abs(self.focal_length)):
-            raise InvalidGeometry("lens focal length too short for its aperture")
+        require_magnitude("lens focal length", self.focal_length, MIN_LENGTH)
+        require_finite("lens aperture", self.aperture_diameter, MIN_LENGTH, MAX_LENGTH)
         d = float(self.aperture_diameter)
-        housing = self.housing_extent or (d, d)
-        housing = _positive_extent(housing)
+        housing = _extent("lens housing", self.housing_extent or (d, d))
         if min(housing) < d - 1e-12:
             raise InvalidGeometry("lens housing smaller than the clear aperture")
         object.__setattr__(self, "housing_extent", housing)
@@ -97,10 +87,10 @@ class HalfMirror:
     reflectance: float = DEFAULT_REFLECTANCE
 
     def __post_init__(self):
-        object.__setattr__(self, "extent", _positive_extent(self.extent))
-        require_finite("half-mirror reflectance", self.reflectance)
+        object.__setattr__(self, "extent", _extent("extent", self.extent))
         if not 0.0 < self.reflectance < 1.0:
-            raise InvalidGeometry("half-mirror reflectance must be in (0, 1)")
+            raise InvalidGeometry(f"half-mirror reflectance must be finite in "
+                                  f"(0, 1), got {self.reflectance}")
 
 
 @dataclass(frozen=True)
@@ -119,16 +109,9 @@ class ConvexMirror:
     eye_distance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "extent", _positive_extent(self.extent))
-        require_finite("mirror magnification", self.a_mag)
-        require_finite("mirror eye_distance", self.eye_distance)
-        if self.a_mag <= 0:
-            raise InvalidGeometry("mirror magnification must be positive")
-        if self.eye_distance <= 0:
-            raise InvalidGeometry("mirror eye_distance must be positive")
-        if not (self.flat or math.isfinite(self.curvature_radius)
-                and np.isfinite(self.centre).all()):
-            raise InvalidGeometry("mirror curvature radius or centre not finite")
+        object.__setattr__(self, "extent", _extent("extent", self.extent))
+        require_finite("mirror magnification", self.a_mag, MIN_LENGTH, MAX_LENGTH)
+        require_finite("mirror eye_distance", self.eye_distance, MIN_LENGTH, MAX_LENGTH)
 
     @property
     def flat(self) -> bool:
@@ -168,19 +151,14 @@ class TmdPlate:
     angular_fill: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "extent", _positive_extent(self.extent))
-        require_finite("plate pitch", self.pitch)
-        require_finite("plate mirror_ratio", self.mirror_ratio)
-        require_finite("plate mode weights", self.mode_weights)
-        if self.pitch < 0:
-            raise InvalidGeometry("plate pitch cannot be negative")
-        if self.pitch and not math.isfinite(0.5 * max(self.extent) / self.pitch):
-            raise InvalidGeometry("plate pitch too small for its extent")
-        if self.mirror_ratio <= 0:
-            raise InvalidGeometry("plate mirror_ratio must be positive")
+        object.__setattr__(self, "extent", _extent("extent", self.extent))
+        if self.pitch != 0:
+            require_finite("plate pitch", self.pitch, MIN_LENGTH, MAX_LENGTH)
+        require_finite("plate mirror_ratio", self.mirror_ratio, MIN_LENGTH, MAX_LENGTH)
+        require_finite("plate mode weights", self.mode_weights, 0.0, 1.0)
         w = tuple(float(x) for x in self.mode_weights)
-        if len(w) != 3 or any(x < 0 or x > 1 for x in w) or sum(w) > 1.0 + 1e-9:
-            raise InvalidGeometry(f"mode weights {w} must lie in [0,1] and sum to <= 1")
+        if len(w) != 3 or sum(w) > 1.0 + 1e-9:
+            raise InvalidGeometry(f"mode weights {w} must be 3 numbers summing to <= 1")
         object.__setattr__(self, "mode_weights", w)
 
 
@@ -199,13 +177,11 @@ class Screen:
     image_spec: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "extent", _positive_extent(self.extent))
+        object.__setattr__(self, "extent", _extent("extent", self.extent))
         img = np.asarray(self.image, dtype=np.float64)
         if img.ndim != 2 or img.size == 0:
             raise InvalidGeometry("screen image must be a non-empty 2-d grid")
-        require_finite("screen radiance", img)
-        if img.min() < 0:
-            raise InvalidGeometry("screen radiance samples must be non-negative")
+        require_finite("screen radiance", img, 0.0, MAX_RADIANCE)
         # The texels are held once, inside a border that repeats the edge
         # texels (what `sample_screen` reads); `image` is the interior.
         texels = np.pad(img, 1, mode="edge")
@@ -224,7 +200,7 @@ class Absorber:
     extent: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "extent", _positive_extent(self.extent))
+        object.__setattr__(self, "extent", _extent("extent", self.extent))
 
 
 def split_weights(weights: np.ndarray, fraction: float):

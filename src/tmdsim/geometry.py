@@ -20,6 +20,13 @@ PLANE_EPS = 1e-9        # smallest accepted ray/surface hit distance, mm
 PARALLEL_EPS = 1e-12    # |d.n| below this counts as parallel to the surface
 RAY_ADVANCE = 1e-6      # origin advance after every interaction, mm
 WEIGHT_CUTOFF = 1e-4    # rays below this weight are dropped
+# The envelope of scene numbers, in which no product or quotient of them
+# overflows: a length something divides by (or a_mag, a mirror_ratio) lies in
+# [MIN_LENGTH, MAX_LENGTH] mm, a position |x| <= MAX_LENGTH, a radiance in
+# [0, MAX_RADIANCE].  Direction hints, and a Pose or Ray, take any finite number.
+MAX_LENGTH = 1e6
+MIN_LENGTH = 1e-6
+MAX_RADIANCE = 1e6
 # A `max_bounces` budget counts surface hits, the final screen or eye hit
 # included: both tracers stop a ray that has already made max_bounces
 # interactions before it can hit anything else.
@@ -185,11 +192,22 @@ def reflect(direction, normal) -> np.ndarray:
     return reflect_rows(d[None], np.asarray(normal, dtype=np.float64))[0]
 
 
-def require_finite(what: str, value) -> None:
-    """Raise InvalidGeometry unless every number in `value` is finite."""
-    if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
-        raise InvalidGeometry(f"{what} must be finite, got "
+def require_finite(what: str, value, low: float = -math.inf,
+                   high: float = math.inf) -> None:
+    """Raise InvalidGeometry unless every number in `value` is finite and in
+    [low, high]."""
+    a = np.asarray(value, dtype=np.float64)
+    if not (np.isfinite(a) & (a >= low) & (a <= high)).all():
+        span = "" if -low == high == math.inf else f" in [{low:g}, {high:g}]"
+        raise InvalidGeometry(f"{what} must be finite{span}, got "
                               f"{np.asarray(value).tolist()}")
+
+
+def require_magnitude(what: str, value, low: float = 0.0) -> None:
+    """require_finite on |value| in [low, MAX_LENGTH]: a position or offset,
+    or with low = MIN_LENGTH a signed length."""
+    require_finite(f"|{what}|", np.abs(np.asarray(value, dtype=np.float64)),
+                   low, MAX_LENGTH)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

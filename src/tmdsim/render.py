@@ -44,7 +44,7 @@ import numpy as np
 from .elements import Screen, hit_groups, leave, nearest_hits, sample_screen
 from .errors import IoError, read_bytes, write_bytes
 from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
-                       nudged_rows, require_finite, sub_rows, take_rows)
+                       nudged_rows, require_magnitude, sub_rows, take_rows)
 from .scene import EyeCamera, Scene
 from .tracer import (positive_count, r2_sequence, resolve_workers,
                      uniform_draw)
@@ -339,11 +339,11 @@ def defocus_sweep(scene: Scene, camera: Optional[EyeCamera] = None,
     Positive offsets move the camera backwards along its own axis (away
     from the scene), so the camera-to-target distance becomes the base
     distance plus the offset.  Raises ValueError when `offsets` is empty
-    and InvalidGeometry for a non-finite offset.
+    and InvalidGeometry for an |offset| that is not finite or > MAX_LENGTH.
     """
     if len(offsets) == 0:
         raise ValueError("a defocus sweep needs at least one offset")
-    require_finite("sweep offsets", offsets)
+    require_magnitude("sweep offsets", offsets)
     camera = camera or scene.eye
     sharp = []
     images = [] if keep_images else None

@@ -41,7 +41,8 @@ import numpy as np
 from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
                        TmdPlate)
 from .errors import InvalidGeometry, ParseError, ValidationError
-from .geometry import Pose, normalize, orthonormal_frame, require_finite
+from .geometry import (MAX_LENGTH, MIN_LENGTH, Pose, normalize,
+                       orthonormal_frame, require_finite, require_magnitude)
 
 DEFAULT_SENSOR = (256, 256, 0.5)
 DEFAULT_IMAGE_RES = 64
@@ -97,22 +98,19 @@ class EyeCamera:
     sensor: tuple = DEFAULT_SENSOR
 
     def __post_init__(self):
-        require_finite("camera focal length", self.focal_length)
-        require_finite("camera aperture", self.aperture_diameter)
-        require_finite("camera sensor", self.sensor)
-        if self.focal_length <= 0:
-            raise InvalidGeometry("camera focal length must be positive")
-        if self.aperture_diameter <= 0:
-            raise InvalidGeometry("camera aperture must be positive")
+        require_finite("camera focal length", self.focal_length, MIN_LENGTH,
+                       MAX_LENGTH)
+        require_finite("camera aperture", self.aperture_diameter, MIN_LENGTH,
+                       MAX_LENGTH)
         w, h, p = self.sensor
+        require_finite("camera sensor pitch", p, MIN_LENGTH, MAX_LENGTH)
+        require_finite("camera sensor", (w, h))
         if w != int(w) or h != int(h):
             raise InvalidGeometry(f"camera sensor width and height must be whole "
                                   f"pixel counts, got {w} x {h}")
-        if int(w) <= 0 or int(h) <= 0 or float(p) <= 0:
-            raise InvalidGeometry("camera sensor must be positive (w, h, pitch)")
-        if int(w) * int(h) > MAX_SENSOR_PIXELS:
-            raise InvalidGeometry(f"camera sensor must have at most "
-                                  f"{MAX_SENSOR_PIXELS} pixels, got {w} x {h}")
+        if min(w, h) < 1 or w * h > MAX_SENSOR_PIXELS:
+            raise InvalidGeometry(f"camera sensor must be at least 1 x 1 and have "
+                                  f"at most {MAX_SENSOR_PIXELS} pixels, got {w} x {h}")
         object.__setattr__(self, "sensor", (int(w), int(h), float(p)))
 
     @property
@@ -292,7 +290,7 @@ def _take_pose(keys, line) -> Pose:
     norm = _take(keys, "normal", line, 3, (0.0, 0.0, 1.0))
     up = _take(keys, "up", line, 3, (0.0, 1.0, 0.0))
     # Non-finite numbers are invalid geometry, not a bad orientation.
-    require_finite("position", position)
+    require_magnitude("position", position)
     require_finite("orientation", norm + up)
     try:
         return Pose.facing(position, norm, up)
@@ -364,7 +362,7 @@ def _build_eye(ident, keys, line) -> EyeCamera:
     position = _take(keys, "position", line, 3, (0.0, 0.0, 0.0))
     look = _take(keys, "look", line, 3, (0.0, 0.0, -1.0))
     up = _take(keys, "up", line, 3, (0.0, 1.0, 0.0))
-    require_finite("eye position", position)
+    require_magnitude("eye position", position)
     require_finite("eye orientation", look + up)
     try:
         pose = camera_pose(position, look, up)

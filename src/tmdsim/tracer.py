@@ -47,7 +47,7 @@ from .geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
                        WEIGHT_CUTOFF, Pose, Ray, RayRows,
                        advanced_rows, normalize_rows,
                        orthonormal_frame, plane_crossings,
-                       require_finite, sequential_sum, take_rows)
+                       require_finite, require_magnitude, sequential_sum, take_rows)
 from .geometry import advanced, intersect_plane  # noqa: F401
 from .scene import Scene
 
@@ -470,14 +470,14 @@ def trace_bundle(scene: Scene, source_point, n_rays: int, cone: Cone,
     is validated and otherwise unused: the batch runs in one thread).
     Raises ValueError when `n_rays` or `max_bounces` is not a whole number
     of at least 1, or `n_rays` is above MAX_RAYS, and InvalidGeometry when
-    the source point is not finite.
+    a source coordinate is not finite or above MAX_LENGTH in magnitude.
     """
     n_rays = positive_count("n_rays", n_rays)
     if n_rays > MAX_RAYS:
         raise ValueError(f"n_rays must be at most {MAX_RAYS}, got {n_rays}")
     max_bounces = positive_count("max_bounces", max_bounces)
     resolve_workers(workers)
-    require_finite("source point", source_point)
+    require_magnitude("source point", source_point)
     source = np.asarray(source_point, dtype=np.float64)
     directions = normalize_rows(cone_directions(cone, n_rays))
     origins = np.broadcast_to(source, (n_rays, 3)).copy()
