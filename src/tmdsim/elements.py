@@ -303,10 +303,8 @@ def sphere_cap_hits(mirror: ConvexMirror, origins: np.ndarray,
 def reflect_convex_mirror(mirror: ConvexMirror, points: np.ndarray,
                           directions: np.ndarray) -> np.ndarray:
     """Specular reflection at `points` on the combiner (flat at a_mag = 1)."""
-    if mirror.flat:
-        return reflect_rows(directions, mirror.pose.normal)
-    normals = normalize_rows(sub_rows(mirror.centre, points))
-    return reflect_rows(directions, normals, np.vecdot(directions, normals))
+    return reflect_rows(directions, mirror.pose.normal if mirror.flat
+                        else normalize_rows(sub_rows(mirror.centre, points)))
 
 
 def nearest_hits(surfaces, origins: np.ndarray, directions: np.ndarray, left):
@@ -448,7 +446,7 @@ def plate_exit(plate: TmdPlate, points: np.ndarray, u: np.ndarray,
 
 def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
           directions: np.ndarray, weights: np.ndarray, draws=None,
-          normalize=normalize_rows, cutoff: float = 0.0) -> list:
+          normalize=normalize_rows) -> list:
     """The branches leaving `el` for the rays that hit it at `points`
     (local u, v): the one place where both tracers decide what leaves a hit.
 
@@ -464,8 +462,10 @@ def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
     weights sum to the incident one exactly.  A plate given `draws` sends
     each ray on the branch `classify_plate_modes` picks; without, it splits
     every ray over its nonzero fractions (double band, half the single band
-    per slat or none under the polarizer, pass band).  A split keeps the
-    rows whose share reaches `cutoff`.
+    per slat or none under the polarizer, pass band).  A split plate and a
+    half mirror send every hit row on each of their branches (`rows` is
+    None), whatever its share: a weight that falls below WEIGHT_CUTOFF
+    leaves the walk at the start of the walker's next pass, not here.
     """
     if isinstance(el, TmdPlate):
         local = el.pose.to_local_dirs(directions)
@@ -478,18 +478,11 @@ def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
             return [(_PLATE + codes, kept, exits, out, take_rows(weights, kept))]
         _, p_s, p_p = el.mode_weights
         single = 0.5 * (0.0 if el.polarizer else p_s)
-        branches = []
-        for code, frac in enumerate((double_band(el, local), single, single, p_p)):
-            if isinstance(frac, float) and frac == 0.0:
-                continue  # no row of this branch carries any weight
-            share = weights * frac
-            keep = None if cutoff <= 0.0 else subset(share >= cutoff)
-            if keep is None or len(keep):
-                exits, out = plate_exit(
-                    el, *(take_rows(a, keep) for a in (points, u, v, local)), code)
-                branches.append((_PLATE + code, keep, exits, out,
-                                 take_rows(share, keep)))
-        return branches
+        fractions = (double_band(el, local), single, single, p_p)
+        # A fraction of 0.0 gives no branch: no row of it carries any weight.
+        return [(_PLATE + code, None, *plate_exit(el, points, u, v, local, code),
+                 weights * frac) for code, frac in enumerate(fractions)
+                if not (isinstance(frac, float) and frac == 0.0)]
     if isinstance(el, ThinLens):
         rows, out = refract_thin_lens(el, u, v, directions)
         return [(_LENS, rows, take_rows(points, rows),
@@ -498,15 +491,10 @@ def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
         return [(_MIRROR, None, points,
                  reflect_convex_mirror(el, points, directions), weights)]
     if isinstance(el, HalfMirror):
-        reflected = reflect_rows(directions, el.pose.normal)
-        branches = []
-        for code, out, share in zip((_REFLECT, _TRANSMIT), (reflected, directions),
-                                    split_weights(weights, el.reflectance)):
-            keep = None if cutoff <= 0.0 else subset(share >= cutoff)
-            if keep is None or len(keep):
-                branches.append((code, keep, take_rows(points, keep),
-                                 take_rows(out, keep), take_rows(share, keep)))
-        return branches
+        reflected, transmitted = split_weights(weights, el.reflectance)
+        return [(_REFLECT, None, points,
+                 reflect_rows(directions, el.pose.normal), reflected),
+                (_TRANSMIT, None, points, directions, transmitted)]
     if isinstance(el, (Screen, Absorber)):
         return []
     raise TypeError(f"no interaction for element {type(el).__name__}")

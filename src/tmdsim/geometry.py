@@ -30,6 +30,9 @@ MAX_RADIANCE = 1e6
 # A `max_bounces` budget counts surface hits, the final screen or eye hit
 # included: both tracers stop a ray that has already made max_bounces
 # interactions before it can hit anything else.
+# A ray whose weight is below WEIGHT_CUTOFF leaves the walk at the start of
+# a pass, unsearched, in both tracers (the forward tracer logs it faded);
+# the interaction table, `elements.leave`, drops no row.
 
 MODE_PRIMARY = "primary"
 MODE_DOUBLE = "double_reflect"
@@ -147,7 +150,9 @@ def subset(mask: np.ndarray) -> Optional[np.ndarray]:
 
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:
-    """`normalize` applied to each row (same bits per row)."""
+    """`normalize` applied to each row, with its bits for a row of length in
+    [1e-300, inf).  A shorter row raises ValueError, where `normalize`
+    rescales it: `normalize([1e-301, 0, 0])` is [1, 0, 0]."""
     n = np.sqrt(np.vecdot(v, v))
     if not ((n >= 1e-300) & (n < math.inf)).all():
         raise ValueError("cannot normalize a zero or non-finite vector")
@@ -171,14 +176,11 @@ def linalg_normalize_rows(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def reflect_rows(directions: np.ndarray, normals: np.ndarray,
-                 dots: Optional[np.ndarray] = None) -> np.ndarray:
+def reflect_rows(directions: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Mirror each row about a unit normal, d - 2(d.n)n, for one (3,) normal
-    or one per row.  With one normal per row the caller gives the rows' d.n
-    as `dots`; one normal takes a gemv."""
-    if dots is None:
-        dots = dot_rows(directions, normals)
-    s = 2.0 * dots
+    (d.n by `dot_rows`' gemv) or one per row (by np.vecdot)."""
+    s = 2.0 * (dot_rows(directions, normals) if normals.ndim == 1
+               else np.vecdot(directions, normals))
     out = np.empty((len(directions), 3))
     for col, nj, dj in zip(out.T, _cols(normals), directions.T):
         np.multiply(s, nj, out=col)

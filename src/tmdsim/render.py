@@ -7,9 +7,10 @@ interactions are not sampled here: the interaction table splits each
 batch deterministically into its double / single / pass branches with
 the mode weights applied as multipliers.  That keeps images noise-free
 and makes the polarizer identity exact — blocking the single band is
-bitwise identical to zeroing its weight.  Images are deterministic in
-(scene, camera, seed); the worker count only changes wall time because
-pixel blocks are fixed and disjoint.
+bitwise identical to zeroing its weight.  Rows below WEIGHT_CUTOFF leave
+at the start of a pass, as in the forward tracer.  Images are
+deterministic in (scene, camera, seed); the worker count only changes wall
+time because pixel blocks are fixed and disjoint.
 N workers are the calling process and N - 1 forked children (none for
 one), each taking the next whole block from a shared pipe, one at a time,
 and writing its rows into one shared map with the same code, so they
@@ -44,7 +45,7 @@ import numpy as np
 from .elements import Screen, hit_groups, leave, nearest_hits, sample_screen
 from .errors import IoError, read_bytes, write_bytes
 from .geometry import (WEIGHT_CUTOFF, Pose, linalg_normalize_rows,
-                       nudged_rows, require_magnitude, sub_rows, take_rows)
+                       nudged_rows, require_magnitude, sub_rows, subset, take_rows)
 from .scene import EyeCamera, Scene
 from .tracer import (positive_count, r2_sequence, resolve_workers,
                      uniform_draw)
@@ -81,6 +82,9 @@ def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
     queue = deque([(o, d, w, pix, -1, 0)])
     while queue:
         o, d, w, pix, left, bounce = queue.popleft()
+        live = subset(w >= WEIGHT_CUTOFF)  # None for camera rays, of weight 1
+        if live is not None:
+            o, d, w, pix = (take_rows(a, live) for a in (o, d, w, pix))
         if len(d) == 0 or bounce >= max_bounces:
             continue
         near, _, hits = nearest_hits(surfaces, o, d, left)
@@ -92,17 +96,16 @@ def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
 
 def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
     """Apply element `el` (index k) to the rays that hit it at `point`,
-    local (u, v): accumulate screen radiance into `acc`, queue the rays
+    local (u, v): accumulate screen radiance into `acc` and queue the rays
     that leave on each branch of the interaction table, plate branches
-    split by weight and below-cutoff rows dropped."""
+    split by weight."""
     if isinstance(el, Screen):
         radiance = sample_screen(el, u, v)
         radiance *= bw
         acc[bp] += radiance
         return
     for _, rows, exits, nd, nw in leave(el, point, u, v, bd, bw,
-                                        normalize=linalg_normalize_rows,
-                                        cutoff=WEIGHT_CUTOFF):
+                                        normalize=linalg_normalize_rows):
         queue.append((nudged_rows(exits, nd), nd, nw, take_rows(bp, rows),
                       k, bounce))
 
@@ -315,9 +318,12 @@ def render_view(scene: Scene, camera: Optional[EyeCamera] = None,
 def sharpness_metric(image: Image) -> float:
     """Mean squared forward-difference gradient over mean intensity squared.
 
-    Zero for constant images (including all black).
+    Zero for constant images (including all black).  The luminance is first
+    scaled by the power of two that puts its peak in [0.5, 1), as in
+    geometry.normalize, so mean ** 2 cannot underflow.
     """
-    lum = image.luminance()
+    lum = image.luminance()  # a fresh array, scaled in place
+    np.ldexp(lum, -math.frexp(max(lum.max(), -lum.min()))[1], out=lum)
     mean = float(lum.mean())
     if mean == 0.0:
         return 0.0

@@ -343,8 +343,10 @@ def _build_screen(ident, keys, line) -> Screen:
     if len(flip) != 2 or not {*flip} <= {_TRUE, _FALSE}:
         raise ParseError(fline, "flip expects 2 true/false value(s)")
     brightness = _take(keys, "brightness", line, 1, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # Screen refuses inf, nan
+        image = image * brightness
     # A scaled pattern is no longer the named one, so it is saved as data.
-    return Screen(ident, pose, extent, image * brightness,
+    return Screen(ident, pose, extent, image,
                   (flip[0] == _TRUE, flip[1] == _TRUE),
                   spec if brightness == 1.0 else None)
 

@@ -8,8 +8,8 @@ meaning:
 - every row takes at most one sampled branch, the one that
   `classify_plate_modes` picks for its draw;
 - a sampled row leaves from the same point along the same direction, bit
-  for bit, as the same row of the split branch with its code, wherever
-  the split keeps that row;
+  for bit, as the same row of the split branch with its code (a split
+  sends every row on each of its branches, whatever its share);
 - under the polarizer neither mode has a single-reflection branch.
 
 The half mirror's two weights sum to the incident weight exactly, and the
@@ -44,7 +44,7 @@ ABSORBED = PLATE_INTERACTIONS.index("absorbed")
 def _hits(seed, n):
     """n rays hitting the plane of POSE inside a SIDE x SIDE square: (points,
     u, v, world directions, weights, draws).  The weights reach from below
-    the cutoff to 1, so a split drops some rows."""
+    the cutoff to 1, and a split keeps every row."""
     rng = np.random.default_rng(seed)
     u, v = rng.uniform(-0.5 * SIDE, 0.5 * SIDE, (2, n))
     points = along_rows(along_rows(POSE.position, u, POSE.u_axis), v, POSE.v_axis)
@@ -82,8 +82,7 @@ plates = st.builds(
 def test_sampled_and_split_plate_branches_agree(plate, seed, n):
     points, u, v, directions, weights, draws = _hits(seed, n)
     sampled = leave(plate, points, u, v, directions, weights, draws)
-    split = leave(plate, points, u, v, directions, weights,
-                  cutoff=WEIGHT_CUTOFF)
+    split = leave(plate, points, u, v, directions, weights)
 
     codes = classify_plate_modes(plate, POSE.to_local_dirs(directions), draws)
     taken = _by_row(sampled, n)
@@ -94,14 +93,13 @@ def test_sampled_and_split_plate_branches_agree(plate, seed, n):
             assert taken[i][0] == PLATE + code
 
     kept = {}  # (code, row) -> (exit point, exit direction) of the split
-    for code, places, exits, dirs, share in split:
+    for code, places, exits, dirs, _ in split:
         assert np.ndim(code) == 0
-        places = range(n) if places is None else places.tolist()
-        assert (share >= WEIGHT_CUTOFF).all()
-        for j, i in enumerate(places):
-            kept[code, i] = exits[j], dirs[j]
+        assert places is None
+        for i in range(n):
+            kept[code, i] = exits[i], dirs[i]
     for i, row in enumerate(taken):
-        if row is not None and (row[0], i) in kept:
+        if row is not None:
             want_point, want_dir = kept[row[0], i]
             assert row[1].tobytes() == want_point.tobytes()
             assert row[2].tobytes() == want_dir.tobytes()

@@ -34,7 +34,7 @@ from tmdsim.errors import (DegenerateBundle, EmptySpot, InvalidGeometry,
 from tmdsim.geometry import (MAX_LENGTH, Pose, Ray, RayRows,
                              closest_point_to_rays, normalize, vec3)
 from tmdsim.presets import PRESET_BUILDERS, build_preset
-from tmdsim.render import render_view, sharpness_metric, tone_map
+from tmdsim.render import Image, render_view, sharpness_metric, tone_map
 from tmdsim.scene import EyeCamera, parse_scene, serialize_scene
 from tmdsim.tracer import (Cone, cone_directions, spot_diagram, terminal_rays,
                            trace_bundle)
@@ -306,6 +306,47 @@ def test_the_automatic_spot_plane_follows_a_focus_past_the_envelope(
     lines = dict(line.split(",") for line in capsys.readouterr().out.split())
     assert float(lines["spot_plane_z_mm"]) > MAX_LENGTH
     assert math.isfinite(float(lines["spot_rms_mm"]))
+
+
+def _panel_scene(image, brightness):
+    return ("scene panel\neye cam {\n  position = 0 0 60\n  look = 0 0 -1\n"
+            "  sensor = 16 16 0.5\n}\nelement screen panel {\n"
+            "  position = 0 0 -60\n  normal = 0 0 1\n  extent = 40 40\n"
+            f"  image = {image}\n  brightness = {brightness}\n}}\n")
+
+
+# A screen whose brightness takes a texel past the radiance envelope: the
+# product warned (overflow, or inf times a zero texel) before the refusal.
+@pytest.mark.parametrize("image,brightness", [("uniform 1e300", "1e10"),
+                                              ("checker 4", "inf")],
+                         ids=["overflow", "inf_times_zero"])
+def test_a_screen_brightness_past_the_envelope_is_refused_unwarned(
+        tmp_path, capsys, image, brightness):
+    text = _panel_scene(image, brightness)
+    with pytest.raises(ValidationError, match="screen radiance"):
+        parse_scene(text)
+    path = tmp_path / "bright.scene"
+    path.write_text(text)
+    assert main(["render", str(path), "--out", str(tmp_path / "bright.ppm"),
+                 "--rpp", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e300])
+def test_stripes_score_the_same_at_any_brightness(scale):
+    # mean ** 2 of the faint stripes underflowed to zero, a ZeroDivisionError.
+    stripes = np.tile([0.0, scale], (8, 4))
+    assert sharpness_metric(Image(8, 8, np.repeat(stripes[:, :, None], 3,
+                                                  axis=2))) == 2.0
+
+
+def test_cli_renders_a_faint_screen(tmp_path, capsys):
+    path = tmp_path / "faint.scene"
+    path.write_text(_panel_scene("checker 4", "1e-170"))
+    assert main(["render", str(path), "--out", str(tmp_path / "faint.ppm"),
+                 "--rpp", "1"]) == 0
+    lines = dict(line.split(",") for line in capsys.readouterr().out.split())
+    assert float(lines["sharpness"]) > 0.0
 
 
 # Numbers at the ends of float64, each set in place of one number of a

@@ -31,10 +31,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmdsim import render
 from tmdsim.elements import (Absorber, ConvexMirror, HalfMirror, Screen,
                              ThinLens, TmdPlate)
 from tmdsim.geometry import Pose, normalize, orthonormal_frame, vec3
-from tmdsim.presets import PRESET_BUILDERS, build_preset
+from tmdsim.presets import (PRESET_BUILDERS, build_preset, half_mirror_preset,
+                            tmd_see_through_preset)
 from tmdsim.render import render_view
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
 
@@ -311,15 +313,19 @@ GOLDEN = {
 _SCENES: dict = {}
 
 
+def _digest(image):
+    h = hashlib.sha256(f"{image.width}x{image.height}|".encode())
+    h.update(np.ascontiguousarray(image.pixels, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 def render_digest(name, rpp, workers=1):
     if name not in _SCENES:
         _SCENES[name] = CASES[name]()
     scene, camera = _SCENES[name]
-    image = render_view(scene, camera, rays_per_pixel=rpp, seed=SEED,
-                        max_bounces=MAX_BOUNCES.get(name, 12), workers=workers)
-    h = hashlib.sha256(f"{image.width}x{image.height}|".encode())
-    h.update(np.ascontiguousarray(image.pixels, dtype=np.float64).tobytes())
-    return h.hexdigest()
+    return _digest(render_view(scene, camera, rays_per_pixel=rpp, seed=SEED,
+                               max_bounces=MAX_BOUNCES.get(name, 12),
+                               workers=workers))
 
 
 @pytest.mark.parametrize("rpp", RPP)
@@ -367,6 +373,46 @@ def test_plate_rows_below_the_cutoff_are_dropped_alone():
     assert lum[10, 12] > 0.5
     assert np.array_equal(render_view(scene, rays_per_pixel=4, workers=3).pixels,
                           render_view(scene, rays_per_pixel=4, workers=1).pixels)
+
+
+# Scenes with a branch whose share is nonzero but below WEIGHT_CUTOFF: the
+# plate's pass band and the splitter's transmitted share, each 5e-5 of a ray.
+# The digests were recorded while the interaction table still dropped those
+# rows itself; the renderer now drops them at the start of its next pass.
+CUTOFF_CASES = {
+    "faint_pass": lambda: tmd_see_through_preset(
+        40, 150, 60, 60, pitch=0.5, mode_weights=(0.9, 0.0, 5e-5)),
+    "faint_transmit": lambda: half_mirror_preset(40, 20, 20,
+                                                 reflectance=0.99995),
+}
+CUTOFF_GOLDEN = {
+    "faint_pass":
+        "97ffdbda389a03415ec76ef3e8e48390d7d496d9ea99e00bfa07b192286f7ca7",
+    "faint_transmit":
+        "2a669e2ee00929efdedcd5039895f52ca69c68c4911ae0338543190c25ccc03d",
+}
+
+
+def _cutoff_render(name, workers):
+    scene = CUTOFF_CASES[name]()
+    camera = _with_sensor(scene.eye, 48, 40)
+    return render_view(scene, camera, rays_per_pixel=4, seed=SEED,
+                       workers=workers)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("name", sorted(CUTOFF_CASES))
+def test_rows_below_the_cutoff_match_golden_digest(name, workers):
+    assert _digest(_cutoff_render(name, workers)) == CUTOFF_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CUTOFF_CASES))
+def test_the_cutoff_golden_scenes_drop_light(name, monkeypatch):
+    # Without the cutoff the faint branch adds to the image, so the digests
+    # above pin where its rows leave the walk.
+    kept = _cutoff_render(name, 1).pixels
+    monkeypatch.setattr(render, "WEIGHT_CUTOFF", 0.0)
+    assert (_cutoff_render(name, 1).pixels > kept).any()
 
 
 @given(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0),
