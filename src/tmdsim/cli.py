@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -178,14 +179,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("presets", help="list or export built-in scenes")
     p.add_argument("name", nargs="?", help="preset to print")
     p.add_argument("--out", help="write the scene file here instead of stdout")
+    # A value that starts like a negative number (-5,-3,-60 or -1e6, not
+    # only -5) follows its flag as one: no option here looks like a number.
+    for p in subs.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 
 def _cmd_design(args) -> int:
     params = LayoutParams(l1=args.l1, l2=args.l2, l3=args.l3, a=args.a,
                           d=args.d, d2=args.d2, d4=args.d4, a_mag=args.a_mag)
-    if args.l1 <= 0 or args.l3 <= 0 or args.a <= 0 or args.d <= 0 \
-            or args.d2 <= 0 or args.d4 <= 0 or args.l2 <= 0:
+    if min(args.l1, args.l2, args.l3, args.a, args.d, args.d2, args.d4) <= 0:
         raise UsageError("design lengths must be positive")
     report = design_report(HMD_PRESETS[args.hmd], params, pitch=args.pitch)
     for key, value in report.lines():
@@ -198,9 +202,7 @@ def _cmd_design(args) -> int:
 def _cmd_trace(args, scene) -> int:
     if args.spot_plane is not None:
         require_magnitude("spot plane z", args.spot_plane)
-    axis = args.axis
-    if axis is None:
-        axis = scene.eye.pose.position - args.source
+    axis = scene.eye.pose.position - args.source if args.axis is None else args.axis
     try:
         axis = normalize(axis)
     except ValueError:

@@ -18,9 +18,10 @@ import numpy as np
 from .errors import InvalidGeometry, NoIntersection
 from .geometry import (MAX_LENGTH, MAX_RADIANCE, MIN_LENGTH, MODE_DOUBLE,
                        MODE_PASS, MODE_SINGLE, PLANE_EPS, Crossings, Pose, Ray,
-                       along_rows, dot_rows, inside_extent, normalize_rows,
-                       plane_facing, plane_hits, reflect_rows, require_finite,
-                       require_magnitude, subset, sub_rows, take_rows)
+                       along_rows, dot_rows, inside_extent, linalg_normalize_rows,
+                       normalize_rows, plane_facing, plane_hits, reflect_rows,
+                       require_finite, require_magnitude, subset, sub_rows,
+                       take_rows)
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
@@ -217,11 +218,9 @@ def split_weights(weights: np.ndarray, fraction: float):
     return weights - rest, rest
 
 
-# Batch interactions.  Each takes the rays that hit one element as rows
-# (hit points, incoming directions, ...) and returns the outgoing rows; the
-# outgoing directions are not yet normalized, exactly as the scalar forms
-# below hand them to `Ray`, which normalizes them.  The scalar forms and
-# the renderer call these, so each interaction's maths exists once.
+# Batch interactions.  Each takes the rays that hit one element as rows (hit
+# points, incoming directions, ...) and returns the outgoing rows, for the
+# interaction table (`leave`) and the per-ray forms below.
 
 def refract_thin_lens(lens: ThinLens, u: np.ndarray, v: np.ndarray,
                       directions: np.ndarray):
@@ -231,12 +230,11 @@ def refract_thin_lens(lens: ThinLens, u: np.ndarray, v: np.ndarray,
     `rows` indexes the rays that pass (None when every ray does): those
     inside the clear aperture that do not graze the lens plane.  The mount
     absorbs the others.  `exit_local` holds the passing rays' exit
-    directions in the lens frame, not normalized: each tracer normalizes
-    them by its own rule.  In the lens frame a ray crossing at transverse
-    offset h has its slope changed by -h/f (measured per unit travel along
-    the axis, in the direction of propagation), so a point source at
-    distance s_o images exactly at 1/s_i = 1/f - 1/s_o.  Rays through the
-    centre are unchanged.
+    directions in the lens frame, not normalized (`leave` does that).  In
+    the lens frame a ray crossing at transverse offset h has its slope
+    changed by -h/f (measured per unit travel along the axis, in the
+    direction of propagation), so a point source at distance s_o images
+    exactly at 1/s_i = 1/f - 1/s_o.  Rays through the centre are unchanged.
     """
     rows = subset(inside_extent(u, v, lens.aperture_diameter))
     local = lens.pose.to_local_dirs(take_rows(directions, rows))
@@ -445,8 +443,7 @@ def plate_exit(plate: TmdPlate, points: np.ndarray, u: np.ndarray,
 
 
 def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
-          directions: np.ndarray, weights: np.ndarray, draws=None,
-          normalize=normalize_rows) -> list:
+          directions: np.ndarray, weights: np.ndarray, draws=None) -> list:
     """The branches leaving `el` for the rays that hit it at `points`
     (local u, v): the one place where both tracers decide what leaves a hit.
 
@@ -457,15 +454,16 @@ def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
     direction, with its weight, and takes the tag BRANCH_MODES gives its
     code (None: it keeps its own).  A ray on no branch ends on the element
     it hit; a screen or an absorber gives none, an unknown element raises
-    TypeError.  Only a lens normalizes its exits, by `normalize`, the one
-    rounding the tracers pin apart (geometry.py).  A half mirror's two
-    weights sum to the incident one exactly.  A plate given `draws` sends
-    each ray on the branch `classify_plate_modes` picks; without, it splits
-    every ray over its nonzero fractions (double band, half the single band
-    per slat or none under the polarizer, pass band).  A split plate and a
-    half mirror send every hit row on each of their branches (`rows` is
-    None), whatever its share: a weight that falls below WEIGHT_CUTOFF
-    leaves the walk at the start of the walker's next pass, not here.
+    TypeError.  Every reader gets the same bits for the same hit rows: a
+    lens normalizes its exits by `linalg_normalize_rows` (geometry.py).  A
+    half mirror's two weights sum to the incident one exactly.  A plate
+    given `draws` sends each ray on the branch `classify_plate_modes` picks;
+    without, it splits every ray over its nonzero fractions (double band,
+    half the single band per slat or none under the polarizer, pass band).
+    A split plate and a half mirror send every hit row on each of their
+    branches (`rows` is None), whatever its share: a weight that falls
+    below WEIGHT_CUTOFF leaves the walk at the start of the walker's next
+    pass, not here.
     """
     if isinstance(el, TmdPlate):
         local = el.pose.to_local_dirs(directions)
@@ -485,8 +483,8 @@ def leave(el, points: np.ndarray, u: np.ndarray, v: np.ndarray,
                 if not (isinstance(frac, float) and frac == 0.0)]
     if isinstance(el, ThinLens):
         rows, out = refract_thin_lens(el, u, v, directions)
-        return [(_LENS, rows, take_rows(points, rows),
-                 el.pose.to_world_dirs(normalize(out)), take_rows(weights, rows))]
+        out = el.pose.to_world_dirs(linalg_normalize_rows(out))
+        return [(_LENS, rows, take_rows(points, rows), out, take_rows(weights, rows))]
     if isinstance(el, ConvexMirror):
         return [(_MIRROR, None, points,
                  reflect_convex_mirror(el, points, directions), weights)]

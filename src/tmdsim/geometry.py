@@ -95,16 +95,17 @@ def normalize(v) -> np.ndarray:
 #   broadcasts the origin.  Each ray gets the bits of its origin copied to
 #   every row.
 #
-# Pinned rounding.  One piece of row maths still rounds differently in the
-# two tracers: row normalization.  The renderer normalizes its camera rays, and
-# its lens exits through the `normalize` argument of the interaction table
-# (`elements.leave`), with `linalg_normalize_rows` (np.linalg.norm's sum
-# (x*x + y*y) + z*z); the forward tracer, and the curved-mirror normals both
-# tracers share, use `normalize_rows` (the square root of np.vecdot).  The
-# golden digests pin each: moving the renderer to `normalize_rows` moves 10 of
-# the 34 render digests, and the forward tracer to `linalg_normalize_rows` all
-# 14 trace digests.  The per-row dot of two row arrays, in the sphere-cap test
-# and the curved-mirror reflection, is np.vecdot in both.
+# Pinned rounding.  Rows are normalized by `normalize_rows` (the square root
+# of np.vecdot) or `linalg_normalize_rows` (np.linalg.norm's sum
+# (x*x + y*y) + z*z).  The interaction table (`elements.leave`) rounds one way
+# for every reader, so both walkers get the same bits for the same hit rows:
+# lens exits by `linalg_normalize_rows`, curved-mirror normals by
+# `normalize_rows`.  Each walker then rounds only its own inputs, both pinned
+# by the goldens: the renderer's camera rays by `linalg_normalize_rows`
+# (`normalize_rows` fails 6 render goldens, 4 worker-count checks and the
+# full `render_plate` digest), and the forward kernel's exits once more,
+# `advanced_rows(start, normalize_rows(d))` (dropping the inner call fails 8
+# of the 14 trace goldens and the full `trace_bundles` digest).
 
 
 def dot_rows(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -25,9 +25,8 @@ and gives a screen or an absorber no branch) are the forward tracer's,
 under the layout rules stated once in geometry.py, so no rework of the
 batch loop can move a pixel.  The search is given the element a batch
 just left, and takes the camera rays of one aperture sample with their
-shared origin as one 3-vector.  The one rounding of its own that the
-goldens pin is the row normalization of its camera rays and lens exits
-(the table's `normalize` argument), `geometry.linalg_normalize_rows`.
+shared origin as one 3-vector.  Its one rounding of its own, pinned by the
+goldens, normalizes its camera rays (geometry.py).
 ROW_BLOCK and the one batch per aperture sample fix which batches exist
 and the order in which samples add into each pixel.
 """
@@ -74,8 +73,6 @@ class SweepResult:
 # Batch tracing
 
 def _trace_batches(surfaces, o, d, w, pix, acc, max_bounces: int):
-    if not surfaces:
-        return
     # Each batch carries the index of the element its rays just left (-1
     # for camera rays); the search decides what that rules out.
     # Camera rays share one origin, a 3-vector; every other batch has rows.
@@ -104,8 +101,7 @@ def _interact(el, k, point, u, v, bd, bw, bp, acc, queue, bounce):
         radiance *= bw
         acc[bp] += radiance
         return
-    for _, rows, exits, nd, nw in leave(el, point, u, v, bd, bw,
-                                        normalize=linalg_normalize_rows):
+    for _, rows, exits, nd, nw in leave(el, point, u, v, bd, bw):
         queue.append((nudged_rows(exits, nd), nd, nw, take_rows(bp, rows),
                       k, bounce))
 

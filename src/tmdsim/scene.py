@@ -134,11 +134,17 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
+        # The saved text must read back as this scene: an identifier is one
+        # word of a block header, the name the rest of one line.
         idents = [e.ident for e in self.surfaces] + [self.eye.ident]
-        dupes = {i for i in idents if idents.count(i) > 1}
-        if dupes or "" in idents:
-            raise ValidationError(f"element identifiers must be unique and non-empty "
-                                  f"(duplicates: {sorted(dupes)})")
+        for ident in idents:
+            if str(ident).split() != [ident] or "#" in ident or idents.count(ident) > 1:
+                raise ValidationError(f"element identifier {ident!r} must be unique, "
+                                      f"one word and without '#'")
+        name = self.name
+        if str(name).strip().splitlines() != [name] or "#" in name or name.endswith("{"):
+            raise ValidationError(f"scene name {name!r} must be one line without '#', "
+                                  f"outer whitespace or a final '{{'")
 
     @property
     def surfaces(self) -> tuple:
@@ -150,18 +156,22 @@ class Scene:
 
 def make_pattern(spec: str, res: int = DEFAULT_IMAGE_RES) -> np.ndarray:
     """Build a named test image: `uniform [v]`, `checker [n]`, `hgrad`,
-    `vstep` (bright top half) or `spot` (bright centre square)."""
-    parts = str(spec).split()
-    if not parts:
-        raise ValueError("empty pattern spec")
-    name = parts[0]
+    `vstep` (bright top half) or `spot` (bright centre square).  Any other
+    name, or a word past those, raises ValueError."""
+    name, *args = str(spec).split() or [""]
+    takes = {"uniform": 1, "checker": 1, "hgrad": 0, "vstep": 0, "spot": 0}.get(name)
+    if takes is None:
+        raise ValueError(f"unknown pattern {name!r}")
+    if len(args) > takes:
+        raise ValueError(f"pattern {name!r} takes at most {takes} value(s), "
+                         f"got {len(args)}")
     if name == "uniform":
-        value = float(parts[1]) if len(parts) > 1 else 1.0
+        value = float(args[0]) if args else 1.0
         if value < 0:
             raise ValueError("uniform pattern value must be non-negative")
         return np.full((res, res), value)
     if name == "checker":
-        n = int(parts[1]) if len(parts) > 1 else 8
+        n = int(args[0]) if args else 8
         if n <= 0 or n > res:
             raise ValueError(f"checker cell count {n} not in 1..{res}")
         idx = np.arange(res) * n // res
@@ -173,12 +183,10 @@ def make_pattern(spec: str, res: int = DEFAULT_IMAGE_RES) -> np.ndarray:
         img = np.zeros((res, res))
         img[: res // 2, :] = 1.0
         return img
-    if name == "spot":
-        img = np.zeros((res, res))
-        q = res // 4
-        img[q: res - q, q: res - q] = 1.0
-        return img
-    raise ValueError(f"unknown pattern {name!r}")
+    img = np.zeros((res, res))  # spot
+    q = res // 4
+    img[q: res - q, q: res - q] = 1.0
+    return img
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +322,15 @@ def _take_image(keys, line):
         if rows <= 0 or cols <= 0 or len(vals) != rows * cols:
             raise ParseError(vline, f"image_data expects {rows}x{cols} samples")
         return np.array(vals).reshape(rows, cols), None
-    spec = "checker 8"
-    if "image" in keys:
-        toks, vline = keys.pop("image")
-        spec = " ".join(toks)
-    else:
-        vline = line
-    res = DEFAULT_IMAGE_RES
-    if "image_res" in keys:
-        toks, rline = keys.pop("image_res")
-        if len(toks) != 1:
-            raise ParseError(rline, f"image_res expects 1 value(s), got {len(toks)}")
-        res = _as_count(toks[0], rline)
-        if res > MAX_IMAGE_SIDE:
-            raise ParseError(rline, f"image_res must be at most {MAX_IMAGE_SIDE}, "
-                                    f"got {res}")
+    toks, vline = keys.pop("image", (["checker", "8"], line))
+    spec = " ".join(toks)
+    toks, rline = keys.pop("image_res", ([str(DEFAULT_IMAGE_RES)], line))
+    if len(toks) != 1:
+        raise ParseError(rline, f"image_res expects 1 value(s), got {len(toks)}")
+    res = _as_count(toks[0], rline)
+    if res > MAX_IMAGE_SIDE:
+        raise ParseError(rline, f"image_res must be at most {MAX_IMAGE_SIDE}, "
+                                f"got {res}")
     try:
         return make_pattern(spec, res), spec
     except (ValueError, OverflowError) as exc:

@@ -573,3 +573,46 @@ class TestLimits:
         assert err.value.code == 2
         assert f"{flag} must be at most {limit}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+class TestNegativeValues:
+    """A value whose first number is negative reads the same whether it
+    follows its flag as a separate argument or after `=`."""
+
+    TRACE = ["trace", "--preset", "tmd_see_through", "--rays", "20"]
+    CASES = [
+        ([*TRACE, "--source", "-5,-3,-60"], "--source"),
+        ([*TRACE, "--source", "0,0,-60", "--axis", "-1,0,0"], "--axis"),
+        ([*TRACE, "--source", "0,0,-60", "--spot-plane", "-1e6"], "--spot-plane"),
+        (["sweep", "--preset", "defocus_flat", "--offsets", "-10,0", "--rpp", "1"],
+         "--offsets"),
+        (["design", "--l1", "-1e3"], "--l1"),
+        (["trace", "--preset", "tmd_see_through", "--source", "0,0,-60",
+          "--rays", "-5"], "--rays"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("argv,flag", CASES, ids=[flag for _, flag in CASES])
+    def test_separate_value_reads_as_its_equals_form(self, argv, flag, capsys):
+        at = argv.index(flag)
+        joined = [*argv[:at], f"{flag}={argv[at + 1]}", *argv[at + 2:]]
+        separate = self.outcome(capsys, argv)
+        assert separate == self.outcome(capsys, joined)
+        assert "expected one argument" not in separate[2]
+
+    def test_a_negative_design_length_exits_2(self, capsys):
+        assert self.outcome(capsys, ["design", "--l1", "-1e3"]) == (
+            2, "", "error: design lengths must be positive\n")
+
+    def test_a_negative_ray_count_keeps_its_error(self, capsys):
+        code, out, err = self.outcome(capsys, self.CASES[-1][0])
+        assert (code, out) == (2, "")
+        assert "--rays must be positive" in err

@@ -1,7 +1,8 @@
 import math
+import re
 import tracemalloc
 import warnings
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ class TestPatterns:
         for spec in ("", "nosuch", "checker 0", "checker 99", "uniform -1"):
             with pytest.raises(ValueError):
                 make_pattern(spec, 32)
+
+    @pytest.mark.parametrize("spec", ["checker 8 9", "uniform 0.5 junk", "hgrad 7",
+                                      "vstep 1", "spot x"])
+    def test_words_past_the_pattern_are_refused(self, spec):
+        with pytest.raises(ValueError, match="takes at most"):
+            make_pattern(spec, 32)
+        with pytest.raises(ParseError) as err:
+            parse_scene(MINIMAL.replace("image = checker 8", f"image = {spec}"))
+        assert err.value.line == 11
 
 
 class TestHmdPresets:
@@ -402,6 +412,26 @@ class TestRoundTrip:
                      (scene.background, again.background)):
             assert np.array_equal(a.image, b.image)
         assert serialize_scene(again) == saved
+
+
+    @pytest.mark.parametrize("ident", ["my mirror", "comb#1", "a\nb", "tab\t", 5])
+    def test_an_identifier_that_would_not_reload_is_refused(self, ident):
+        scene = parse_scene(MINIMAL)
+        panel = replace(scene.elements[0], ident=ident)
+        with pytest.raises(ValidationError, match=re.escape(repr(ident))):
+            replace(scene, elements=(panel,))
+        with pytest.raises(ValidationError):
+            replace(scene, eye=replace(scene.eye, ident=ident))
+
+    @pytest.mark.parametrize("name", ["a#b", "a\nb", " lead", "trail ", "", "x {", None])
+    def test_a_name_that_would_not_reload_is_refused(self, name):
+        with pytest.raises(ValidationError, match="scene name"):
+            replace(parse_scene(MINIMAL), name=name)
+
+    @pytest.mark.parametrize("name", ["two words", "x{y", "tab\tinside"])
+    def test_a_name_that_reloads_is_kept(self, name):
+        scene = replace(parse_scene(MINIMAL), name=name)
+        assert parse_scene(serialize_scene(scene)).name == name
 
 
 # Each block kind's constructor and the keys that fill its fields.
