@@ -281,6 +281,8 @@ def _cmd_sweep(args, scene) -> int:
 
 def _cmd_presets(args, parser) -> int:
     if args.name is None:
+        if args.out:
+            parser.error("presets --out needs a preset name")
         for name in PRESET_BUILDERS:
             print(name)
         return 0

@@ -25,6 +25,7 @@ from .geometry import (MAX_LENGTH, MAX_RADIANCE, MIN_LENGTH, MODE_DOUBLE,
 
 DEFAULT_REFLECTANCE = 0.5
 DEFAULT_MODE_WEIGHTS = (0.6, 0.3, 0.1)
+DEFAULT_IMAGE_RES = 64
 
 INTERACT_DOUBLE = "double_reflect"
 INTERACT_SINGLE_U = "single_reflect_u"
@@ -163,11 +164,50 @@ class TmdPlate:
         object.__setattr__(self, "mode_weights", w)
 
 
+def make_pattern(spec: str, res: int = DEFAULT_IMAGE_RES) -> np.ndarray:
+    """Build a named test image: `uniform [v]`, `checker [n]`, `hgrad`,
+    `vstep` (bright top half) or `spot` (bright centre square).  Any other
+    name, or a word past those, raises ValueError."""
+    name, *args = str(spec).split() or [""]
+    takes = {"uniform": 1, "checker": 1, "hgrad": 0, "vstep": 0, "spot": 0}.get(name)
+    if takes is None:
+        raise ValueError(f"unknown pattern {name!r}")
+    if len(args) > takes:
+        raise ValueError(f"pattern {name!r} takes at most {takes} value(s), "
+                         f"got {len(args)}")
+    if name == "uniform":
+        value = float(args[0]) if args else 1.0
+        if value < 0:
+            raise ValueError("uniform pattern value must be non-negative")
+        return np.full((res, res), value)
+    if name == "checker":
+        n = int(args[0]) if args else 8
+        if n <= 0 or n > res:
+            raise ValueError(f"checker cell count {n} not in 1..{res}")
+        idx = np.arange(res) * n // res
+        return ((idx[:, None] + idx[None, :]) % 2).astype(np.float64)
+    if name == "hgrad":
+        col = np.linspace(0.0, 1.0, res)
+        return np.tile(col, (res, 1))
+    if name == "vstep":
+        img = np.zeros((res, res))
+        img[: res // 2, :] = 1.0
+        return img
+    img = np.zeros((res, res))  # spot
+    q = res // 4
+    img[q: res - q, q: res - q] = 1.0
+    return img
+
+
 @dataclass(frozen=True)
 class Screen:
     """Emissive rectangle sampled bilinearly; Lambertian, so the viewing
     direction never matters.  flip_uv mirrors the image horizontally /
     vertically, which presets use to pre-compensate the plate's inversion.
+    `image_spec` names the `make_pattern` pattern the image is; it is kept
+    only while that pattern, at the image's side, rebuilds the image bit for
+    bit, so a screen given a new image by `dataclasses.replace` saves that
+    image.
     """
 
     ident: str
@@ -183,6 +223,16 @@ class Screen:
         if img.ndim != 2 or img.size == 0:
             raise InvalidGeometry("screen image must be a non-empty 2-d grid")
         require_finite("screen radiance", img, 0.0, MAX_RADIANCE)
+        if self.image_spec is not None:
+            rows, cols = img.shape
+            try:  # bit for bit: as integers, -0.0 is not 0.0
+                same = rows == cols and np.array_equal(
+                    make_pattern(self.image_spec, rows).view(np.int64),
+                    img.view(np.int64))
+            except (ValueError, OverflowError):
+                same = False
+            if not same:
+                object.__setattr__(self, "image_spec", None)
         # The texels are held once, inside a border that repeats the edge
         # texels (what `sample_screen` reads); `image` is the interior.
         texels = np.pad(img, 1, mode="edge")

@@ -38,14 +38,13 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import (Absorber, ConvexMirror, HalfMirror, Screen, ThinLens,
-                       TmdPlate)
+from .elements import (DEFAULT_IMAGE_RES, Absorber, ConvexMirror, HalfMirror,
+                       Screen, ThinLens, TmdPlate, make_pattern)
 from .errors import InvalidGeometry, ParseError, ValidationError
 from .geometry import (MAX_LENGTH, MIN_LENGTH, Pose, normalize,
                        orthonormal_frame, require_finite, require_magnitude)
 
 DEFAULT_SENSOR = (256, 256, 0.5)
-DEFAULT_IMAGE_RES = 64
 # The largest screen image side (`image_res`, `image_data` rows and columns)
 # a scene file may ask for, and the largest eye sensor.  The parser refuses
 # more before anything is allocated, and `EyeCamera` a larger sensor: a
@@ -152,41 +151,6 @@ class Scene:
         if self.background is None:
             return self.elements
         return self.elements + (self.background,)
-
-
-def make_pattern(spec: str, res: int = DEFAULT_IMAGE_RES) -> np.ndarray:
-    """Build a named test image: `uniform [v]`, `checker [n]`, `hgrad`,
-    `vstep` (bright top half) or `spot` (bright centre square).  Any other
-    name, or a word past those, raises ValueError."""
-    name, *args = str(spec).split() or [""]
-    takes = {"uniform": 1, "checker": 1, "hgrad": 0, "vstep": 0, "spot": 0}.get(name)
-    if takes is None:
-        raise ValueError(f"unknown pattern {name!r}")
-    if len(args) > takes:
-        raise ValueError(f"pattern {name!r} takes at most {takes} value(s), "
-                         f"got {len(args)}")
-    if name == "uniform":
-        value = float(args[0]) if args else 1.0
-        if value < 0:
-            raise ValueError("uniform pattern value must be non-negative")
-        return np.full((res, res), value)
-    if name == "checker":
-        n = int(args[0]) if args else 8
-        if n <= 0 or n > res:
-            raise ValueError(f"checker cell count {n} not in 1..{res}")
-        idx = np.arange(res) * n // res
-        return ((idx[:, None] + idx[None, :]) % 2).astype(np.float64)
-    if name == "hgrad":
-        col = np.linspace(0.0, 1.0, res)
-        return np.tile(col, (res, 1))
-    if name == "vstep":
-        img = np.zeros((res, res))
-        img[: res // 2, :] = 1.0
-        return img
-    img = np.zeros((res, res))  # spot
-    q = res // 4
-    img[q: res - q, q: res - q] = 1.0
-    return img
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +292,8 @@ def _take_image(keys, line):
     if len(toks) != 1:
         raise ParseError(rline, f"image_res expects 1 value(s), got {len(toks)}")
     res = _as_count(toks[0], rline)
+    if res < 1:
+        raise ParseError(rline, f"image_res must be at least 1, got {res}")
     if res > MAX_IMAGE_SIDE:
         raise ParseError(rline, f"image_res must be at most {MAX_IMAGE_SIDE}, "
                                 f"got {res}")
@@ -347,10 +313,8 @@ def _build_screen(ident, keys, line) -> Screen:
     brightness = _take(keys, "brightness", line, 1, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # Screen refuses inf, nan
         image = image * brightness
-    # A scaled pattern is no longer the named one, so it is saved as data.
     return Screen(ident, pose, extent, image,
-                  (flip[0] == _TRUE, flip[1] == _TRUE),
-                  spec if brightness == 1.0 else None)
+                  (flip[0] == _TRUE, flip[1] == _TRUE), spec)
 
 
 def _build_element(kind, ident, keys, line):

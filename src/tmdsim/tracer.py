@@ -415,40 +415,18 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-_NEVER = np.iinfo(np.int64).max
-
-
-def _first_seen(codes: np.ndarray, keys: Optional[np.ndarray] = None) -> list:
-    """Distinct values of the non-negative integer `codes` in order of first
-    appearance, or in order of their least `keys` (distinct int64 keys, one
-    per code) when given."""
-    if keys is None:
-        keys = np.arange(len(codes))
-    first = np.full(codes.max() + 1, _NEVER)
-    np.minimum.at(first, codes, keys)
-    seen = np.flatnonzero(first < _NEVER)
-    return seen[np.argsort(first[seen])].tolist()
-
-
 def _bundle_stats(bundle: BundleResult) -> dict:
-    # Every dict lists its keys in order of first appearance in depth-first
-    # path order (a path's segments, then its children); the mode weights
-    # are summed sequentially in that order.
-    rank = np.empty_like(bundle.dfs)
-    rank[bundle.dfs] = np.arange(len(bundle.dfs))
-    # Each log row's place in that order: its path's rank, then its step.
-    order = rank[bundle.pid] * (bundle.step[-1] + 1) + bundle.step
-    counts = np.bincount(bundle.label, minlength=len(_LABELS))
-    interactions = {_LABELS[i]: int(counts[i])
-                    for i in _first_seen(bundle.label, order)}
+    # Each dict lists the keys that occur in the order of its own table
+    # (_LABELS, _TERMINALS, the bundle's modes); the mode weights are summed
+    # sequentially in depth-first path order.
     ends = bundle.ends
-    terminal = _TERMINAL_OF[bundle.label[ends]]
-    mode = bundle.mode[ends]
-    weight = bundle.weight[ends]
-    terminals = {_TERMINALS[t]: int(np.count_nonzero(terminal == t))
-                 for t in _first_seen(terminal)}
+    counts = np.bincount(bundle.label, minlength=len(_LABELS))
+    interactions = {_LABELS[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+    counts = np.bincount(_TERMINAL_OF[bundle.label[ends]], minlength=len(_TERMINALS))
+    terminals = {_TERMINALS[t]: int(counts[t]) for t in np.flatnonzero(counts)}
+    mode, weight = bundle.mode[ends], bundle.weight[ends]
     mode_weight = {bundle.modes[m]: float(sequential_sum(weight[mode == m]))
-                   for m in _first_seen(mode)}
+                   for m in np.flatnonzero(np.bincount(mode))}
     # The first pass logs the emitted rays in order.
     emitted = float(sequential_sum(bundle.weight[:bundle.n_roots]))
     return {"emitted_weight": emitted, "interactions": interactions,

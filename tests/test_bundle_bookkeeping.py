@@ -1,12 +1,12 @@
 """The bundle bookkeeping of the forward tracer against plain reference forms.
 
-`BundleResult` orders its statistics, terminal rays and paths by integer
-bookkeeping: first appearances (`_first_seen`), the depth-first path order
-(`dfs_order`), the rows of paths still in flight (`propagating`) and the
-statistics dicts (`_bundle_stats`).  The references below compute the same
-things the direct way, with np.unique, np.lexsort and np.isin; every dict
-must match them in its values and in its key order, and every row list
-element for element.
+`BundleResult` orders its terminal rays and paths by integer bookkeeping:
+the depth-first path order (`dfs_order`) and the rows of paths still in
+flight (`propagating`); its statistics dicts (`_bundle_stats`) list the keys
+that occur in the order of their tables.  The references below compute the
+same things the direct way, with np.lexsort, np.isin and one pass over each
+table; every dict must match them in its values and in its key order, and
+every row list element for element.
 """
 import math
 
@@ -19,7 +19,7 @@ from tmdsim.geometry import (MODE_DOUBLE, MODE_PASS, MODE_PRIMARY, MODE_SINGLE,
                              normalize, sequential_sum, vec3)
 from tmdsim.presets import PRESET_BUILDERS, build_preset
 from tmdsim.tracer import (_LABELS, _TERMINAL_OF, _TERMINALS, Cone,
-                           _bundle_stats, _first_seen, dfs_order, trace_bundle)
+                           _bundle_stats, dfs_order, trace_bundle)
 
 SCENES = {name: build_preset(name) for name in sorted(PRESET_BUILDERS)}
 # Two facing splitters whose weaker branches meet the other one: children of
@@ -27,11 +27,6 @@ SCENES = {name: build_preset(name) for name in sorted(PRESET_BUILDERS)}
 SCENES["ping_pong_leak"] = trace_golden._ping_pong_scene(0.97, 0.3)
 # None is `tmdsim trace --mode any`; "lens_flare" is a tag no ray carries.
 MODES = (None, MODE_PRIMARY, MODE_DOUBLE, MODE_SINGLE, MODE_PASS, "lens_flare")
-
-
-def ref_first_seen(codes):
-    _, first = np.unique(codes, return_index=True)
-    return codes[np.sort(first)].tolist()
 
 
 def ref_dfs_order(parents, n_roots):
@@ -47,19 +42,17 @@ def ref_dfs_order(parents, n_roots):
 
 
 def ref_bundle_stats(bundle):
-    rank = np.empty_like(bundle.dfs)
-    rank[bundle.dfs] = np.arange(len(bundle.dfs))
-    labels = bundle.label[np.lexsort((bundle.step, rank[bundle.pid]))]
-    counts = np.bincount(labels, minlength=len(_LABELS))
-    interactions = {_LABELS[i]: int(counts[i]) for i in ref_first_seen(labels)}
+    labels = bundle.label.tolist()
+    interactions = {name: labels.count(i) for i, name in enumerate(_LABELS)
+                    if i in labels}
     ends = bundle.ends
-    terminal = _TERMINAL_OF[bundle.label[ends]]
+    terminal = _TERMINAL_OF[bundle.label[ends]].tolist()
+    terminals = {name: terminal.count(t) for t, name in enumerate(_TERMINALS)
+                 if t in terminal}
     mode = bundle.mode[ends]
     weight = bundle.weight[ends]
-    terminals = {_TERMINALS[t]: int(np.count_nonzero(terminal == t))
-                 for t in ref_first_seen(terminal)}
-    mode_weight = {bundle.modes[m]: float(sequential_sum(weight[mode == m]))
-                   for m in ref_first_seen(mode)}
+    mode_weight = {name: float(sequential_sum(weight[mode == m]))
+                   for m, name in enumerate(bundle.modes) if (mode == m).any()}
     emitted = float(sequential_sum(bundle.weight[:bundle.n_roots]))
     return {"emitted_weight": emitted, "interactions": interactions,
             "terminals": terminals, "mode_weight": mode_weight}
@@ -111,23 +104,3 @@ def test_bundle_bookkeeping_matches_the_references(name, source, axis,
     for mode in MODES:
         assert (bundle.propagating(mode).tolist()
                 == ref_propagating(bundle, mode).tolist())
-
-
-@given(st.lists(st.integers(0, 13), min_size=1, max_size=300))
-@example([0])
-@example([13, 0, 13, 5])
-@settings(max_examples=200, deadline=None)
-def test_first_seen_matches_unique(codes):
-    codes = np.array(codes)
-    assert _first_seen(codes) == ref_first_seen(codes)
-
-
-@given(st.lists(st.integers(0, 13), min_size=1, max_size=300),
-       st.randoms(use_true_random=False))
-@settings(max_examples=200, deadline=None)
-def test_first_seen_by_keys_matches_unique_of_the_sorted_codes(codes, rnd):
-    """With keys, the order is that of the codes sorted by key."""
-    keys = list(range(len(codes)))
-    rnd.shuffle(keys)
-    codes, keys = np.array(codes), np.array(keys, dtype=np.int64)
-    assert _first_seen(codes, keys) == ref_first_seen(codes[np.argsort(keys)])

@@ -455,6 +455,14 @@ class TestPresets:
             main(["presets", "warp"])
         assert err.value.code == 2
 
+    def test_out_without_a_name_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as err:
+            main(["presets", "--out", str(path)])
+        assert err.value.code == 2
+        assert "--out needs a preset name" in capsys.readouterr().err
+        assert not path.exists()
+
 
 # Each file a command reads or writes: BAD stands for a path under a
 # regular file, which no command can open.

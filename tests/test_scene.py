@@ -249,6 +249,15 @@ element tmd panel {
         text = MINIMAL.replace("image = checker 8", f"image = checker 8\n  {line}")
         assert _element(parse_scene(text), "panel").image.shape == shape
 
+    @pytest.mark.parametrize("pattern", ["uniform 0.5", "hgrad", "spot", "checker 8"])
+    @pytest.mark.parametrize("res", ["0", "-3"])
+    def test_image_res_below_one_is_a_parse_error(self, pattern, res):
+        text = MINIMAL.replace("image = checker 8",
+                               f"image = {pattern}\n  image_res = {res}")
+        with pytest.raises(ParseError, match="image_res must be at least 1") as err:
+            parse_scene(text)
+        assert err.value.line == 12
+
     @pytest.mark.parametrize("line", [f"image_res = {MAX_IMAGE_SIDE + 1}",
                                       f"image_data = {MAX_IMAGE_SIDE + 1} 1 0",
                                       f"image_data = 1 {MAX_IMAGE_SIDE + 1} 0",
@@ -380,6 +389,9 @@ class TestRoundTrip:
         text = serialize_scene(scene)
         again = parse_scene(text)
         assert serialize_scene(again) == text
+        # Every screen saves its named pattern, not its samples.
+        screens = [s for s in scene.surfaces if isinstance(s, Screen)]
+        assert screens and text.count("image = ") == len(screens)
         assert again.name == scene.name
         assert [e.ident for e in again.elements] == [e.ident for e in scene.elements]
         for a, b in zip(again.elements, scene.elements):
@@ -413,6 +425,26 @@ class TestRoundTrip:
             assert np.array_equal(a.image, b.image)
         assert serialize_scene(again) == saved
 
+
+    @pytest.mark.parametrize("side", [64, 4])
+    def test_a_replaced_screen_image_reloads(self, side):
+        # The new image is no longer the preset's `checker 8`, so it is
+        # saved as data; at side 4 the pattern would not even build.
+        scene = build_preset("defocus_flat")
+        plate, screen = scene.elements
+        screen = replace(screen, image=np.zeros((side, side)))
+        again = _element(parse_scene(serialize_scene(
+            replace(scene, elements=(plate, screen)))), "panel")
+        assert again.image.tobytes() == screen.image.tobytes()
+        assert screen.image_spec is again.image_spec is None
+
+    def test_a_screen_keeps_the_spec_its_image_is(self):
+        scene = build_preset("defocus_flat")
+        screen = replace(scene.elements[1], image=make_pattern("checker 8", 16))
+        assert screen.image_spec == "checker 8"
+        for spec in ("checker 9", "uniform -1", "warp"):
+            assert replace(screen, image_spec=spec).image_spec is None
+        assert replace(screen, image=np.zeros((16, 8))).image_spec is None
 
     @pytest.mark.parametrize("ident", ["my mirror", "comb#1", "a\nb", "tab\t", 5])
     def test_an_identifier_that_would_not_reload_is_refused(self, ident):
@@ -558,17 +590,42 @@ def _assert_same(a, b):
             assert repr(x) == repr(y)
 
 
+@st.composite
+def replaced_images(draw):
+    """A new image for a screen: a drawn grid, or a named pattern at a
+    drawn side, which the screen's own spec may or may not rebuild."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        values = draw(st.lists(st.floats(0.0, 100.0), min_size=rows * cols,
+                               max_size=rows * cols))
+        return np.reshape(values, (rows, cols))
+    return make_pattern(draw(st.sampled_from(PATTERNS)), draw(st.integers(4, 16)))
+
+
+@st.composite
+def scenes(draw):
+    """A parsed `scene_texts` scene, some of whose screens were given a new
+    image with dataclasses.replace."""
+    scene = parse_scene(draw(scene_texts()))
+
+    def redrawn(e):
+        if isinstance(e, Screen) and draw(st.booleans()):
+            return replace(e, image=draw(replaced_images()))
+        return e
+    return replace(scene, elements=tuple(map(redrawn, scene.elements)),
+                   background=redrawn(scene.background))
+
+
 class TestRoundTripProperty:
     @settings(max_examples=80, deadline=None)
-    @given(scene_texts())
-    def test_saved_scene_reloads_the_same(self, text):
-        """Saving a parsed scene and parsing it again gives every field but
-        the pose, and every position, bit for bit, and every rotation to
-        1e-15.  A pose is saved as its own axes, not as the hints it was
-        built from, and the frame rebuilt from them can move by an ulp;
-        saving rotations that reload exactly is left open (ROADMAP, scene
-        files as a checked boundary)."""
-        scene = parse_scene(text)
+    @given(scenes())
+    def test_saved_scene_reloads_the_same(self, scene):
+        """Saving a scene and parsing it again gives every field but the
+        pose, and every position, bit for bit, and every rotation to 1e-15.
+        A pose is saved as its own axes, not as the hints it was built
+        from, and the frame rebuilt from them can move by an ulp; saving
+        rotations that reload exactly is left open (ROADMAP, scene files as
+        a checked boundary)."""
         again = parse_scene(serialize_scene(scene))
         assert again.name == scene.name
         assert len(again.elements) == len(scene.elements)

@@ -29,8 +29,8 @@ from tmdsim.geometry import (Pose, Ray, closest_point_to_rays, normalize,
                              orthonormal_frame, vec3)
 from tmdsim.presets import build_preset
 from tmdsim.scene import EyeCamera, Scene, camera_pose, make_pattern
-from tmdsim.tracer import (Cone, cone_directions, terminal_rays, trace_bundle,
-                           trace_ray)
+from tmdsim.tracer import (_LABELS, _TERMINALS, Cone, cone_directions,
+                           terminal_rays, trace_bundle, trace_ray)
 
 N_RAYS = 48
 SEED = 5
@@ -267,21 +267,22 @@ def test_worker_count_never_changes_a_bundle(name, seed, n):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stats_keys_in_depth_first_order(name):
-    # The stats dicts list their keys as a walk of the path trees first
-    # meets them, segment by segment.
+def test_stats_keys_in_table_order(name):
+    # The stats dicts list the labels, terminals and modes that the path
+    # trees carry, each in the order of its own table.
     scene, source, cone = case_inputs(name)
     bundle = trace_bundle(scene, source, N_RAYS, cone, seed=SEED)
-    interactions, terminals, modes = {}, {}, {}
+    interactions, terminals, modes = set(), set(), set()
     for root in bundle.paths:
         for path in root.walk():
-            for seg in path.segments:
-                interactions.setdefault(seg.interaction)
-            terminals.setdefault(path.terminal)
-            modes.setdefault(path.segments[-1].ray.mode)
-    assert list(bundle.stats["interactions"]) == list(interactions)
-    assert list(bundle.stats["terminals"]) == list(terminals)
-    assert list(bundle.stats["mode_weight"]) == list(modes)
+            interactions.update(seg.interaction for seg in path.segments)
+            terminals.add(path.terminal)
+            modes.add(path.segments[-1].ray.mode)
+    for key, seen, table in (("interactions", interactions, _LABELS),
+                             ("terminals", terminals, _TERMINALS),
+                             ("mode_weight", modes, bundle.modes)):
+        assert set(bundle.stats[key]) == seen
+        assert list(bundle.stats[key]) == [k for k in table if k in seen]
 
 
 def _assert_same_ray(ray, want):
